@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 input error (missing/malformed files, bad flags,
 unknown config keys), 3 numeric failure (non-finite values produced).
-Inputs are fully loaded and validated before any output file is written, so
-a failing invocation leaves no partial artifacts.
+Every output file is written through ``artifact.atomic_write``, so a failing
+invocation leaves no partial file behind; a model and its sidecar are
+replaced one after the other, not together.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from . import fnet as fnet_mod
 from . import metrics as metrics_mod
 from . import rerank as rerank_mod
 from . import sentic as sentic_mod
+from .artifact import atomic_write
 from .config import RunConfig, load_config
 
 __all__ = ["main"]
@@ -39,37 +41,31 @@ def _config_from(args):
     cfg = load_config(args.config) if args.config else RunConfig()
     if args.seed is not None:
         cfg.set("seed", args.seed)
-    if args.workers is not None:
-        cfg.set("workers", args.workers)
     return cfg
 
 
 def _write_report(values, path):
     text = metrics_mod.format_report(values, as_json=True) + "\n"
     if path:
-        with open(path, "w", encoding="utf-8") as f:
+        with atomic_write(path) as f:
             f.write(text)
     else:
         sys.stdout.write(text)
 
 
 def _save_tokens(tokens, path):
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path) as f:
         for t in tokens:
             f.write(t + "\n")
 
 
-def _load_vocab_file(path):
+def _load_tokens(path):
     with open(path, encoding="utf-8") as f:
-        tokens = [line.rstrip("\n") for line in f if line.rstrip("\n")]
-    if corpus_mod.UNK not in tokens:
-        raise ValueError(f"{path}: vocabulary lacks {corpus_mod.UNK}")
-    return corpus_mod.Vocabulary(
-        token_to_id={t: i for i, t in enumerate(tokens)},
-        id_to_token=tokens,
-        counts={t: 0 for t in tokens},
-        min_count=1,
-    )
+        return [line.rstrip("\n") for line in f if line.rstrip("\n")]
+
+
+def _load_vocab_file(path):
+    return corpus_mod.Vocabulary.from_tokens(_load_tokens(path), path)
 
 
 # ---------------------------------------------------------------------------
@@ -112,21 +108,14 @@ def cmd_embed_crf_feats(args):
     cfg = _config_from(args)
     corpus = corpus_mod.load_corpus(args.corpus)
     emb = embed_mod.load_embeddings(args.embeddings)
-    if corpus_mod.UNK not in emb.tokens:
-        raise ValueError(f"{args.embeddings}: embedding vocabulary lacks {corpus_mod.UNK}")
-    vocab = corpus_mod.Vocabulary(
-        token_to_id={t: i for i, t in enumerate(emb.tokens)},
-        id_to_token=list(emb.tokens),
-        counts={t: 0 for t in emb.tokens},
-        min_count=1,
-    )
+    vocab = corpus_mod.Vocabulary.from_tokens(emb.tokens, args.embeddings)
     binarized = embed_mod.binarize(emb)
     ks = [k for k in cfg.ints("embed.clusters") if k <= len(emb.tokens)]
     clusterings = embed_mod.cluster_words(emb, ks, seed=cfg["seed"])
     text = corpus_mod.emit_crf_features(
         corpus, vocab, binarized, clusterings, window=cfg["embed.window"]
     )
-    with open(args.output, "w", encoding="utf-8") as f:
+    with atomic_write(args.output) as f:
         f.write(text)
     return 0
 
@@ -143,10 +132,6 @@ def _mention_features(instances, table=None, freeze=False):
             inst, table=table, freeze=freeze
         )
     return table
-
-
-def _feats_path(model_path):
-    return str(model_path) + ".feats"
 
 
 def cmd_fnet_proto(args):
@@ -207,7 +192,7 @@ def cmd_fnet_train(args):
     model = fnet_mod.warp_train(mentions, hierarchy, args.mode, warp_cfg, b_init=b_init)
     _check_finite("typing model", model.A, model.B)
     fnet_mod.save_model(model, args.label_emb or "joint", args.output)
-    _save_tokens(list(table.groups.get("mention:0", {})), _feats_path(args.output))
+    _save_tokens(list(table.groups.get("mention:0", {})), str(args.output) + ".feats")
     return 0
 
 
@@ -234,11 +219,8 @@ def cmd_fnet_eval(args):
         raise ValueError("either --model or --oracle is required")
     model, _kind = fnet_mod.load_model(args.model)
     table = corpus_mod.FeatureGroupTable()
-    with open(_feats_path(args.model), encoding="utf-8") as f:
-        for line in f:
-            feat = line.rstrip("\n")
-            if feat:
-                table.intern("mention:0", feat)
+    for feat in _load_tokens(str(args.model) + ".feats"):
+        table.intern("mention:0", feat)
     _mention_features(mentions, table=table, freeze=True)
     top_k = cfg["fnet.top_k"]
     if args.threshold_sweep:
@@ -458,7 +440,8 @@ def cmd_tsa_eval(args):
 def _add_common(p):
     p.add_argument("--config", help="key=value run configuration file")
     p.add_argument("--seed", type=int, help="global random seed")
-    p.add_argument("--workers", type=int, help="worker count (1 = deterministic)")
+    p.add_argument("--workers", type=int,
+                   help="accepted and ignored: every pipeline is single-process and deterministic")
 
 
 def build_parser():
@@ -556,8 +539,6 @@ def build_parser():
     p = sub.add_parser("tsa-eval", help="evaluate targeted sentiment")
     p.add_argument("checkpoint")
     p.add_argument("data")
-    p.add_argument("--classes", type=int, choices=[3, 4], default=3)
-    p.add_argument("--target-averaging", action="store_true")
     p.add_argument("--report")
     _add_common(p)
     p.set_defaults(func=cmd_tsa_eval)

@@ -12,7 +12,6 @@ __all__ = ["RunConfig", "load_config", "SCHEMA"]
 # key -> (type, default). Booleans accept true/false/1/0/yes/no.
 SCHEMA = {
     "seed": (int, 1),
-    "workers": (int, 1),
     # multi-task embedding trainer
     "embed.dims": (int, 50),
     "embed.window": (int, 2),
@@ -38,9 +37,7 @@ SCHEMA = {
     "rerank.epochs": (int, 3),
     "rerank.lr": (float, 0.001),
     "rerank.lam": (float, 0.01),
-    "rerank.alpha": (float, 1.0),
     "rerank.w0": (float, 1.0),
-    "rerank.nbest": (int, 100),
     "rerank.presence": (bool, False),
     "rerank.literal_prior": (bool, False),
     "rerank.pretrain_epochs": (int, 5),
@@ -48,7 +45,6 @@ SCHEMA = {
     "rerank.slp_pairs": (int, 100),
     "rerank.slp_iterations": (int, 10),
     "rerank.slp_lr": (float, 1.0),
-    "rerank.tfidf_threshold": (float, 3.0),
     # targeted sentiment
     "tsa.d_w": (int, 150),
     "tsa.d_h": (int, 50),

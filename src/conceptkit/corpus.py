@@ -125,6 +125,15 @@ class Vocabulary:
     def __contains__(self, token):
         return token in self.token_to_id
 
+    @classmethod
+    def from_tokens(cls, tokens, source):
+        """Vocabulary in the id order of ``tokens`` read back from ``source``
+        (a sidecar or embedding file, which stores no counts)."""
+        if UNK not in tokens:
+            raise ValueError(f"{source}: vocabulary lacks {UNK}")
+        return cls(token_to_id={t: i for i, t in enumerate(tokens)}, id_to_token=list(tokens),
+                   counts=dict.fromkeys(tokens, 0), min_count=1)
+
 
 def build_vocab(corpus, min_count=1):
     counts = {}

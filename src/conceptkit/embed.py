@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import corpus as corpus_mod
+from .artifact import atomic_write
 from .numerics import (
     DiscreteSampler,
     log_sigmoid,
@@ -271,7 +272,7 @@ def cluster_words(emb, ks, seed, max_iters=50):
 def save_embeddings(emb, path):
     """Text format: header ``<vocab_count> <dims>`` then one
     ``token v1 ... vd`` line per word, 17 significant digits."""
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path) as f:
         v, d = emb.word_vectors.shape
         f.write(f"{v} {d}\n")
         for token, vec in zip(emb.tokens, emb.word_vectors):

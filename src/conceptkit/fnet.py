@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifact import atomic_write, load_arrays, save_arrays
 from .corpus import FeatureGroupTable
 from .numerics import SparseVector, substream_rng
 
@@ -262,7 +263,7 @@ def load_prototypes(path, k=60):
 
 
 def save_prototypes(table, path):
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path) as f:
         for lab in sorted(table.prototypes):
             f.write(lab + "\t" + ",".join(table.words(lab)) + "\n")
 
@@ -549,31 +550,15 @@ def extract_mention_features(inst, table=None, clusters=None, deps=None, freeze=
 
 
 def save_model(model, kind, path):
-    """Header line ``fnet <kind> <D> <M> <N>`` then A rows and B rows in the
-    shared text matrix format."""
-    d, m = model.A.shape
-    n = model.B.shape[1]
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"fnet {kind} {d} {m} {n}\n")
-        f.write(" ".join(model.labels) + "\n")
-        for row in model.A:
-            f.write(" ".join(f"{x:.17g}" for x in row) + "\n")
-        for row in model.B:
-            f.write(" ".join(f"{x:.17g}" for x in row) + "\n")
+    """Model artifact of kind ``fnet``: the label embedding kind and label
+    names in the manifest, then A and B."""
+    meta = {"label_emb": kind, "labels": model.labels}
+    save_arrays(path, "fnet", meta, {"A": model.A, "B": model.B})
 
 
 def load_model(path):
-    with open(path, encoding="utf-8") as f:
-        header = f.readline().split()
-        if len(header) != 5 or header[0] != "fnet":
-            raise ValueError(f"{path}: malformed model header")
-        kind, d, m, n = header[1], int(header[2]), int(header[3]), int(header[4])
-        labels = f.readline().split()
-        if len(labels) != n:
-            raise ValueError(f"{path}: label count mismatch")
-        rows = [[float(x) for x in f.readline().split()] for _ in range(2 * d)]
-    A = np.array(rows[:d])
-    B = np.array(rows[d:])
-    if A.shape != (d, m) or B.shape != (d, n):
+    meta, arrays = load_arrays(path, "fnet")
+    model = JointEmbeddingModel(A=arrays["A"], B=arrays["B"], labels=list(meta["labels"]))
+    if model.A.ndim != 2 or model.B.shape != (model.A.shape[0], len(model.labels)):
         raise ValueError(f"{path}: matrix shape mismatch")
-    return JointEmbeddingModel(A=A, B=B, labels=labels), kind
+    return model, meta["label_emb"]

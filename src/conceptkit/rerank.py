@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifact import load_arrays, save_arrays
 from .metrics import align, wer
 from .numerics import SparseVector, sigmoid, softplus, substream_rng
 
@@ -482,24 +483,10 @@ def save_keywords(weights, path):
 
 
 def save_drbm(params, path):
-    n, d = params.W.shape
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"drbm {n} {d} {params.w0:.17g}\n")
-        f.write(" ".join(f"{x:.17g}" for x in params.b) + "\n")
-        f.write(" ".join(f"{x:.17g}" for x in params.c) + "\n")
-        for row in params.W:
-            f.write(" ".join(f"{x:.17g}" for x in row) + "\n")
+    """Model artifact of kind ``drbm``: w0 in the manifest, then W, b and c."""
+    save_arrays(path, "drbm", {"w0": params.w0}, {"W": params.W, "b": params.b, "c": params.c})
 
 
 def load_drbm(path):
-    with open(path, encoding="utf-8") as f:
-        header = f.readline().split()
-        if len(header) != 4 or header[0] != "drbm":
-            raise ValueError(f"{path}: malformed model header")
-        n, d, w0 = int(header[1]), int(header[2]), float(header[3])
-        b = np.array([float(x) for x in f.readline().split()])
-        c = np.array([float(x) for x in f.readline().split()])
-        W = np.array([[float(x) for x in f.readline().split()] for _ in range(n)])
-    if b.shape != (n,) or c.shape != (d,) or W.shape != (n, d):
-        raise ValueError(f"{path}: matrix shape mismatch")
-    return DrbmParams(W=W, b=b, c=c, w0=w0)
+    meta, arrays = load_arrays(path, "drbm")
+    return DrbmParams(W=arrays["W"], b=arrays["b"], c=arrays["c"], w0=float(meta["w0"]))

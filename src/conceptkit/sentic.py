@@ -12,11 +12,12 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import autodiff as ad
+from .artifact import load_arrays, save_arrays
 from .metrics import LabelSetPrediction, macro_f1, micro_f1, strict_accuracy
 from .numerics import substream_rng
 
@@ -85,6 +86,9 @@ class SenticConfig:
     dropout: float = 0.5
     seed: int = 1
     target_averaging: bool = False  # uniform target attention ablation
+
+    def __post_init__(self):
+        self.aspects = tuple(self.aspects)  # a checkpoint manifest stores a list
 
     @property
     def classes(self):
@@ -462,53 +466,23 @@ def save_tsa(dataset, path):
 
 
 def save_checkpoint(params, path):
-    """JSON manifest line (config, vocabularies, array shapes) followed by
-    one whitespace-separated flat array per line, in manifest order."""
-    cfg = params.config
-    manifest = {
-        "config": {
-            "d_w": cfg.d_w,
-            "d_h": cfg.d_h,
-            "d_m": cfg.d_m,
-            "d_c": cfg.d_c,
-            "max_concepts": cfg.max_concepts,
-            "aspects": list(cfg.aspects),
-            "four_class": cfg.four_class,
-            "target_averaging": cfg.target_averaging,
-        },
+    """Model artifact of kind ``sentic``: the config, best epoch and
+    vocabularies in the manifest, then every array in name order."""
+    meta = {
+        "config": asdict(params.config),
         "best_epoch": getattr(params, "best_epoch", None),
         "tokens": params.tokens,
         "concept_ids": params.concept_ids,
-        "arrays": {k: list(v.shape) for k, v in sorted(params.arrays.items())},
     }
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(json.dumps(manifest) + "\n")
-        for k in sorted(params.arrays):
-            flat = params.arrays[k].ravel()
-            f.write(" ".join(f"{x:.17g}" for x in flat) + "\n")
+    save_arrays(path, "sentic", meta, {k: params.arrays[k] for k in sorted(params.arrays)})
 
 
 def load_checkpoint(path):
-    with open(path, encoding="utf-8") as f:
-        manifest = json.loads(f.readline())
-        cfgd = manifest["config"]
-        config = SenticConfig(
-            d_w=cfgd["d_w"],
-            d_h=cfgd["d_h"],
-            d_m=cfgd["d_m"],
-            d_c=cfgd["d_c"],
-            max_concepts=cfgd["max_concepts"],
-            aspects=tuple(cfgd["aspects"]),
-            four_class=cfgd["four_class"],
-            target_averaging=cfgd["target_averaging"],
-        )
-        arrays = {}
-        for k, shape in sorted(manifest["arrays"].items()):
-            vals = np.array([float(x) for x in f.readline().split()])
-            if vals.size != int(np.prod(shape)):
-                raise ValueError(f"{path}: array {k} has wrong size")
-            arrays[k] = vals.reshape(shape)
-    params = SenticParams(config, manifest["tokens"], manifest["concept_ids"], arrays)
-    if manifest.get("best_epoch") is not None:
-        params.best_epoch = manifest["best_epoch"]
+    meta, arrays = load_arrays(path, "sentic")
+    try:
+        config = SenticConfig(**meta["config"])
+        params = SenticParams(config, meta["tokens"], meta["concept_ids"], arrays)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: malformed checkpoint manifest ({exc})") from exc
+    params.best_epoch = meta.get("best_epoch")
     return params

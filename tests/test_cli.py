@@ -6,10 +6,13 @@ and byte-level determinism under a fixed seed.
 """
 
 import json
+import os
 
+import numpy as np
 import pytest
 
 from conceptkit import fnet, rerank, sentic
+from conceptkit.artifact import atomic_write
 from conceptkit.cli import main
 from conceptkit.embed import load_embeddings, save_embeddings
 from conceptkit.synth import synth_fnet, synth_nbest, synth_tsa
@@ -258,6 +261,11 @@ def test_rerank_pipeline(tmp_path, nbest_files, cfg_file, capsys):
     rep = json.loads(_read(report))
     assert set(rep) == {"wer", "asr_wer", "oracle_wer"}
     assert rep["oracle_wer"] <= rep["wer"] <= 1.0
+    # only the named outputs, no temporary files
+    assert sorted(os.listdir(tmp_path)) == sorted(
+        ["nbest.jsonl", "gaz.tsv", "small.cfg", "init.drbm", "init.drbm.vocab",
+         "trained.drbm", "trained.drbm.vocab", "rerank.json"]
+    )
 
 
 def test_rerank_zero_model_reproduces_asr(tmp_path, nbest_files, capsys):
@@ -319,6 +327,15 @@ def test_tsa_pipeline(tmp_path, tsa_files, cfg_file, capsys):
     assert set(rep) == {"strict_acc", "macro_f1", "micro_f1", "sentiment_acc"}
 
 
+@pytest.mark.parametrize("flag", [["--classes", "4"], ["--target-averaging"]])
+def test_tsa_eval_rejects_training_flags(tmp_path, tsa_files, flag):
+    # class count and target averaging are read from the checkpoint
+    _, dv = tsa_files
+    with pytest.raises(SystemExit) as exc:
+        main(["tsa-eval", str(tmp_path / "tsa.ckpt"), dv] + flag)
+    assert exc.value.code == 2
+
+
 def test_tsa_target_averaging_flag(tmp_path, tsa_files, cfg_file):
     tr, dv = tsa_files
     ckpt = str(tmp_path / "avg.ckpt")
@@ -337,3 +354,78 @@ def test_tsa_train_deterministic(tmp_path, tsa_files, cfg_file):
                      "--config", cfg_file, "--seed", "7", "--workers", "1"]) == 0
         blobs.append(_read(ckpt))
     assert blobs[0] == blobs[1]
+
+
+# ---------------------------------------------------------------------------
+# model artifacts
+
+
+def test_failed_write_keeps_old_artifact(tmp_path, nbest_files, cfg_file, monkeypatch):
+    npath, _ = nbest_files
+    model = str(tmp_path / "trained.drbm")
+    argv = ["rerank-train", npath, "--output", model, "--config", cfg_file]
+    assert main(argv + ["--seed", "7"]) == 0
+    before = sorted(os.listdir(tmp_path)), _read(model)
+
+    real_save = np.save
+    saved = []
+
+    def save_then_fail(f, a, **kw):
+        if saved:
+            raise OSError("disk full")
+        saved.append(a)
+        real_save(f, a, **kw)
+
+    monkeypatch.setattr(np, "save", save_then_fail)
+    assert main(argv + ["--seed", "8"]) == 2
+    assert len(saved) == 1  # the failure came after the first array was written
+    assert (sorted(os.listdir(tmp_path)), _read(model)) == before
+
+    with pytest.raises(RuntimeError):
+        with atomic_write(model, "wb") as f:
+            f.write(b"partial")
+            raise RuntimeError("boom")
+    assert (sorted(os.listdir(tmp_path)), _read(model)) == before
+
+
+def _model_artifacts(tmp_path):
+    """One small valid artifact of each model kind."""
+    paths = {k: str(tmp_path / f"valid.{k}") for k in ("fnet", "drbm", "sentic")}
+    fnet.save_model(
+        fnet.JointEmbeddingModel(A=np.ones((2, 3)), B=np.ones((2, 2)), labels=["/A", "/B"]),
+        "hle",
+        paths["fnet"],
+    )
+    rerank.save_drbm(rerank.DrbmParams.zeros(3, 2), paths["drbm"])
+    cfg = sentic.SenticConfig(d_w=2, d_h=2, d_m=2, d_c=2)
+    params = sentic.SenticParams.init(cfg, ["<unk>"], [], np.random.default_rng(0))
+    sentic.save_checkpoint(params, paths["sentic"])
+    return paths
+
+
+@pytest.mark.parametrize("damage", ["garbage", "wrong-kind", "truncated", "manifest-only"])
+@pytest.mark.parametrize("kind", ["fnet", "drbm", "sentic"])
+def test_bad_model_artifact_exits_2(
+    tmp_path, fnet_files, nbest_files, tsa_files, capsys, kind, damage
+):
+    artifacts = _model_artifacts(tmp_path)
+    good = _read(artifacts[kind])
+    blob = {
+        "garbage": b"\x00\xff drbm 3 2 1\n\x93NUMPY",
+        "wrong-kind": _read(artifacts["drbm" if kind == "fnet" else "fnet"]),
+        "truncated": good[:-8],
+        "manifest-only": good[: good.index(b"\n") + 1],
+    }[damage]
+    bad = str(tmp_path / "bad.model")
+    with open(bad, "wb") as f:
+        f.write(blob)
+    mpath, hpath, _ = fnet_files
+    npath, _ = nbest_files
+    _, dv = tsa_files
+    argv = {
+        "fnet": ["fnet-eval", mpath, hpath, "--model", bad],
+        "drbm": ["rerank-eval", npath, "--model", bad],
+        "sentic": ["tsa-eval", bad, dv],
+    }[kind]
+    assert main(argv) == 2
+    assert bad in capsys.readouterr().err
