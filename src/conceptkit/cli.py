@@ -23,12 +23,9 @@ from . import rerank as rerank_mod
 from . import sentic as sentic_mod
 from .artifact import atomic_write
 from .config import RunConfig, load_config
+from .numerics import NumericFailure
 
 __all__ = ["main"]
-
-
-class NumericFailure(Exception):
-    """Raised when a pipeline produces non-finite values."""
 
 
 def _check_finite(name, *arrays):
@@ -355,7 +352,8 @@ def cmd_rerank_eval(args):
         "oracle_wer": _oracle_wer(data),
     }
     if keywords is not None:
-        report["weighted_wer"] = _weighted_corpus_wer(data, scorer, keywords)
+        chosen = ((nb.reference, rerank_mod.rerank(nb, scorer).words) for nb in data)
+        report["weighted_wer"] = metrics_mod.weighted_wer(chosen, keywords)
     _write_report(report, args.report)
     return 0
 
@@ -366,22 +364,6 @@ def _oracle_wer(data):
         for nb in data
     )
     return errors / max(1, sum(len(nb.reference) for nb in data))
-
-
-def _weighted_corpus_wer(data, scorer, keywords):
-    """Keyword-weighted corpus WER; words off the keyword list weigh 0."""
-    err = 0.0
-    denom = 0.0
-    for nb in data:
-        chosen = rerank_mod.rerank(nb, scorer)
-        a = metrics_mod.align(nb.reference, chosen.words)
-        for op, ri, hi in a.ops:
-            if op in ("sub", "del"):
-                err += keywords.get(nb.reference[ri], 0.0)
-            elif op == "ins":
-                err += keywords.get(chosen.words[hi], 0.0)
-        denom += sum(keywords.get(w, 0.0) for w in nb.reference)
-    return err / max(1.0, denom)
 
 
 # ---------------------------------------------------------------------------

@@ -136,21 +136,24 @@ def wer(ref, hyp):
     return a.errors / denom
 
 
-def weighted_wer(ref, hyp, weights):
-    """WER where each error contributes the weight of the word involved.
+def weighted_wer(pairs, weights):
+    """Corpus-level WER over (reference, hypothesis) pairs where each error
+    contributes the weight of the word involved.
 
     Substitutions and deletions carry the reference word's weight,
-    insertions the inserted hypothesis word's weight; normalized by the
-    total reference weight (at least 1 to keep the ratio defined).
+    insertions the inserted hypothesis word's weight, and a word absent from
+    ``weights`` weighs 0; normalized by the total reference weight (at least
+    1 to keep the ratio defined).
     """
-    a = align(ref, hyp)
     err = 0.0
-    for op, ri, hi in a.ops:
-        if op in ("sub", "del"):
-            err += weights.get(ref[ri], 1.0)
-        elif op == "ins":
-            err += weights.get(hyp[hi], 1.0)
-    denom = sum(weights.get(w, 1.0) for w in ref)
+    denom = 0.0
+    for ref, hyp in pairs:
+        for op, ri, hi in align(ref, hyp).ops:
+            if op in ("sub", "del"):
+                err += weights.get(ref[ri], 0.0)
+            elif op == "ins":
+                err += weights.get(hyp[hi], 0.0)
+        denom += sum(weights.get(w, 0.0) for w in ref)
     return err / max(1.0, denom)
 
 

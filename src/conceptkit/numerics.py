@@ -13,6 +13,7 @@ import hashlib
 import numpy as np
 
 __all__ = [
+    "NumericFailure",
     "SparseVector",
     "make_rng",
     "substream_rng",
@@ -24,6 +25,11 @@ __all__ = [
     "kmeans",
     "fd_gradcheck",
 ]
+
+
+class NumericFailure(Exception):
+    """Raised when a pipeline produces non-finite values."""
+
 
 # Above this many outcomes the alias method beats a binary search on the CDF.
 ALIAS_THRESHOLD = 1024

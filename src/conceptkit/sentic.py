@@ -4,7 +4,8 @@ A bi-directional recurrent encoder whose gates also read a per-token concept
 vector, an extra knowledge output gate that injects the concept signal into
 the hidden state, two attention stages (over target positions, then over the
 whole sentence conditioned on an aspect embedding), and one softmax
-classifier per aspect. Training is reverse-mode autodiff with Adam.
+classifier per aspect. Gradients come from one hand-written backward pass
+(backpropagation through time for the recurrence); training is Adam.
 """
 
 from __future__ import annotations
@@ -16,10 +17,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .artifact import load_arrays, save_arrays
 from .metrics import LabelSetPrediction, macro_f1, micro_f1, strict_accuracy
-from .numerics import substream_rng
+from .numerics import NumericFailure, sigmoid, softmax, substream_rng
 
 log = logging.getLogger(__name__)
 
@@ -158,22 +158,62 @@ def average_concepts(vectors, max_concepts=4, dim=None):
     return np.mean(np.asarray(vectors, dtype=np.float64), axis=0)
 
 
-def _concept_mu(inst_concepts, params):
-    """Per-token averaged concept vector (numpy, constant w.r.t. the tape
-    except through the concept embedding table)."""
-    cfg = params.config
-    out = []
-    for ids in inst_concepts:
-        ids = [c for c in ids if c in params.concept_index][: cfg.max_concepts]
-        if not ids:
-            out.append(None)  # zero concept input
-        else:
-            out.append([params.concept_index[c] for c in ids])
-    return out
+# One direction's gate blocks in the order they are stacked into a single
+# (5 d_h x (d_w + d_h + d_c)) matrix: four sigmoid gates, then the candidate.
+_GATES = (("Wf", "bf"), ("Wi", "bi"), ("Wo", "bo"), ("Wco", "bco"), ("WC", "bC"))
 
 
-def _gate(W, b, joint):
-    return ad.sigmoid(ad.add(ad.matvec(W, joint), b))
+def _recur(X, MU, p, dirn, h0, c0):
+    """One direction over the rows of X (words) and MU (averaged concepts)
+    from the state (h0, c0): hidden and cell states with the initial one
+    first, and the trace ``_recur_back`` reads."""
+    W = np.concatenate([p[f"{w}:{dirn}"] for w, _ in _GATES])
+    b = np.concatenate([p[f"{b}:{dirn}"] for _, b in _GATES])
+    L, d_w = X.shape
+    d = h0.size
+    Wh = W[:, d_w : d_w + d]
+    Z = X @ W[:, :d_w].T + MU @ W[:, d_w + d :].T + b
+    K = np.tanh(MU @ p[f"Wc:{dirn}"].T)  # the knowledge term tanh(Wc mu)
+    H, C = np.empty((L + 1, d)), np.empty((L + 1, d))
+    H[0], C[0] = h0, c0
+    S, CT, TC = np.empty((L, 4 * d)), np.empty((L, d)), np.empty((L, d))
+    for t in range(L):
+        z = Z[t] + Wh @ H[t]
+        s = S[t] = sigmoid(z[: 4 * d])  # f, i, o, o_c
+        c_tilde = CT[t] = np.tanh(z[4 * d :])
+        C[t + 1] = s[:d] * C[t] + s[d : 2 * d] * c_tilde
+        tanh_c = TC[t] = np.tanh(C[t + 1])
+        H[t + 1] = s[2 * d : 3 * d] * tanh_c + s[3 * d :] * K[t]
+    return H, C, (W, K, S, CT, TC)
+
+
+def _recur_back(dH, X, MU, p, dirn, H, C, trace, g):
+    """Backpropagation through time for one direction: writes its arrays'
+    gradients into ``g`` and returns the gradients of X and MU."""
+    W, K, S, CT, TC = trace
+    L, d = dH.shape
+    d_w = X.shape[1]
+    Wh = W[:, d_w : d_w + d]
+    DZ, DH = np.empty((L, 5 * d)), np.empty((L, d))
+    dh_next, dc = np.zeros(d), np.zeros(d)
+    for t in reversed(range(L)):
+        s = S[t]
+        dh = DH[t] = dH[t] + dh_next
+        dc = dc + dh * s[2 * d : 3 * d] * (1.0 - TC[t] * TC[t])
+        ds = np.concatenate([dc * C[t], dc * CT[t], dh * TC[t], dh * K[t]])
+        DZ[t, : 4 * d] = ds * s * (1.0 - s)
+        DZ[t, 4 * d :] = dc * s[d : 2 * d] * (1.0 - CT[t] * CT[t])
+        dc = dc * s[:d]
+        dh_next = DZ[t] @ Wh
+    DK = DH * S[:, 3 * d :] * (1.0 - K * K)
+    dW = DZ.T @ np.hstack([X, H[:-1], MU])
+    db = DZ.sum(axis=0)
+    for n, (w, b) in enumerate(_GATES):
+        g[f"{w}:{dirn}"] = dW[n * d : (n + 1) * d]
+        g[f"{b}:{dirn}"] = db[n * d : (n + 1) * d]
+    g[f"Wc:{dirn}"] = DK.T @ MU
+    dJ = DZ @ W
+    return dJ[:, :d_w], dJ[:, d_w + d :] + DK @ p[f"Wc:{dirn}"]
 
 
 def sentic_step(x, h_prev, c_prev, mu, p, dirn):
@@ -182,63 +222,69 @@ def sentic_step(x, h_prev, c_prev, mu, p, dirn):
     h = o * tanh(C) + o_c * tanh(Wc mu); with mu = 0 the knowledge term
     vanishes and the step is a standard LSTM over the shared blocks.
     """
-    joint = ad.concat([x, h_prev, mu])
-    f = _gate(p[f"Wf:{dirn}"], p[f"bf:{dirn}"], joint)
-    i = _gate(p[f"Wi:{dirn}"], p[f"bi:{dirn}"], joint)
-    o = _gate(p[f"Wo:{dirn}"], p[f"bo:{dirn}"], joint)
-    oc = _gate(p[f"Wco:{dirn}"], p[f"bco:{dirn}"], joint)
-    c_tilde = ad.tanh(ad.add(ad.matvec(p[f"WC:{dirn}"], joint), p[f"bC:{dirn}"]))
-    c = ad.add(ad.mul(f, c_prev), ad.mul(i, c_tilde))
-    knowledge = ad.tanh(ad.matvec(p[f"Wc:{dirn}"], mu))
-    h = ad.add(ad.mul(o, ad.tanh(c)), ad.mul(oc, knowledge))
-    return h, c
+    H, C, _ = _recur(x[None], mu[None], p, dirn, h_prev, c_prev)
+    return H[1], C[1]
 
 
 def lstm_step(x, h_prev, c_prev, p, dirn, d_c):
     """Standard LSTM step: the sentic recurrence with a zero concept input."""
-    mu = ad.Var(np.zeros(d_c))
-    return sentic_step(x, h_prev, c_prev, mu, p, dirn)
+    return sentic_step(x, h_prev, c_prev, np.zeros(d_c), p, dirn)
+
+
+def _encode(inst, p, params, dropout_mask):
+    cfg = params.config
+    tids = [params.token_index.get(t) for t in inst.tokens]
+    known = [i for i, t in enumerate(tids) if t is not None]
+    X = np.zeros((len(tids), cfg.d_w))
+    X[known] = p["E"][[tids[i] for i in known]]
+    if dropout_mask is not None:
+        X *= dropout_mask
+    # each token's concept input averages its known ids, at most max_concepts
+    # of them; none gives the zero input that stands for 'no concept found'
+    index = params.concept_index
+    rows = [[index[c] for c in ids if c in index][: cfg.max_concepts] for ids in inst.concepts]
+    at = [i for i, r in enumerate(rows) for _ in r]
+    cid = [j for r in rows for j in r]
+    share = np.array([1.0 / len(r) for r in rows for _ in r])[:, None]
+    MU = np.zeros((len(tids), cfg.d_c))
+    np.add.at(MU, at, p["Ec"][cid] * share)
+    zero = np.zeros(cfg.d_h)
+    fwd = _recur(X, MU, p, "f", zero, zero)
+    bwd = _recur(X[::-1], MU[::-1], p, "b", zero, zero)
+    columns = np.hstack([fwd[0][1:], bwd[0][1:][::-1]])
+    return columns, (tids, known, at, cid, share, X, MU, fwd, bwd)
 
 
 def encode_bilstm(inst, p, params, dropout_mask=None):
-    """Columns [h_fwd_i ; h_bwd_i] for every position, both directions
-    running the sentic recurrence."""
-    cfg = params.config
-    length = len(inst.tokens)
-    mu_ids = _concept_mu(inst.concepts, params)
+    """Columns [h_fwd_i ; h_bwd_i] (one row per position), both directions
+    running the sentic recurrence over [word row * dropout mask; averaged
+    concept rows]; unknown tokens read a zero word row."""
+    return _encode(inst, p, params, dropout_mask)[0]
 
-    def mu_at(i):
-        if mu_ids[i] is None:
-            return ad.Var(np.zeros(cfg.d_c))
-        rows = [ad.index(p["Ec"], j) for j in mu_ids[i]]
-        acc = rows[0]
-        for r in rows[1:]:
-            acc = ad.add(acc, r)
-        return ad.mul(acc, ad.Var(1.0 / len(rows)))
 
-    xs = []
-    for i in range(length):
-        tid = params.token_index.get(inst.tokens[i])
-        if tid is None:
-            xs.append(ad.Var(np.zeros(cfg.d_w)))
-        else:
-            x = ad.index(p["E"], tid)
-            if dropout_mask is not None:
-                x = ad.mul(x, ad.Var(dropout_mask[i]))
-            xs.append(x)
-    mus = [mu_at(i) for i in range(length)]
-    zeros = ad.Var(np.zeros(cfg.d_h))
-    fwd = []
-    h, c = zeros, zeros
-    for i in range(length):
-        h, c = sentic_step(xs[i], h, c, mus[i], p, "f")
-        fwd.append(h)
-    bwd = [None] * length
-    h, c = zeros, zeros
-    for i in reversed(range(length)):
-        h, c = sentic_step(xs[i], h, c, mus[i], p, "b")
-        bwd[i] = h
-    return [ad.concat([fwd[i], bwd[i]]) for i in range(length)]
+def _attend(pre, w, values):
+    """weights = softmax(w . tanh(pre_j)); returns (weights @ values,
+    weights, tanh(pre))."""
+    act = np.tanh(pre)
+    weights = softmax(act @ w)
+    return weights @ values, weights, act
+
+
+def _attend_back(d_out, values, weights, act, w):
+    """Gradients of ``_attend`` w.r.t. values, pre and w."""
+    d_weights = values @ d_out
+    d_e = weights * (d_weights - d_weights @ weights)
+    return np.outer(weights, d_out), np.outer(d_e, w) * (1.0 - act * act), act.T @ d_e
+
+
+def _target(columns, positions, p, uniform):
+    if not positions:
+        raise ValueError("empty target")
+    cols = np.asarray(columns)[positions]
+    if uniform:
+        alpha = np.full(len(cols), 1.0 / len(cols))
+        return alpha @ cols, alpha, None
+    return _attend(cols @ p["Wa1"].T, p["Wa2"], cols)
 
 
 def target_attention(columns, positions, p, uniform=False):
@@ -247,80 +293,93 @@ def target_attention(columns, positions, p, uniform=False):
     alpha = softmax(Wa2 . tanh(Wa1 h_t)); the ablation flag forces a uniform
     alpha, reproducing plain target averaging.
     """
-    if not positions:
-        raise ValueError("empty target")
-    cols = [columns[t] for t in positions]
-    if uniform:
-        alpha = ad.Var(np.full(len(cols), 1.0 / len(cols)))
-    else:
-        energies = [ad.dot(p["Wa2"], ad.tanh(ad.matvec(p["Wa1"], h))) for h in cols]
-        alpha = ad.softmax(ad.stack(energies))
-    v_t = ad.mul(ad.index(alpha, 0), cols[0])
-    for j in range(1, len(cols)):
-        v_t = ad.add(v_t, ad.mul(ad.index(alpha, j), cols[j]))
+    v_t, alpha, _ = _target(columns, positions, p, uniform)
     return v_t, alpha
+
+
+def _sentence(columns, v_t, aspect, p):
+    key = f"va:{aspect}"
+    if key not in p:
+        raise ValueError(f"unknown aspect {aspect!r}")
+    columns = np.asarray(columns)
+    d2 = columns.shape[1]
+    return _attend(columns @ p["Wm"][:, :d2].T + p["Wm"][:, d2:] @ v_t, p[key], columns)
 
 
 def sentence_attention(columns, v_t, aspect, p):
     """beta = softmax(v_a . tanh(Wm [h_i ; v_t])) over the whole sentence."""
-    key = f"va:{aspect}"
-    if key not in p:
-        raise ValueError(f"unknown aspect {aspect!r}")
-    energies = [
-        ad.dot(p[key], ad.tanh(ad.matvec(p["Wm"], ad.concat([h, v_t]))))
-        for h in columns
-    ]
-    beta = ad.softmax(ad.stack(energies))
-    v_s = ad.mul(ad.index(beta, 0), columns[0])
-    for i in range(1, len(columns)):
-        v_s = ad.add(v_s, ad.mul(ad.index(beta, i), columns[i]))
+    v_s, beta, _ = _sentence(columns, v_t, aspect, p)
     return v_s, beta
 
 
-def forward(inst, params, dropout_mask=None, as_vars=False):
+def _forward(inst, params, dropout_mask):
+    """The forward pass, keeping what ``loss_and_grads`` reads on the way back."""
+    cfg, p = params.config, params.arrays
+    columns, enc = _encode(inst, p, params, dropout_mask)
+    target = _target(columns, inst.target_positions, p, cfg.target_averaging)
+    heads = {a: _sentence(columns, target[0], a, p) for a in cfg.aspects}
+    probs = {a: softmax(p["Wp"] @ v_s + p[f"bp:{a}"]) for a, (v_s, _, _) in heads.items()}
+    return columns, enc, target, heads, probs
+
+
+def forward(inst, params, dropout_mask=None):
     """Per-aspect class probability vectors (softmax, summing to one)."""
-    cfg = params.config
-    p = {k: ad.Var(v) for k, v in params.arrays.items()}
-    columns = encode_bilstm(inst, p, params, dropout_mask=dropout_mask)
-    v_t, _ = target_attention(
-        columns, inst.target_positions, p, uniform=cfg.target_averaging
-    )
-    out = {}
-    for a in cfg.aspects:
-        v_s, _ = sentence_attention(columns, v_t, a, p)
-        logits = ad.add(ad.matvec(p["Wp"], v_s), p[f"bp:{a}"])
-        out[a] = ad.softmax(logits)
-    if as_vars:
-        return out, p
-    return {a: v.value.copy() for a, v in out.items()}
+    return _forward(inst, params, dropout_mask)[-1]
 
 
 def loss_and_grads(inst, params, dropout_mask=None):
-    """Summed per-aspect cross-entropy and its gradient for every array."""
-    cfg = params.config
+    """Summed per-aspect cross-entropy and its gradient for every array.
+
+    One backward pass through the softmax heads, sentence attention, target
+    attention and both directions of the recurrence; the word and concept
+    tables get their rows added in once. Arrays the instance does not reach
+    (rows of other tokens, the target-attention query under averaging) get
+    zero gradients.
+    """
+    cfg, p = params.config, params.arrays
     classes = list(cfg.classes)
-    p = {k: ad.Var(v) for k, v in params.arrays.items()}
-    columns = encode_bilstm(inst, p, params, dropout_mask=dropout_mask)
-    v_t, _ = target_attention(
-        columns, inst.target_positions, p, uniform=cfg.target_averaging
-    )
-    loss = None
+    columns, enc, (v_t, alpha, alpha_act), heads, probs = _forward(inst, params, dropout_mask)
+    g = {k: np.zeros_like(v) for k, v in p.items()}
+    d2 = columns.shape[1]
+    d_cols, d_v_t = np.zeros_like(columns), np.zeros(d2)
+    loss = 0.0
     for a in cfg.aspects:
+        v_s, beta, act = heads[a]
         gold = inst.aspects.get(a, NONE_CLASS).lower()
         if gold not in classes:
             raise ValueError(f"unknown polarity {gold!r} for aspect {a!r}")
-        v_s, _ = sentence_attention(columns, v_t, a, p)
-        logits = ad.add(ad.matvec(p["Wp"], v_s), p[f"bp:{a}"])
-        probs = ad.softmax(logits)
-        nll = ad.mul(ad.log(ad.index(probs, classes.index(gold))), ad.Var(-1.0))
-        loss = nll if loss is None else ad.add(loss, nll)
-    ad.backward(loss)
-    # arrays outside the graph (e.g. an unused concept table) get zero grads
-    grads = {
-        k: (p[k].grad if p[k].grad is not None else np.zeros_like(params.arrays[k]))
-        for k in params.arrays
-    }
-    return float(loss.value), grads
+        gold = classes.index(gold)
+        loss -= float(np.log(probs[a][gold]))
+        d_logits = probs[a] - np.eye(len(classes))[gold]
+        g["Wp"] += np.outer(d_logits, v_s)
+        g[f"bp:{a}"] = d_logits
+        d_values, d_pre, g[f"va:{a}"] = _attend_back(
+            p["Wp"].T @ d_logits, columns, beta, act, p[f"va:{a}"]
+        )
+        d_cols += d_values + d_pre @ p["Wm"][:, :d2]
+        g["Wm"][:, :d2] += d_pre.T @ columns
+        d_pre_sum = d_pre.sum(axis=0)
+        g["Wm"][:, d2:] += np.outer(d_pre_sum, v_t)
+        d_v_t += d_pre_sum @ p["Wm"][:, d2:]
+    if alpha_act is None:  # uniform target averaging
+        d_targets = np.outer(alpha, d_v_t)
+    else:
+        cols = columns[inst.target_positions]
+        d_targets, d_pre, g["Wa2"] = _attend_back(d_v_t, cols, alpha, alpha_act, p["Wa2"])
+        d_targets += d_pre @ p["Wa1"]
+        g["Wa1"] = d_pre.T @ cols
+    np.add.at(d_cols, inst.target_positions, d_targets)
+    tids, known, at, cid, share, X, MU, fwd, bwd = enc
+    d_h = cfg.d_h
+    dX, dMU = _recur_back(d_cols[:, :d_h], X, MU, p, "f", *fwd, g)
+    dX_b, dMU_b = _recur_back(d_cols[::-1, d_h:], X[::-1], MU[::-1], p, "b", *bwd, g)
+    dX += dX_b[::-1]
+    dMU += dMU_b[::-1]
+    if dropout_mask is not None:
+        dX *= dropout_mask
+    np.add.at(g["E"], [tids[i] for i in known], dX[known])
+    np.add.at(g["Ec"], cid, dMU[at] * share)
+    return loss, g
 
 
 def train(train_set, dev_set, config, rng=None):
@@ -355,8 +414,12 @@ def train(train_set, dev_set, config, rng=None):
                 ).astype(np.float64) / (1.0 - drop)
             if config.lr == 0.0:
                 continue
-            _, grads = loss_and_grads(inst, params, dropout_mask=mask)
+            loss, grads = loss_and_grads(inst, params, dropout_mask=mask)
             step += 1
+            if not math.isfinite(loss):
+                raise NumericFailure(
+                    f"sentiment training loss is {loss} at epoch {epoch}, step {step}"
+                )
             for k, g in grads.items():
                 m[k] = beta1 * m[k] + (1 - beta1) * g
                 v[k] = beta2 * v[k] + (1 - beta2) * g * g

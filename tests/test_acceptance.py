@@ -264,18 +264,14 @@ def test_criterion_2_exactness_suite():
     rng = make_rng(5)
     for k in params.arrays:
         params.arrays[k] = rng.normal(size=params.arrays[k].shape)
-    import conceptkit.autodiff as ad
-
-    p = {k: ad.Var(v) for k, v in params.arrays.items()}
-    x = ad.Var(rng.normal(size=3))
-    h0 = ad.Var(rng.normal(size=2))
-    c0 = ad.Var(rng.normal(size=2))
-    mu0 = ad.Var(np.zeros(2))
+    p = params.arrays
+    x = rng.normal(size=3)
+    h0 = rng.normal(size=2)
+    c0 = rng.normal(size=2)
+    mu0 = np.zeros(2)
     h1, c1 = sentic_mod.sentic_step(x, h0, c0, mu0, p, "f")
     h2, c2 = sentic_mod.lstm_step(x, h0, c0, p, "f", 2)
-    checks["zero_concept"] = np.array_equal(h1.value, h2.value) and np.array_equal(
-        c1.value, c2.value
-    )
+    checks["zero_concept"] = np.array_equal(h1, h2) and np.array_equal(c1, c2)
 
     # (e) word-group-only trainer is bit-identical to a plain skip-gram
     # trainer written out longhand here

@@ -345,6 +345,23 @@ def test_tsa_target_averaging_flag(tmp_path, tsa_files, cfg_file):
     assert params.config.target_averaging is True
 
 
+def test_tsa_train_nonfinite_loss_exits_3(tmp_path, tsa_files, cfg_file, capsys):
+    # a blown-up learning rate makes the loss non-finite after one update;
+    # training stops at that step, names it, and writes no checkpoint
+    tr, dv = tsa_files
+    cfg = tmp_path / "blowup.cfg"
+    with open(cfg_file) as f:
+        cfg.write_text(f.read().replace("tsa.lr = 0.01", "tsa.lr = 1e300"))
+    out = tmp_path / "out"
+    out.mkdir()
+    code = main(["tsa-train", tr, dv, "--output", str(out / "tsa.ckpt"),
+                 "--config", str(cfg), "--seed", "7"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "epoch 0, step 2" in err
+    assert list(out.iterdir()) == []
+
+
 def test_tsa_train_deterministic(tmp_path, tsa_files, cfg_file):
     tr, dv = tsa_files
     blobs = []

@@ -108,11 +108,19 @@ class TestWer:
 
     def test_weighted_hand_alignment(self):
         w = {"a": 1.0, "b": 0.0}
-        assert weighted_wer(["a", "b"], ["b"], w) == 1.0
+        assert weighted_wer([(["a", "b"], ["b"])], w) == 1.0
 
     def test_weighted_all_unit_matches_plain(self):
         ref, hyp = "the cat sat".split(), "the mat sat down".split()
-        assert abs(weighted_wer(ref, hyp, {}) - wer(ref, hyp)) < 1e-12
+        unit = {w: 1.0 for w in ref + hyp}
+        assert abs(weighted_wer([(ref, hyp)], unit) - wer(ref, hyp)) < 1e-12
+
+    def test_weighted_unlisted_words_weigh_zero(self):
+        # corpus-level: one cat->mat substitution over cat+sat+cat; the
+        # unlisted inserted "down" and the unlisted "the"/"a" weigh nothing
+        pairs = [("the cat sat".split(), "the mat sat down".split()),
+                 ("a cat".split(), "a cat".split())]
+        assert abs(weighted_wer(pairs, {"cat": 1.0, "sat": 1.0}) - 1 / 3) < 1e-12
 
     def test_random_against_brute_force(self):
         rnd = random.Random(1)
