@@ -1,9 +1,11 @@
 """Discriminative RBM reranking of recognizer N-best lists.
 
 Each utterance comes with an N-best list: the recognizer's ranked guesses
-plus their log-posteriors.  A binary-visible RBM scores every hypothesis
-by (negative) free energy, trained discriminatively so the lowest-WER
-hypothesis in each list wins the list-wise softmax.  The demo walks
+plus their log-posteriors.  The list is the unit of scoring: a scorer maps
+the list's hypotheses to one score each, and reranking takes the argmax.
+A binary-visible RBM scores every hypothesis by (negative) free energy,
+trained discriminatively so the lowest-WER hypothesis in each list clears
+a hinge margin over its competitors.  The demo walks
 through the full recipe on rule-generated lists whose oracle hypothesis
 keeps a gazetteer word that higher-posterior competitors corrupt:
 
@@ -37,13 +39,19 @@ from conceptkit.rerank import (
 )
 from conceptkit.synth import synth_nbest
 
+
+def asr_scores(hyps):
+    """The recognizer's own score for each hypothesis of a list."""
+    return [h.asr_logp for h in hyps]
+
+
 # ---------------------------------------------------------------------------
 # 1. Data and the 1-best baseline.
 # ---------------------------------------------------------------------------
 lists, gaz = synth_nbest(n_utts=300, n_best=10, seed=7)
 vocab = build_nbest_vocab(lists)
 train, test = lists[:240], lists[240:]
-asr_wer = corpus_wer(test, lambda h: h.asr_logp)
+asr_wer = corpus_wer(test, asr_scores)
 print(f"{len(train)} train / {len(test)} test lists, vocab {len(vocab)}")
 print(f"recognizer 1-best WER: {asr_wer:.3f}")
 
@@ -59,12 +67,12 @@ print(f"CD-1 pretraining reconstruction cross-entropy: "
       f"{history[0]:.3f} -> {history[-1]:.3f}")
 
 # ---------------------------------------------------------------------------
-# 3. Discriminative training: list-wise softmax over -free_energy, target
-#    is each list's minimum-WER hypothesis.
+# 3. Discriminative training: a hinge on -free_energy between each list's
+#    minimum-WER hypothesis and every competitor inside the margin.
 # ---------------------------------------------------------------------------
 cfg = DrbmConfig(epochs=3, lr=0.05, seed=7)
 trained = train_drbm(train, init, vocab, cfg)
-rbm_wer = corpus_wer(test, lambda h: score_rbm(h, trained, vocab))
+rbm_wer = corpus_wer(test, lambda hyps: score_rbm(hyps, trained, vocab))
 print(f"reranked WER: {rbm_wer:.3f} "
       f"(gain {100 * (asr_wer - rbm_wer):.1f} absolute points)")
 
@@ -86,10 +94,12 @@ print(f"entity-unit activation: {before:.3f} -> {after:.3f}")
 # 5. Score-level fusion with a pairwise perceptron.
 # ---------------------------------------------------------------------------
 slp = train_slp(train, vocab, pairs_per_list=50, iterations=5, seed=7)
-slp_wer = corpus_wer(test, lambda h: slp_score(h, slp, vocab))
+slp_wer = corpus_wer(test, lambda hyps: slp_score(hyps, slp, vocab))
 fuse_wer = corpus_wer(
     test,
-    lambda h: fuse(score_rbm(h, trained, vocab), slp_score(h, slp, vocab), alpha=1.0),
+    lambda hyps: fuse(
+        score_rbm(hyps, trained, vocab), slp_score(hyps, slp, vocab), alpha=1.0
+    ),
 )
 print(f"SLP WER {slp_wer:.3f}, fused WER {fuse_wer:.3f} "
       f"(<= min of the two single models)")

@@ -321,34 +321,33 @@ def cmd_rerank_eval(args):
     data = rerank_mod.load_nbest(args.nbest)
     keywords = rerank_mod.load_keywords(args.keywords) if args.keywords else None
     if args.zero_model:
-        scorer = lambda h: h.asr_logp  # noqa: E731 - tiny adapter
+        scorer = _asr_scores
     else:
         if not args.model:
             raise ValueError("either --model or --zero-model is required")
         params = rerank_mod.load_drbm(args.model)
         vocab = _load_vocab_file(str(args.model) + ".vocab")
         presence = cfg["rerank.presence"]
-        rbm = lambda h: rerank_mod.score_rbm(h, params, vocab, presence=presence)  # noqa: E731
+        rbm = lambda hyps: rerank_mod.score_rbm(hyps, params, vocab, presence=presence)  # noqa: E731
         if args.fuse_slp is not None:
             slp_data = rerank_mod.load_nbest(args.slp_train) if args.slp_train else data
-            slp_vocab = vocab
             model = rerank_mod.train_slp(
                 slp_data,
-                slp_vocab,
+                vocab,
                 pairs_per_list=cfg["rerank.slp_pairs"],
                 iterations=cfg["rerank.slp_iterations"],
                 lr=cfg["rerank.slp_lr"],
                 seed=cfg["seed"],
             )
             alpha = args.fuse_slp
-            scorer = lambda h: rerank_mod.fuse(  # noqa: E731
-                rbm(h), rerank_mod.slp_score(h, model, slp_vocab), alpha=alpha
+            scorer = lambda hyps: rerank_mod.fuse(  # noqa: E731
+                rbm(hyps), rerank_mod.slp_score(hyps, model, vocab), alpha=alpha
             )
         else:
             scorer = rbm
     report = {
         "wer": rerank_mod.corpus_wer(data, scorer),
-        "asr_wer": rerank_mod.corpus_wer(data, lambda h: h.asr_logp),
+        "asr_wer": rerank_mod.corpus_wer(data, _asr_scores),
         "oracle_wer": _oracle_wer(data),
     }
     if keywords is not None:
@@ -356,6 +355,10 @@ def cmd_rerank_eval(args):
         report["weighted_wer"] = metrics_mod.weighted_wer(chosen, keywords)
     _write_report(report, args.report)
     return 0
+
+
+def _asr_scores(hyps):
+    return [h.asr_logp for h in hyps]
 
 
 def _oracle_wer(data):

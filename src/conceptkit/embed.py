@@ -76,7 +76,6 @@ class SkipNerConfig:
     groups: tuple = (corpus_mod.WORD,)
     unigram_exponent: float = 1.0
     seed: int = 1
-    shuffle: bool = True
 
     def __post_init__(self):
         if self.dims < 1:
@@ -209,8 +208,7 @@ def train_skipner(corpus, vocab, config, taxonomy=None, table=None):
     total = config.epochs * len(events)
     step = 0
     for _ in range(config.epochs):
-        order = rng.permutation(len(events)) if config.shuffle else range(len(events))
-        for idx in order:
+        for idx in rng.permutation(len(events)):
             ev = events[idx]
             frac = step / max(1, total)
             lr = config.lr_initial + (config.lr_final - config.lr_initial) * frac

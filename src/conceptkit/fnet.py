@@ -370,7 +370,6 @@ class WarpConfig:
     lam: float = 0.01
     margin: float = 1.0
     seed: int = 1
-    adagrad_eps: float = 1e-8
 
 
 def warp_train(dataset, hierarchy, mode, config, b_init=None):
@@ -405,12 +404,10 @@ def warp_train(dataset, hierarchy, mode, config, b_init=None):
     def adagrad_update(param, grad, accum, sub=None):
         if sub is None:
             accum += grad * grad
-            param -= config.lr * grad / (np.sqrt(accum) + config.adagrad_eps)
+            param -= config.lr * grad / (np.sqrt(accum) + 1e-8)
         else:
             accum[:, sub] += grad * grad
-            param[:, sub] -= config.lr * grad / (
-                np.sqrt(accum[:, sub]) + config.adagrad_eps
-            )
+            param[:, sub] -= config.lr * grad / (np.sqrt(accum[:, sub]) + 1e-8)
 
     all_ids = np.arange(n_labels)
     for _ in range(config.epochs):

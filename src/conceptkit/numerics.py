@@ -69,12 +69,6 @@ class SparseVector:
             and np.array_equal(self.values, other.values)
         )
 
-    def dot_dense(self, dense):
-        """Dot with a 1-D dense vector."""
-        if len(self.indices) == 0:
-            return 0.0
-        return float(dense[self.indices] @ self.values)
-
     def matvec(self, matrix):
         """matrix @ self for a (D x M) dense matrix."""
         if len(self.indices) == 0:

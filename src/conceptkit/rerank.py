@@ -1,11 +1,13 @@
 """N-best hypothesis reranking with a discriminatively trained RBM.
 
-The reranker scores a hypothesis by the negative free energy of an RBM whose
-energy includes the ASR log posterior as an extra visible term. Training is
-a hinge objective against the oracle (minimum-WER) hypothesis of each list;
-an optional entity-prior regularizer encourages dedicated hidden units to
-activate on gazetteer words. A sampled-pair perceptron over the same unigram
-features serves as the baseline, and the two scores fuse linearly.
+Scoring is per N-best list: a scorer maps a list's hypotheses, featurized
+as one unigram count matrix, to one score each. The reranker's score is the
+negative free energy of an RBM whose energy includes the ASR log posterior
+as an extra visible term. Training is a hinge objective against the oracle
+(minimum-WER) hypothesis of each list; an optional entity-prior regularizer
+encourages dedicated hidden units to activate on gazetteer words. A
+sampled-pair perceptron over the same features serves as the baseline, and
+the two scores fuse linearly.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .artifact import load_arrays, save_arrays
 from .metrics import align, wer
-from .numerics import SparseVector, sigmoid, softplus, substream_rng
+from .numerics import NumericFailure, sigmoid, softplus, substream_rng
 
 log = logging.getLogger(__name__)
 
@@ -120,13 +122,12 @@ class EntityPrior:
 
     pairs: list
     lam: float = 0.01
-    reserved: tuple = (0, 1, 2)
 
     def __post_init__(self):
         if self.lam < 0:
             raise ValueError("lam must be non-negative")
         for w, e in self.pairs:
-            if e not in self.reserved:
+            if e not in (0, 1, 2):
                 raise ValueError(f"hidden index {e} is not a reserved prior unit")
 
 
@@ -135,7 +136,6 @@ class DrbmConfig:
     epochs: int = 3
     lr: float = 0.001
     seed: int = 1
-    shuffle: bool = True
     presence: bool = False  # indicator features instead of counts
     literal_prior: bool = False  # the divergent textbook-literal variant
 
@@ -170,69 +170,64 @@ def build_nbest_vocab(data):
     )
 
 
-def phi_unigram(hyp, vocab, presence=False):
-    """Unigram count vector of the hypothesis; OOV folds into <unk>."""
-    counts = {}
-    for w in hyp.words:
-        i = vocab.id_of(w)
-        counts[i] = counts.get(i, 0) + 1
-    if presence:
-        counts = {i: 1.0 for i in counts}
-    return SparseVector.from_counts(counts)
+def phi_unigram(hyps, vocab, presence=False):
+    """Unigram features of a list's hypotheses; OOV folds into <unk>.
+
+    Returns (cols, phi): the sorted vocabulary ids the hypotheses use and the
+    len(hyps) x len(cols) count matrix (0/1 indicators with presence).
+    """
+    ids = [vocab.id_of(w) for h in hyps for w in h.words]
+    rows = np.repeat(np.arange(len(hyps)), [len(h.words) for h in hyps])
+    cols, inverse = np.unique(np.array(ids, dtype=np.int64), return_inverse=True)
+    phi = np.zeros((len(hyps), len(cols)))
+    np.add.at(phi, (rows, inverse), 1.0)
+    return cols, np.minimum(phi, 1.0) if presence else phi
 
 
-def _hidden_input(phi, params):
-    return params.c + phi.matvec(params.W.T)
+def _logp(hyps):
+    return np.array([h.asr_logp for h in hyps])
 
 
-def free_energy(hyp, params, vocab, presence=False):
+def _neg_free_energy(cols, phi, logp, params):
+    """-F of featurized hypotheses, with the hidden inputs z it used."""
+    z = params.c + phi @ params.W[cols]
+    return params.w0 * logp + phi @ params.b[cols] + softplus(z).sum(1), z
+
+
+def score_rbm(hyps, params, vocab, presence=False):
+    """Negative free energy of every hypothesis in the list."""
+    cols, phi = phi_unigram(hyps, vocab, presence=presence)
+    return _neg_free_energy(cols, phi, _logp(hyps), params)[0]
+
+
+def free_energy(hyps, params, vocab, presence=False):
     """F(t) = -w0 asr_logp - b.phi - sum_j softplus(c_j + (W^T phi)_j).
 
     Equal to -ln sum_h exp(-E(t, h)) with the hidden sum carried out
     analytically; the 2^d enumeration agrees to float precision.
     """
-    phi = phi_unigram(hyp, vocab, presence=presence)
-    z = _hidden_input(phi, params)
-    return float(
-        -params.w0 * hyp.asr_logp - phi.dot_dense(params.b) - softplus(z).sum()
-    )
+    return -score_rbm(hyps, params, vocab, presence=presence)
 
 
-def score_rbm(hyp, params, vocab, presence=False):
-    return -free_energy(hyp, params, vocab, presence=presence)
-
-
-def _free_energy_grads(phi, params):
-    """dF/db, dF/dc, dF/dW at the given feature vector (asr term is w0-fixed)."""
-    z = _hidden_input(phi, params)
+def _hinge_grads(phi, z, coef):
+    """Gradient of sum_i coef_i F(t_i) with respect to b[cols], c and W[cols]
+    (the asr term is w0-fixed)."""
     s = sigmoid(z)
-    gb = -phi.to_dense(params.b.shape[0])
-    gc = -s
-    gW = np.zeros_like(params.W)
-    for i, v in phi:
-        gW[i] = -v * s
-    return gb, gc, gW
+    return -(coef @ phi), -(coef @ s), -(phi.T @ (coef[:, None] * s))
 
 
-def _prior_grads(params, prior, literal=False):
-    """Gradient of the activation regularizer added to the minimized loss.
+def _prior_grads(params, w, e, lam, literal=False):
+    """Gradient of the activation regularizer added to the minimized loss
+    over gazetteer pairs (w, e): dc, and dW at the W[w, e] entries.
 
     Default form: -lam * sum ln sigma(z) over gazetteer pairs, which pulls
     each designated hidden unit toward firing on its gazetteer word. The
     literal flag instead uses -lam * ln (P-1)^2, kept only for study: it
     diverges as P -> 1 and pushes activations away from certainty.
     """
-    gc = np.zeros_like(params.c)
-    gW = np.zeros_like(params.W)
-    for w, e in prior.pairs:
-        z = params.c[e] + params.W[w, e]
-        if literal:
-            g = 2.0 * prior.lam * sigmoid(z)
-        else:
-            g = prior.lam * (sigmoid(z) - 1.0)
-        gc[e] += g
-        gW[w, e] += g
-    return gc, gW
+    z = params.c[e] + params.W[w, e]
+    g = 2.0 * lam * sigmoid(z) if literal else lam * (sigmoid(z) - 1.0)
+    return np.bincount(e, weights=g, minlength=len(params.c)), g
 
 
 def train_drbm(data, params, vocab, config, prior=None):
@@ -243,52 +238,42 @@ def train_drbm(data, params, vocab, config, prior=None):
     gradient is applied in one step. Lists whose oracle already clears the
     margin everywhere produce no update. The entity-prior regularizer, when
     present, is added to each utterance's minimized loss. w0 stays fixed.
+    Lists are featurized and their oracles found once; the first list whose
+    scores are not finite raises NumericFailure.
     """
     params = params.copy()
     rng = substream_rng(config.seed, "rerank.drbm")
-    for _ in range(config.epochs):
-        order = rng.permutation(len(data)) if config.shuffle else range(len(data))
-        for idx in order:
-            nb = data[idx]
-            if not nb.hyps:
-                log.warning("%s: empty N-best list skipped", nb.utt_id)
+    feats = [phi_unigram(nb.hyps, vocab, presence=config.presence) for nb in data]
+    lists = [(*f, _logp(nb.hyps), nb.oracle_index()) for f, nb in zip(feats, data)]
+    if prior is not None:
+        pw, pe = np.array(prior.pairs, dtype=np.int64).reshape(-1, 2).T
+    step = 0
+    for epoch in range(config.epochs):
+        for idx in rng.permutation(len(data)):
+            cols, phi, logp, best = lists[idx]
+            step += 1
+            scores, z = _neg_free_energy(cols, phi, logp, params)
+            if not np.all(np.isfinite(scores)):
+                raise NumericFailure(
+                    f"reranker training scores of {data[idx].utt_id} are not finite "
+                    f"at epoch {epoch}, step {step}"
+                )
+            losers = 1.0 + scores > scores[best]
+            losers[best] = False
+            if not losers.any() and prior is None:
                 continue
-            phis = [phi_unigram(h, vocab, presence=config.presence) for h in nb.hyps]
-            scores = [
-                params.w0 * h.asr_logp
-                + p.dot_dense(params.b)
-                + softplus(_hidden_input(p, params)).sum()
-                for h, p in zip(nb.hyps, phis)
-            ]
-            best = nb.oracle_index()
-            losers = [
-                j
-                for j in range(len(nb.hyps))
-                if j != best and 1.0 + scores[j] > scores[best]
-            ]
-            if not losers and prior is None:
-                continue
-            gb = np.zeros_like(params.b)
-            gc = np.zeros_like(params.c)
-            gW = np.zeros_like(params.W)
-            if losers:
-                # minimizing 1 - S(t_hat) + S(t') = 1 + F(t_hat) - F(t')
-                hb, hc, hW = _free_energy_grads(phis[best], params)
-                gb += len(losers) * hb
-                gc += len(losers) * hc
-                gW += len(losers) * hW
-                for j in losers:
-                    lb, lc, lW = _free_energy_grads(phis[j], params)
-                    gb -= lb
-                    gc -= lc
-                    gW -= lW
+            # minimizing sum over losers t' of 1 + F(t_hat) - F(t'): the
+            # oracle's coefficient is the number of losers, each loser's -1
+            coef = np.where(losers, -1.0, 0.0)
+            coef[best] = losers.sum()
+            gb, gc, gW = _hinge_grads(phi, z, coef)
             if prior is not None:
-                pc, pW = _prior_grads(params, prior, literal=config.literal_prior)
+                pc, pW = _prior_grads(params, pw, pe, prior.lam, config.literal_prior)
                 gc += pc
-                gW += pW
-            params.b -= config.lr * gb
+                np.subtract.at(params.W, (pw, pe), config.lr * pW)
+            params.b[cols] -= config.lr * gb
             params.c -= config.lr * gc
-            params.W -= config.lr * gW
+            params.W[cols] -= config.lr * gW
     return params
 
 
@@ -337,9 +322,10 @@ def pretrain_generative(sentences, vocab, d, epochs, seed, lr=0.01, return_histo
     return W, b, c
 
 
-def slp_score(hyp, model, vocab):
-    """asr_logp plus the perceptron's unigram correction."""
-    return hyp.asr_logp + phi_unigram(hyp, vocab).dot_dense(model.weights)
+def slp_score(hyps, model, vocab):
+    """asr_logp plus the perceptron's unigram correction, per hypothesis."""
+    cols, phi = phi_unigram(hyps, vocab)
+    return _logp(hyps) + phi @ model.weights[cols]
 
 
 def train_slp(data, vocab, pairs_per_list=100, iterations=10, lr=1.0, seed=1):
@@ -349,11 +335,10 @@ def train_slp(data, vocab, pairs_per_list=100, iterations=10, lr=1.0, seed=1):
     weights = np.zeros(len(vocab))
     model = SlpModel(weights=weights, pairs_per_list=pairs_per_list, iterations=iterations)
     rng = substream_rng(seed, "rerank.slp")
-    wers = [
-        [wer(nb.reference, h.words) for h in nb.hyps] for nb in data
-    ]
+    wers = [[wer(nb.reference, h.words) for h in nb.hyps] for nb in data]
+    feats = [(*phi_unigram(nb.hyps, vocab), _logp(nb.hyps)) for nb in data]
     for _ in range(iterations):
-        for nb, werrs in zip(data, wers):
+        for nb, werrs, (cols, phi, logp) in zip(data, wers, feats):
             if len(nb.hyps) < 2:
                 log.warning("%s: need >= 2 hypotheses for pair sampling", nb.utt_id)
                 continue
@@ -362,13 +347,10 @@ def train_slp(data, vocab, pairs_per_list=100, iterations=10, lr=1.0, seed=1):
                 if werrs[i] == werrs[j]:
                     continue
                 good, bad = (i, j) if werrs[i] < werrs[j] else (j, i)
-                if slp_score(nb.hyps[good], model, vocab) <= slp_score(
-                    nb.hyps[bad], model, vocab
-                ):
-                    for k, v in phi_unigram(nb.hyps[good], vocab):
-                        weights[k] += lr * v
-                    for k, v in phi_unigram(nb.hyps[bad], vocab):
-                        weights[k] -= lr * v
+                w = weights[cols]
+                if logp[good] + phi[good] @ w <= logp[bad] + phi[bad] @ w:
+                    weights[cols] += lr * phi[good]
+                    weights[cols] -= lr * phi[bad]
     return model
 
 
@@ -378,15 +360,9 @@ def fuse(s_rbm, s_slp, alpha=1.0):
 
 
 def rerank(nbest, scorer):
-    """Return the argmax-score hypothesis; ties go to the lowest index."""
-    if not nbest.hyps:
-        raise ValueError(f"{nbest.utt_id}: cannot rerank an empty list")
-    best, best_score = 0, scorer(nbest.hyps[0])
-    for i, h in enumerate(nbest.hyps[1:], start=1):
-        s = scorer(h)
-        if s > best_score:
-            best, best_score = i, s
-    return nbest.hyps[best]
+    """Return the hypothesis whose score, from a scorer that maps the list's
+    hypotheses to one score each, is highest; ties go to the lowest index."""
+    return nbest.hyps[int(np.argmax(scorer(nbest.hyps)))]
 
 
 def corpus_wer(data, scorer):

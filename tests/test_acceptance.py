@@ -108,16 +108,17 @@ def _grad_drbm(seed):
         p = rerank_mod.DrbmParams(W=W, b=b, c=c, w0=1.0)
         return (
             1.0
-            + rerank_mod.free_energy(best, p, vocab)
-            - rerank_mod.free_energy(bad, p, vocab)
+            + rerank_mod.free_energy([best], p, vocab)[0]
+            - rerank_mod.free_energy([bad], p, vocab)[0]
         )
 
     p0 = rerank_mod.DrbmParams(W=W0.copy(), b=b0.copy(), c=c0.copy(), w0=1.0)
-    phi_b = rerank_mod.phi_unigram(best, vocab)
-    phi_w = rerank_mod.phi_unigram(bad, vocab)
-    hb, hc, hW = rerank_mod._free_energy_grads(phi_b, p0)
-    lb, lc, lW = rerank_mod._free_energy_grads(phi_w, p0)
-    return fd_gradcheck(loss, [W0.copy(), b0.copy(), c0.copy()], [hW - lW, hb - lb, hc - lc])
+    cols, phi = rerank_mod.phi_unigram([best, bad], vocab)
+    _, z = rerank_mod._neg_free_energy(cols, phi, np.array([-2.0, -1.0]), p0)
+    gb, gc, gW = rerank_mod._hinge_grads(phi, z, np.array([1.0, -1.0]))
+    grad_b, grad_W = np.zeros(n), np.zeros((n, d))
+    grad_b[cols], grad_W[cols] = gb, gW
+    return fd_gradcheck(loss, [W0.copy(), b0.copy(), c0.copy()], [grad_W, grad_b, gc])
 
 
 def _grad_sentic(seed):
@@ -191,7 +192,9 @@ def test_criterion_1_gradient_suite():
 
 
 def _brute_free_energy(hyp, params, vocab, d):
-    phi = rerank_mod.phi_unigram(hyp, vocab).to_dense(len(vocab))
+    cols, rows = rerank_mod.phi_unigram([hyp], vocab)
+    phi = np.zeros(len(vocab))
+    phi[cols] = rows[0]
     z = params.c + params.W.T @ phi
     total = 0.0
     for mask in range(2 ** d):
@@ -221,7 +224,7 @@ def test_criterion_2_exactness_suite():
         worst_fe = max(
             worst_fe,
             abs(
-                rerank_mod.free_energy(hyp, params, vocab)
+                rerank_mod.free_energy([hyp], params, vocab)[0]
                 - _brute_free_energy(hyp, params, vocab, d)
             ),
         )
@@ -466,14 +469,14 @@ def test_criterion_4_synthetic_reranking():
     lists, gaz = synth_nbest(n_utts=500, n_best=20, seed=7)
     vocab = rerank_mod.build_nbest_vocab(lists)
     train, test = lists[:400], lists[400:]
-    asr_wer = rerank_mod.corpus_wer(test, lambda h: h.asr_logp)
+    asr_wer = rerank_mod.corpus_wer(test, lambda hyps: [h.asr_logp for h in hyps])
 
     cfg = rerank_mod.DrbmConfig(epochs=3, lr=0.05, seed=7)
     trained = rerank_mod.train_drbm(
         train, rerank_mod.DrbmParams.zeros(len(vocab), 20), vocab, cfg
     )
     rbm_wer = rerank_mod.corpus_wer(
-        test, lambda h: rerank_mod.score_rbm(h, trained, vocab)
+        test, lambda hyps: rerank_mod.score_rbm(hyps, trained, vocab)
     )
 
     classes = {c: i for i, c in enumerate(corpus_mod.GAZETTEER_CLASSES)}
@@ -492,13 +495,13 @@ def test_criterion_4_synthetic_reranking():
 
     slp = rerank_mod.train_slp(train, vocab, pairs_per_list=50, iterations=5, seed=7)
     slp_wer = rerank_mod.corpus_wer(
-        test, lambda h: rerank_mod.slp_score(h, slp, vocab)
+        test, lambda hyps: rerank_mod.slp_score(hyps, slp, vocab)
     )
     fuse_wer = rerank_mod.corpus_wer(
         test,
-        lambda h: rerank_mod.fuse(
-            rerank_mod.score_rbm(h, trained, vocab),
-            rerank_mod.slp_score(h, slp, vocab),
+        lambda hyps: rerank_mod.fuse(
+            rerank_mod.score_rbm(hyps, trained, vocab),
+            rerank_mod.slp_score(hyps, slp, vocab),
             alpha=1.0,
         ),
     )

@@ -373,6 +373,23 @@ def test_tsa_train_deterministic(tmp_path, tsa_files, cfg_file):
     assert blobs[0] == blobs[1]
 
 
+def test_rerank_train_nonfinite_scores_exit_3(tmp_path, nbest_files, cfg_file, capsys):
+    # a blown-up learning rate overflows the scores after one update;
+    # training stops at that list, names it, and writes no model
+    npath, gpath = nbest_files
+    cfg = tmp_path / "blowup.cfg"
+    with open(cfg_file) as f:
+        cfg.write_text(f.read().replace("rerank.lr = 0.05", "rerank.lr = 1e308"))
+    out = tmp_path / "out"
+    out.mkdir()
+    code = main(["rerank-train", npath, "--gazetteer", gpath, "--output", str(out / "drbm"),
+                 "--config", str(cfg), "--seed", "7"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "epoch 0, step 2" in err
+    assert list(out.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # model artifacts
 

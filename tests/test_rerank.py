@@ -30,8 +30,7 @@ from conceptkit.rerank import (
     train_drbm,
     train_slp,
 )
-from conceptkit.rerank import _free_energy_grads, _hidden_input
-from conceptkit.numerics import fd_gradcheck, make_rng, softplus
+from conceptkit.numerics import fd_gradcheck, make_rng
 
 
 def vocab_of(words):
@@ -39,9 +38,20 @@ def vocab_of(words):
     return build_nbest_vocab(data)
 
 
+def dense_phi(hyp, vocab, presence=False):
+    cols, phi = phi_unigram([hyp], vocab, presence=presence)
+    out = np.zeros(len(vocab))
+    out[cols] = phi[0]
+    return out
+
+
+def asr_scores(hyps):
+    return [h.asr_logp for h in hyps]
+
+
 def brute_force_free_energy(hyp, params, vocab):
     """-ln sum over all 2^d hidden configurations of exp(-E(t, h))."""
-    phi = phi_unigram(hyp, vocab).to_dense(params.b.shape[0])
+    phi = dense_phi(hyp, vocab)
     d = params.c.shape[0]
     total = 0.0
     for bits in itertools.product([0.0, 1.0], repeat=d):
@@ -59,24 +69,24 @@ def brute_force_free_energy(hyp, params, vocab):
 class TestPhi:
     def test_counts(self):
         vocab = vocab_of(["a", "b"])
-        phi = phi_unigram(Hypothesis(["a", "b", "a"], 0.0), vocab)
-        dense = phi.to_dense(len(vocab))
+        dense = dense_phi(Hypothesis(["a", "b", "a"], 0.0), vocab)
         assert dense[vocab.id_of("a")] == 2
         assert dense[vocab.id_of("b")] == 1
 
     def test_empty(self):
         vocab = vocab_of(["a"])
-        assert len(phi_unigram(Hypothesis([], 0.0), vocab)) == 0
+        cols, phi = phi_unigram([Hypothesis([], 0.0)], vocab)
+        assert len(cols) == 0
 
     def test_all_oov(self):
         vocab = vocab_of(["a"])
-        phi = phi_unigram(Hypothesis(["x", "y", "z"], 0.0), vocab)
-        assert phi.to_dense(len(vocab))[0] == 3  # <unk> is id 0
+        phi = dense_phi(Hypothesis(["x", "y", "z"], 0.0), vocab)
+        assert phi[0] == 3  # <unk> is id 0
 
     def test_presence(self):
         vocab = vocab_of(["a"])
-        phi = phi_unigram(Hypothesis(["a", "a", "a"], 0.0), vocab, presence=True)
-        assert phi.to_dense(len(vocab))[vocab.id_of("a")] == 1
+        phi = dense_phi(Hypothesis(["a", "a", "a"], 0.0), vocab, presence=True)
+        assert phi[vocab.id_of("a")] == 1
 
 
 class TestFreeEnergy:
@@ -85,14 +95,14 @@ class TestFreeEnergy:
         d = 6
         params = DrbmParams.zeros(len(vocab), d, w0=1.0)
         hyp = Hypothesis(["a"], -2.5)
-        assert abs(free_energy(hyp, params, vocab) - (2.5 - d * math.log(2))) < 1e-12
+        assert abs(free_energy([hyp], params, vocab)[0] - (2.5 - d * math.log(2))) < 1e-12
 
     def test_single_unit_formula(self):
         # phi=[1], W=[[1]], b=[0], c=[0], w0=0 -> F = -ln(1 + e)
         vocab = vocab_of([])  # vocabulary is just <unk>
         params = DrbmParams(W=np.array([[1.0]]), b=np.zeros(1), c=np.zeros(1), w0=0.0)
         hyp = Hypothesis(["anything"], -7.0)
-        assert abs(free_energy(hyp, params, vocab) + math.log(1 + math.e)) < 1e-12
+        assert abs(free_energy([hyp], params, vocab)[0] + math.log(1 + math.e)) < 1e-12
 
     @pytest.mark.parametrize("d", [1, 4, 8, 12])
     def test_matches_enumeration(self, d):
@@ -107,7 +117,7 @@ class TestFreeEnergy:
         )
         hyp = Hypothesis(["a", "c", "a"], float(rng.normal()))
         assert abs(
-            free_energy(hyp, params, vocab) - brute_force_free_energy(hyp, params, vocab)
+            free_energy([hyp], params, vocab)[0] - brute_force_free_energy(hyp, params, vocab)
         ) < 1e-9
 
     def test_score_is_negated(self):
@@ -117,7 +127,7 @@ class TestFreeEnergy:
             W=rng.normal(size=(2, 3)), b=rng.normal(size=2), c=rng.normal(size=3)
         )
         hyp = Hypothesis(["a"], -1.0)
-        assert score_rbm(hyp, params, vocab) == -free_energy(hyp, params, vocab)
+        assert score_rbm([hyp], params, vocab)[0] == -free_energy([hyp], params, vocab)[0]
 
     def test_zero_params_rank_by_logp(self):
         vocab = vocab_of(["a", "b"])
@@ -125,17 +135,17 @@ class TestFreeEnergy:
         nb = NBestList(
             "u", ["a"], [Hypothesis(["b"], -3.0), Hypothesis(["a"], -1.0), Hypothesis(["b", "b"], -2.0)]
         )
-        by_rbm = rerank(nb, lambda h: score_rbm(h, params, vocab))
-        by_logp = rerank(nb, lambda h: h.asr_logp)
+        by_rbm = rerank(nb, lambda hyps: score_rbm(hyps, params, vocab))
+        by_logp = rerank(nb, asr_scores)
         assert by_rbm is by_logp
 
     def test_bias_linearity(self):
         vocab = vocab_of(["a", "b"])
         params = DrbmParams.zeros(len(vocab), 2)
         hyp = Hypothesis(["a", "a", "b"], -1.0)
-        s0 = score_rbm(hyp, params, vocab)
+        s0 = score_rbm([hyp], params, vocab)[0]
         params.b[vocab.id_of("a")] += 0.7
-        assert abs(score_rbm(hyp, params, vocab) - (s0 + 2 * 0.7)) < 1e-12
+        assert abs(score_rbm([hyp], params, vocab)[0] - (s0 + 2 * 0.7)) < 1e-12
 
 
 def make_lists(rng, n_utts=40, n_best=6, fillers=8):
@@ -170,14 +180,19 @@ class TestTrainDrbm:
         np.testing.assert_array_equal(out.b, params.b)
         np.testing.assert_array_equal(out.c, params.c)
 
-    def test_hinge_gradient_matches_fd(self):
+    # the oracle (["a", "b"]) against one loser, or against two losers, one
+    # with an OOV word and one empty, with the oracle in the middle
+    @pytest.mark.parametrize("presence", [False, True], ids=["counts", "presence"])
+    @pytest.mark.parametrize("hyps", [
+        [(["a", "b"], -2.0), (["c", "c"], -1.0)],
+        [(["c", "zz", "zz"], -1.0), (["a", "b"], -2.0), ([], -1.5)],
+    ], ids=["pair", "list"])
+    def test_hinge_gradient_matches_fd(self, hyps, presence):
         rng = make_rng(7)
         vocab = vocab_of(["a", "b", "c"])
         n, d = len(vocab), 4
-        hyp_best = Hypothesis(["a", "b"], -2.0)
-        hyp_bad = Hypothesis(["c", "c"], -1.0)
-        phi_best = phi_unigram(hyp_best, vocab)
-        phi_bad = phi_unigram(hyp_bad, vocab)
+        nb = NBestList("u", ["a", "b"], [Hypothesis(w, lp) for w, lp in hyps])
+        best = nb.oracle_index()
         W0 = rng.normal(scale=0.3, size=(n, d))
         b0 = rng.normal(scale=0.3, size=n)
         c0 = rng.normal(scale=0.3, size=d)
@@ -185,18 +200,18 @@ class TestTrainDrbm:
         def loss(params_list):
             W, b, c = params_list
             p = DrbmParams(W=W, b=b, c=c, w0=1.0)
-            # hinge 1 + F(best) - F(bad); margin active at this point
-            return (
-                1.0
-                + free_energy(hyp_best, p, vocab)
-                - free_energy(hyp_bad, p, vocab)
-            )
+            f = free_energy(nb.hyps, p, vocab, presence=presence)
+            # hinge 1 + F(best) - F(bad) per loser; margins active at this point
+            return sum(1.0 + f[best] - f[j] for j in range(len(f)) if j != best)
 
         p0 = DrbmParams(W=W0.copy(), b=b0.copy(), c=c0.copy(), w0=1.0)
-        hb, hc, hW = _free_energy_grads(phi_best, p0)
-        lb, lc, lW = _free_energy_grads(phi_bad, p0)
+        s = score_rbm(nb.hyps, p0, vocab, presence=presence)
+        assert all(1.0 + s[j] - s[best] > 0.1 for j in range(len(s)) if j != best)
+        # one step of size 1 on the single list moves the parameters by
+        # minus the analytic gradient
+        out = train_drbm([nb], p0, vocab, DrbmConfig(epochs=1, lr=1.0, presence=presence))
         err = fd_gradcheck(
-            loss, [W0.copy(), b0.copy(), c0.copy()], [hW - lW, hb - lb, hc - lc]
+            loss, [W0.copy(), b0.copy(), c0.copy()], [W0 - out.W, b0 - out.b, c0 - out.c]
         )
         assert err < 1e-5
 
@@ -208,8 +223,8 @@ class TestTrainDrbm:
         trained = train_drbm(
             lists, params, vocab, DrbmConfig(epochs=5, lr=0.05, seed=3)
         )
-        base = corpus_wer(lists, lambda h: h.asr_logp)
-        new = corpus_wer(lists, lambda h: score_rbm(h, trained, vocab))
+        base = corpus_wer(lists, asr_scores)
+        new = corpus_wer(lists, lambda hyps: score_rbm(hyps, trained, vocab))
         assert new < base
 
     def test_deterministic(self):
@@ -336,7 +351,8 @@ class TestSlp:
         from conceptkit.metrics import wer as wer_fn
 
         for nb in lists:
-            scored = [(slp_score(h, model, vocab), wer_fn(nb.reference, h.words)) for h in nb.hyps]
+            wers = [wer_fn(nb.reference, h.words) for h in nb.hyps]
+            scored = list(zip(slp_score(nb.hyps, model, vocab), wers))
             best = max(scored, key=lambda t: t[0])
             assert best[1] == min(w for _, w in scored)
 
@@ -356,11 +372,11 @@ class TestFuseAndRerank:
 
     def test_tie_lowest_index(self):
         nb = NBestList("u", ["a"], [Hypothesis(["x"], 0.0), Hypothesis(["y"], 0.0)])
-        assert rerank(nb, lambda h: 1.0) is nb.hyps[0]
+        assert rerank(nb, lambda hyps: [1.0] * len(hyps)) is nb.hyps[0]
 
     def test_singleton(self):
         nb = NBestList("u", ["a"], [Hypothesis(["x"], -1.0)])
-        assert rerank(nb, lambda h: h.asr_logp) is nb.hyps[0]
+        assert rerank(nb, asr_scores) is nb.hyps[0]
 
     def test_logp_shift_invariance(self):
         nb = NBestList(
@@ -369,8 +385,8 @@ class TestFuseAndRerank:
         shifted = NBestList(
             "u", ["a"], [Hypothesis(["a"], -3.0 + 5.0), Hypothesis(["b"], -1.0 + 5.0)]
         )
-        a = rerank(nb, lambda h: h.asr_logp)
-        b = rerank(shifted, lambda h: h.asr_logp)
+        a = rerank(nb, asr_scores)
+        b = rerank(shifted, asr_scores)
         assert nb.hyps.index(a) == shifted.hyps.index(b)
 
     def test_oracle_sandwich(self):
@@ -384,7 +400,7 @@ class TestFuseAndRerank:
         )
         refw = sum(len(nb.reference) for nb in lists)
         oracle_wer = errs / refw
-        any_wer = corpus_wer(lists, lambda h: h.asr_logp)
+        any_wer = corpus_wer(lists, asr_scores)
         assert oracle_wer <= any_wer
 
 
