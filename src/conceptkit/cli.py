@@ -10,6 +10,7 @@ replaced one after the other, not together.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -22,7 +23,7 @@ from . import metrics as metrics_mod
 from . import rerank as rerank_mod
 from . import sentic as sentic_mod
 from .artifact import atomic_write
-from .config import RunConfig, load_config
+from .config import load_config
 from .numerics import NumericFailure
 
 __all__ = ["main"]
@@ -32,13 +33,6 @@ def _check_finite(name, *arrays):
     for a in arrays:
         if not np.all(np.isfinite(a)):
             raise NumericFailure(f"{name} produced non-finite values")
-
-
-def _config_from(args):
-    cfg = load_config(args.config) if args.config else RunConfig()
-    if args.seed is not None:
-        cfg.set("seed", args.seed)
-    return cfg
 
 
 def _write_report(values, path):
@@ -70,22 +64,11 @@ def _load_vocab_file(path):
 
 
 def cmd_embed_train(args):
-    cfg = _config_from(args)
+    cfg = load_config(args.config, args.seed)
     corpus = corpus_mod.load_corpus(args.corpus)
     taxonomy = corpus_mod.load_taxonomy(args.taxonomy) if args.taxonomy else None
-    vocab = corpus_mod.build_vocab(corpus, min_count=cfg["embed.min_count"])
-    train_cfg = embed_mod.SkipNerConfig(
-        dims=cfg["embed.dims"],
-        window=cfg["embed.window"],
-        negatives=cfg["embed.negatives"],
-        lr_initial=cfg["embed.lr_initial"],
-        lr_final=cfg["embed.lr_final"],
-        epochs=cfg["embed.epochs"],
-        groups=tuple(cfg.strings("embed.groups")),
-        unigram_exponent=cfg["embed.unigram_exponent"],
-        seed=cfg["seed"],
-    )
-    emb, _ = embed_mod.train_skipner(corpus, vocab, train_cfg, taxonomy=taxonomy)
+    vocab = corpus_mod.build_vocab(corpus, min_count=cfg.embed.min_count)
+    emb, _ = embed_mod.train_skipner(corpus, vocab, cfg.embed, taxonomy=taxonomy)
     _check_finite("embedding training", emb.word_vectors)
     embed_mod.save_embeddings(emb, args.output)
     print(f"wrote {emb.word_vectors.shape[0]} vectors to {args.output}", file=sys.stderr)
@@ -102,15 +85,15 @@ def cmd_embed_query(args):
 
 
 def cmd_embed_crf_feats(args):
-    cfg = _config_from(args)
+    cfg = load_config(args.config, args.seed)
     corpus = corpus_mod.load_corpus(args.corpus)
     emb = embed_mod.load_embeddings(args.embeddings)
     vocab = corpus_mod.Vocabulary.from_tokens(emb.tokens, args.embeddings)
     binarized = embed_mod.binarize(emb)
-    ks = [k for k in cfg.ints("embed.clusters") if k <= len(emb.tokens)]
-    clusterings = embed_mod.cluster_words(emb, ks, seed=cfg["seed"])
+    ks = [k for k in cfg.embed.clusters if k <= len(emb.tokens)]
+    clusterings = embed_mod.cluster_words(emb, ks, seed=cfg.embed.seed)
     text = corpus_mod.emit_crf_features(
-        corpus, vocab, binarized, clusterings, window=cfg["embed.window"]
+        corpus, vocab, binarized, clusterings, window=cfg.embed.window
     )
     with atomic_write(args.output) as f:
         f.write(text)
@@ -132,10 +115,10 @@ def _mention_features(instances, table=None, freeze=False):
 
 
 def cmd_fnet_proto(args):
-    cfg = _config_from(args)
+    cfg = load_config(args.config, args.seed)
     mentions = fnet_mod.load_mentions(args.mentions)
     hierarchy = fnet_mod.load_hierarchy(args.hierarchy)
-    table = fnet_mod.select_prototypes(mentions, hierarchy, k=cfg["fnet.prototypes"])
+    table = fnet_mod.select_prototypes(mentions, hierarchy, k=cfg.fnet.prototypes)
     fnet_mod.save_prototypes(table, args.output)
     return 0
 
@@ -144,7 +127,7 @@ def _build_label_embedding(kind, hierarchy, args, cfg):
     if kind in ("proto", "proto-hle"):
         if not args.prototypes or not args.embeddings:
             raise ValueError(f"label embedding {kind!r} needs --prototypes and --embeddings")
-        protos = fnet_mod.load_prototypes(args.prototypes, k=cfg["fnet.prototypes"])
+        protos = fnet_mod.load_prototypes(args.prototypes, k=cfg.fnet.prototypes)
         emb = embed_mod.load_embeddings(args.embeddings)
         b_proto = fnet_mod.proto_le(protos, hierarchy, emb)
         if kind == "proto":
@@ -156,7 +139,7 @@ def _build_label_embedding(kind, hierarchy, args, cfg):
 
 
 def cmd_fnet_train(args):
-    cfg = _config_from(args)
+    cfg = load_config(args.config, args.seed)
     mentions = fnet_mod.load_mentions(args.mentions)
     hierarchy = fnet_mod.load_hierarchy(args.hierarchy)
     if args.zero_shot:
@@ -178,31 +161,15 @@ def cmd_fnet_train(args):
         kind = args.label_emb or "proto"
         b_init = _build_label_embedding(kind, hierarchy, args, cfg)
     table = _mention_features(mentions)
-    warp_cfg = fnet_mod.WarpConfig(
-        dims=cfg["fnet.dims"],
-        epochs=cfg["fnet.epochs"],
-        lr=cfg["fnet.lr"],
-        lam=cfg["fnet.lam"],
-        margin=cfg["fnet.margin"],
-        seed=cfg["seed"],
-    )
-    model = fnet_mod.warp_train(mentions, hierarchy, args.mode, warp_cfg, b_init=b_init)
+    model = fnet_mod.warp_train(mentions, hierarchy, args.mode, cfg.fnet, b_init=b_init)
     _check_finite("typing model", model.A, model.B)
     fnet_mod.save_model(model, args.label_emb or "joint", args.output)
     _save_tokens(list(table.groups.get("mention:0", {})), str(args.output) + ".feats")
     return 0
 
 
-def _fnet_predict(inst, model, hierarchy, threshold, top_k):
-    scores = fnet_mod.score_all(inst.features, model)
-    ranked = sorted(
-        zip(model.labels, scores.tolist()), key=lambda t: (-t[1], t[0])
-    )
-    return fnet_mod.type_infer(ranked, hierarchy, threshold, top_k)
-
-
 def cmd_fnet_eval(args):
-    cfg = _config_from(args)
+    cfg = load_config(args.config, args.seed)
     mentions = fnet_mod.load_mentions(args.mentions)
     hierarchy = fnet_mod.load_hierarchy(args.hierarchy)
     if args.oracle:
@@ -219,30 +186,27 @@ def cmd_fnet_eval(args):
     for feat in _load_tokens(str(args.model) + ".feats"):
         table.intern("mention:0", feat)
     _mention_features(mentions, table=table, freeze=True)
-    top_k = cfg["fnet.top_k"]
-    if args.threshold_sweep:
-        report = {}
-        for t in [0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0]:
-            preds = [
-                metrics_mod.LabelSetPrediction(
-                    gold=m.labels,
-                    predicted=_fnet_predict(m, model, hierarchy, t, top_k),
-                )
-                for m in mentions
-            ]
-            for key, val in _set_metrics(preds).items():
-                report[f"t={t}:{key}"] = val
-        _write_report(report, args.report)
-        return 0
-    threshold = cfg["fnet.threshold"]
-    preds = [
-        metrics_mod.LabelSetPrediction(
-            gold=m.labels,
-            predicted=_fnet_predict(m, model, hierarchy, threshold, top_k),
-        )
+    ranked = [
+        sorted(zip(model.labels, fnet_mod.score_all(m.features, model).tolist()),
+               key=lambda t: (-t[1], t[0]))
         for m in mentions
     ]
-    _write_report(_set_metrics(preds), args.report)
+    if args.threshold_sweep:
+        thresholds = [0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0]
+    else:
+        thresholds = [cfg.fnet.threshold]
+    report = {}
+    for t in thresholds:
+        preds = [
+            metrics_mod.LabelSetPrediction(
+                gold=m.labels,
+                predicted=fnet_mod.type_infer(r, hierarchy, t, cfg.fnet.top_k),
+            )
+            for m, r in zip(mentions, ranked)
+        ]
+        prefix = f"t={t}:" if args.threshold_sweep else ""
+        report.update((prefix + key, val) for key, val in _set_metrics(preds).items())
+    _write_report(report, args.report)
     return 0
 
 
@@ -259,18 +223,18 @@ def _set_metrics(preds):
 
 
 def cmd_rerank_pretrain(args):
-    cfg = _config_from(args)
+    cfg = load_config(args.config, args.seed)
     data = rerank_mod.load_nbest(args.nbest)
     vocab = rerank_mod.build_nbest_vocab(data)
     W, b, c = rerank_mod.pretrain_generative(
         [nb.reference for nb in data],
         vocab,
-        cfg["rerank.hidden"],
-        epochs=cfg["rerank.pretrain_epochs"],
-        seed=cfg["seed"],
-        lr=cfg["rerank.pretrain_lr"],
+        cfg.rerank.hidden,
+        epochs=cfg.rerank.pretrain_epochs,
+        seed=cfg.rerank.seed,
+        lr=cfg.rerank.pretrain_lr,
     )
-    params = rerank_mod.DrbmParams(W=W, b=b, c=c, w0=cfg["rerank.w0"])
+    params = rerank_mod.DrbmParams(W=W, b=b, c=c, w0=cfg.rerank.w0)
     _check_finite("generative pretraining", params.W, params.b, params.c)
     rerank_mod.save_drbm(params, args.output)
     _save_tokens(vocab.id_to_token, str(args.output) + ".vocab")
@@ -278,7 +242,7 @@ def cmd_rerank_pretrain(args):
 
 
 def cmd_rerank_train(args):
-    cfg = _config_from(args)
+    cfg = load_config(args.config, args.seed)
     data = rerank_mod.load_nbest(args.nbest)
     if args.init:
         params = rerank_mod.load_drbm(args.init)
@@ -287,9 +251,7 @@ def cmd_rerank_train(args):
             raise ValueError("init model and vocabulary sizes disagree")
     else:
         vocab = rerank_mod.build_nbest_vocab(data)
-        params = rerank_mod.DrbmParams.zeros(
-            len(vocab), cfg["rerank.hidden"], w0=cfg["rerank.w0"]
-        )
+        params = rerank_mod.DrbmParams.zeros(len(vocab), cfg.rerank.hidden, w0=cfg.rerank.w0)
     prior = None
     if args.gazetteer:
         gaz = corpus_mod.load_gazetteer(args.gazetteer)
@@ -301,15 +263,8 @@ def cmd_rerank_train(args):
         ]
         if not pairs:
             raise ValueError(f"{args.gazetteer}: no gazetteer word is in the vocabulary")
-        prior = rerank_mod.EntityPrior(pairs=pairs, lam=cfg["rerank.lam"])
-    train_cfg = rerank_mod.DrbmConfig(
-        epochs=cfg["rerank.epochs"],
-        lr=cfg["rerank.lr"],
-        seed=cfg["seed"],
-        presence=cfg["rerank.presence"],
-        literal_prior=cfg["rerank.literal_prior"],
-    )
-    trained = rerank_mod.train_drbm(data, params, vocab, train_cfg, prior=prior)
+        prior = rerank_mod.EntityPrior(pairs=pairs, lam=cfg.rerank.lam)
+    trained = rerank_mod.train_drbm(data, params, vocab, cfg.rerank, prior=prior)
     _check_finite("reranker training", trained.W, trained.b, trained.c)
     rerank_mod.save_drbm(trained, args.output)
     _save_tokens(vocab.id_to_token, str(args.output) + ".vocab")
@@ -317,7 +272,7 @@ def cmd_rerank_train(args):
 
 
 def cmd_rerank_eval(args):
-    cfg = _config_from(args)
+    cfg = load_config(args.config, args.seed)
     data = rerank_mod.load_nbest(args.nbest)
     keywords = rerank_mod.load_keywords(args.keywords) if args.keywords else None
     if args.zero_model:
@@ -327,17 +282,17 @@ def cmd_rerank_eval(args):
             raise ValueError("either --model or --zero-model is required")
         params = rerank_mod.load_drbm(args.model)
         vocab = _load_vocab_file(str(args.model) + ".vocab")
-        presence = cfg["rerank.presence"]
+        presence = cfg.rerank.presence
         rbm = lambda hyps: rerank_mod.score_rbm(hyps, params, vocab, presence=presence)  # noqa: E731
         if args.fuse_slp is not None:
             slp_data = rerank_mod.load_nbest(args.slp_train) if args.slp_train else data
             model = rerank_mod.train_slp(
                 slp_data,
                 vocab,
-                pairs_per_list=cfg["rerank.slp_pairs"],
-                iterations=cfg["rerank.slp_iterations"],
-                lr=cfg["rerank.slp_lr"],
-                seed=cfg["seed"],
+                pairs_per_list=cfg.rerank.slp_pairs,
+                iterations=cfg.rerank.slp_iterations,
+                lr=cfg.rerank.slp_lr,
+                seed=cfg.rerank.seed,
             )
             alpha = args.fuse_slp
             scorer = lambda hyps: rerank_mod.fuse(  # noqa: E731
@@ -345,13 +300,15 @@ def cmd_rerank_eval(args):
             )
         else:
             scorer = rbm
+    chosen = [(nb.reference, rerank_mod.rerank(nb, scorer).words) for nb in data]
     report = {
-        "wer": rerank_mod.corpus_wer(data, scorer),
+        "wer": metrics_mod.corpus_wer(chosen),
         "asr_wer": rerank_mod.corpus_wer(data, _asr_scores),
-        "oracle_wer": _oracle_wer(data),
+        "oracle_wer": metrics_mod.corpus_wer(
+            (nb.reference, nb.hyps[nb.oracle_index()].words) for nb in data
+        ),
     }
     if keywords is not None:
-        chosen = ((nb.reference, rerank_mod.rerank(nb, scorer).words) for nb in data)
         report["weighted_wer"] = metrics_mod.weighted_wer(chosen, keywords)
     _write_report(report, args.report)
     return 0
@@ -361,40 +318,17 @@ def _asr_scores(hyps):
     return [h.asr_logp for h in hyps]
 
 
-def _oracle_wer(data):
-    errors = sum(
-        metrics_mod.align(nb.reference, nb.hyps[nb.oracle_index()].words).errors
-        for nb in data
-    )
-    return errors / max(1, sum(len(nb.reference) for nb in data))
-
-
 # ---------------------------------------------------------------------------
 # tsa
 
 
-def _sentic_config(cfg, args):
-    return sentic_mod.SenticConfig(
-        d_w=cfg["tsa.d_w"],
-        d_h=cfg["tsa.d_h"],
-        d_m=cfg["tsa.d_m"],
-        d_c=cfg["tsa.d_c"],
-        max_concepts=cfg["tsa.max_concepts"],
-        aspects=tuple(cfg.strings("tsa.aspects")),
-        four_class=(args.classes == 4),
-        lr=cfg["tsa.lr"],
-        epochs=cfg["tsa.epochs"],
-        dropout=cfg["tsa.dropout"],
-        seed=cfg["seed"],
-        target_averaging=args.target_averaging,
-    )
-
-
 def cmd_tsa_train(args):
-    cfg = _config_from(args)
+    cfg = load_config(args.config, args.seed)
     train_set = sentic_mod.load_tsa(args.train)
     dev_set = sentic_mod.load_tsa(args.dev)
-    model_cfg = _sentic_config(cfg, args)
+    model_cfg = dataclasses.replace(
+        cfg.tsa, four_class=args.classes == 4, target_averaging=args.target_averaging
+    )
     params = sentic_mod.train(train_set, dev_set, model_cfg)
     _check_finite("sentiment training", *params.arrays.values())
     sentic_mod.save_checkpoint(params, args.output)

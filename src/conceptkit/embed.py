@@ -76,6 +76,8 @@ class SkipNerConfig:
     groups: tuple = (corpus_mod.WORD,)
     unigram_exponent: float = 1.0
     seed: int = 1
+    min_count: int = 1  # rarer words are dropped from the vocabulary
+    clusters: tuple = (100,)  # k-means cluster counts for the CRF features
 
     def __post_init__(self):
         if self.dims < 1:

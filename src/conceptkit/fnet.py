@@ -14,7 +14,7 @@ import numpy as np
 
 from .artifact import atomic_write, load_arrays, save_arrays
 from .corpus import FeatureGroupTable
-from .numerics import SparseVector, substream_rng
+from .numerics import NumericFailure, SparseVector, substream_rng
 
 log = logging.getLogger(__name__)
 
@@ -370,6 +370,9 @@ class WarpConfig:
     lam: float = 0.01
     margin: float = 1.0
     seed: int = 1
+    prototypes: int = 60  # head words kept per label
+    threshold: float = 1.0  # type_infer's score window below the 1-best
+    top_k: int = 3  # type_infer's candidate count
 
 
 def warp_train(dataset, hierarchy, mode, config, b_init=None):
@@ -379,7 +382,8 @@ def warp_train(dataset, hierarchy, mode, config, b_init=None):
     the supplied label embedding, 'adaptive' learns B with the penalty
     lam * ||B - B_init||_F^2 pulling toward the prior. Ranks are computed
     exactly (label sets here are far below the sampling cut-over). AdaGrad
-    per-parameter steps; deterministic for a fixed seed.
+    per-parameter steps; deterministic for a fixed seed. The first
+    non-finite score raises NumericFailure naming its epoch and step.
     """
     if mode not in ("joint", "fixed", "adaptive"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -409,10 +413,20 @@ def warp_train(dataset, hierarchy, mode, config, b_init=None):
             accum[:, sub] += grad * grad
             param[:, sub] -= config.lr * grad / (np.sqrt(accum[:, sub]) + 1e-8)
 
+    def finite_scores(ax):
+        scores = ax @ B
+        if not np.all(np.isfinite(scores)):
+            raise NumericFailure(
+                f"typing training scores are not finite at epoch {epoch}, step {step}"
+            )
+        return scores
+
     all_ids = np.arange(n_labels)
-    for _ in range(config.epochs):
+    step = 0
+    for epoch in range(config.epochs):
         order = rng.permutation(len(dataset))
         for idx in order:
+            step += 1
             inst = dataset[idx]
             pos_ids = [hierarchy.index[lab] for lab in sorted(inst.labels)]
             if len(pos_ids) == n_labels:
@@ -421,7 +435,7 @@ def warp_train(dataset, hierarchy, mode, config, b_init=None):
             neg_mask = np.ones(n_labels, dtype=bool)
             neg_mask[pos_ids] = False
             ax = inst.features.matvec(A)
-            scores = ax @ B
+            scores = finite_scores(ax)
             for y in pos_ids:
                 violators = all_ids[neg_mask & (config.margin + scores > scores[y])]
                 rank = len(violators)
@@ -438,7 +452,7 @@ def warp_train(dataset, hierarchy, mode, config, b_init=None):
                     grad_b_cols = np.stack([-w * ax, w * ax], axis=1)
                     adagrad_update(B, grad_b_cols, gb, sub=[y, y_neg])
                 ax = inst.features.matvec(A)
-                scores = ax @ B
+                scores = finite_scores(ax)
             if mode == "adaptive":
                 adagrad_update(B, 2.0 * config.lam * (B - B_prior), gb)
     return JointEmbeddingModel(A=A, B=B, labels=list(hierarchy.labels))

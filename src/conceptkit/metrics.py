@@ -15,6 +15,7 @@ __all__ = [
     "Alignment",
     "align",
     "wer",
+    "corpus_wer",
     "weighted_wer",
     "format_report",
 ]
@@ -134,6 +135,17 @@ def wer(ref, hyp):
     a = align(ref, hyp)
     denom = max(1, len(ref))
     return a.errors / denom
+
+
+def corpus_wer(pairs):
+    """Corpus-level WER over (reference, hypothesis) pairs: total errors over
+    total reference words (at least 1)."""
+    errors = 0
+    ref_words = 0
+    for ref, hyp in pairs:
+        errors += align(ref, hyp).errors
+        ref_words += len(ref)
+    return errors / max(1, ref_words)
 
 
 def weighted_wer(pairs, weights):

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import metrics
 from .artifact import load_arrays, save_arrays
 from .metrics import align, wer
 from .numerics import NumericFailure, sigmoid, softplus, substream_rng
@@ -138,6 +139,14 @@ class DrbmConfig:
     seed: int = 1
     presence: bool = False  # indicator features instead of counts
     literal_prior: bool = False  # the divergent textbook-literal variant
+    hidden: int = 200
+    w0: float = 1.0  # weight of the ASR log posterior in the score
+    lam: float = 0.01  # entity-prior strength
+    pretrain_epochs: int = 5
+    pretrain_lr: float = 0.01
+    slp_pairs: int = 100  # perceptron pairs sampled per list
+    slp_iterations: int = 10
+    slp_lr: float = 1.0
 
 
 @dataclass
@@ -368,13 +377,7 @@ def rerank(nbest, scorer):
 def corpus_wer(data, scorer):
     """Corpus-level WER of the scorer's 1-best: total errors over total
     reference words."""
-    errors = 0
-    ref_words = 0
-    for nb in data:
-        chosen = rerank(nb, scorer)
-        errors += align(nb.reference, chosen.words).errors
-        ref_words += len(nb.reference)
-    return errors / max(1, ref_words)
+    return metrics.corpus_wer((nb.reference, rerank(nb, scorer).words) for nb in data)
 
 
 def tfidf_keywords(documents, threshold=3.0):

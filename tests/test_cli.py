@@ -127,6 +127,16 @@ def test_embed_pipeline(tmp_path, cfg_file, capsys):
     assert "w[0]=" in text and "vd[0]=" in text
 
 
+def test_embed_train_defaults_need_no_taxonomy(tmp_path):
+    # the default feature groups are the word group alone, so neither a
+    # config file nor a taxonomy is required
+    corpus = tmp_path / "corpus.tsv"
+    _write_corpus(corpus)
+    out = str(tmp_path / "vectors.txt")
+    assert main(["embed-train", str(corpus), "--output", out]) == 0
+    assert load_embeddings(out).word_vectors.shape[1] == 50
+
+
 def test_embed_train_deterministic(tmp_path, cfg_file):
     corpus = tmp_path / "corpus.tsv"
     _write_corpus(corpus)
@@ -224,6 +234,23 @@ def test_fnet_train_deterministic(tmp_path, fnet_files, cfg_file):
                      "--config", cfg_file, "--seed", "7", "--workers", "1"]) == 0
         blobs.append(_read(model))
     assert blobs[0] == blobs[1]
+
+
+def test_fnet_train_nonfinite_exits_3(tmp_path, fnet_files, cfg_file, capsys):
+    # a blown-up learning rate makes the scores non-finite after one update;
+    # training stops at that step, names it, and writes no model
+    mpath, hpath, _ = fnet_files
+    cfg = tmp_path / "blowup.cfg"
+    with open(cfg_file) as f:
+        cfg.write_text(f.read() + "fnet.lr = 1e308\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    code = main(["fnet-train", mpath, hpath, "--output", str(out / "fnet.model"),
+                 "--config", str(cfg), "--seed", "7"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "epoch 0, step 1" in err
+    assert list(out.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from conceptkit.metrics import (
     LabelSetPrediction,
     align,
+    corpus_wer,
     format_report,
     macro_f1,
     micro_f1,
@@ -121,6 +122,13 @@ class TestWer:
         pairs = [("the cat sat".split(), "the mat sat down".split()),
                  ("a cat".split(), "a cat".split())]
         assert abs(weighted_wer(pairs, {"cat": 1.0, "sat": 1.0}) - 1 / 3) < 1e-12
+
+    def test_corpus_wer_pools_counts(self):
+        # 2 errors over 3 + 2 reference words, not the mean of 2/3 and 0
+        pairs = [("the cat sat".split(), "the mat sat down".split()),
+                 ("a cat".split(), "a cat".split())]
+        assert corpus_wer(pairs) == 2 / 5
+        assert corpus_wer([([], ["x"])]) == 1.0
 
     def test_random_against_brute_force(self):
         rnd = random.Random(1)
