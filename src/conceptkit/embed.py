@@ -4,11 +4,22 @@ embedding-derived discrete features (binarization, k-means clusters).
 With only the word-context group enabled this is exactly skip-gram with
 negative sampling; the extra groups add POS, taxonomic and self-trained
 prediction tasks sharing the center-word vectors.
+
+Seeded training is bit-reproducible, and two orders are part of that
+contract. Draws: events are visited in one ``rng.permutation`` per epoch,
+and each event's negatives are drawn one ``DiscreteSampler.sample`` call at
+a time, a draw equal to the observed feature being rejected and redrawn.
+Accumulation: all gradients are taken at the pre-update point; the word
+gradient is summed sequentially from ``0.0``, the positive term first and
+then the negatives in draw order; a negative row's gradient starts as
+``0.0 + g * v_w`` and sums its repeated draws in order before the row is
+updated once.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,9 +28,11 @@ from . import corpus as corpus_mod
 from .artifact import atomic_write
 from .numerics import (
     DiscreteSampler,
+    NumericFailure,
     log_sigmoid,
     sigmoid,
     softmax,
+    softplus,
     substream_rng,
 )
 
@@ -98,7 +111,8 @@ def group_prob(emb, table, group_key, wid, fid):
 
 
 def ns_loss(emb, wid, fid, group_key, negatives):
-    """Negated negative-sampling objective for one event with fixed draws."""
+    """Negated negative-sampling objective for one event with fixed draws;
+    the finite-difference reference for the update's gradient."""
     vw = emb.word_vectors[wid]
     feats = emb.feature_vectors[group_key]
     loss = -log_sigmoid(feats[fid] @ vw)
@@ -108,45 +122,64 @@ def ns_loss(emb, wid, fid, group_key, negatives):
 
 
 def _apply_ns_gradient(emb, wid, fid, group_key, negatives, lr):
-    # Gradients are all evaluated at the pre-update point (repeated negative
-    # draws accumulate), then applied in one go.
+    """Apply one negative-sampling update, in the accumulation order the
+    module docstring gives, and return the pre-update loss.
+
+    The positive and negative rows are gathered once and each is scored
+    with its own 1-D dot product; one ``sigmoid`` call covers all scores.
+    """
     vw = emb.word_vectors[wid]
     feats = emb.feature_vectors[group_key]
-    grad_w = np.zeros_like(vw)
-    grad_f = {}
-    # positive pair: d/ds of -log σ(s) is σ(s) - 1
-    g = sigmoid(feats[fid] @ vw) - 1.0
-    grad_w += g * feats[fid]
-    grad_f[fid] = g * vw
-    for nid in negatives:
-        g = sigmoid(feats[nid] @ vw)  # d/ds of -log σ(-s)
-        grad_w += g * feats[nid]
-        grad_f[nid] = grad_f.get(nid, 0.0) + g * vw
-    for i, gf in grad_f.items():
-        feats[i] -= lr * gf
-    emb.word_vectors[wid] -= lr * grad_w
+    ids = [fid, *negatives]
+    rows = feats[ids]
+    scores = np.array([row.dot(vw) for row in rows])
+    # d/ds of -log σ(s) is σ(s) - 1 for the positive, σ(s) for a negative
+    g = sigmoid(scores)
+    g[0] -= 1.0
+    # loss = -log σ(s_pos) - Σ log σ(-s_neg) = softplus(-s_pos) + Σ softplus(s_neg)
+    scores[0] = -scores[0]
+    loss = float(softplus(scores).sum())
+    # accumulate is sequential: ((0.0 + g_0 f_0) + g_1 f_1) + ...
+    terms_w = g[:, None] * rows
+    terms_w[0] += 0.0
+    grad_w = np.add.accumulate(terms_w)[-1]
+    grad_f = np.multiply.outer(g, vw)
+    grad_f[1:] += 0.0
+    if len(set(ids)) < len(ids):
+        # sum each repeated negative into the row of its first draw
+        first = {}
+        for k, i in enumerate(ids):
+            j = first.setdefault(i, k)
+            if j != k:
+                grad_f[j] += grad_f[k]
+        keep = list(first.values())
+        ids, rows, grad_f = list(first), rows[keep], grad_f[keep]
+    grad_f *= lr
+    rows -= grad_f
+    feats[ids] = rows
+    grad_w *= lr
+    vw -= grad_w
+    return loss
 
 
 def sgd_step(emb, event, sampler, lr, n, rng):
     """One negative-sampling update; returns the negated objective term.
 
     Negatives are drawn from the event's group sampler before the update so
-    the returned loss is the pre-update value.
+    the returned loss is the pre-update value. A draw equal to the observed
+    feature is rejected and redrawn, unless no other feature can be drawn,
+    in which case the event has no negatives.
     """
+    fid = event.feature_id
     negatives = []
-    support = np.count_nonzero(sampler.weights)
-    can_reject = support > 1 or sampler.weights[event.feature_id] == 0
-    if can_reject:
+    if sampler.can_reject(fid):
         while len(negatives) < n:
             draw = sampler.sample(rng)
-            if draw == event.feature_id:
-                continue  # never use the observed feature as its own negative
-            negatives.append(draw)
-    loss = ns_loss(emb, event.center_word_id, event.feature_id, event.group_key, negatives)
-    _apply_ns_gradient(
-        emb, event.center_word_id, event.feature_id, event.group_key, negatives, lr
+            if draw != fid:  # never use the observed feature as its own negative
+                negatives.append(draw)
+    return _apply_ns_gradient(
+        emb, event.center_word_id, fid, event.group_key, negatives, lr
     )
-    return loss
 
 
 def build_group_samplers(events, table, exponent=1.0):
@@ -181,7 +214,8 @@ def train_skipner(corpus, vocab, config, taxonomy=None, table=None):
     """Train the multi-task embedding over all enabled feature groups.
 
     Deterministic for a fixed seed (single-worker). Returns the EmbeddingSet
-    and the FeatureGroupTable used to intern features.
+    and the FeatureGroupTable used to intern features. The first event whose
+    loss is not finite raises NumericFailure naming its epoch and step.
     """
     if not config.groups:
         raise ValueError("at least one feature group must be enabled")
@@ -209,13 +243,17 @@ def train_skipner(corpus, vocab, config, taxonomy=None, table=None):
     )
     total = config.epochs * len(events)
     step = 0
-    for _ in range(config.epochs):
+    for epoch in range(config.epochs):
         for idx in rng.permutation(len(events)):
             ev = events[idx]
             frac = step / max(1, total)
             lr = config.lr_initial + (config.lr_final - config.lr_initial) * frac
-            sgd_step(emb, ev, samplers[ev.group_key], lr, config.negatives, rng)
+            loss = sgd_step(emb, ev, samplers[ev.group_key], lr, config.negatives, rng)
             step += 1
+            if not math.isfinite(loss):
+                raise NumericFailure(
+                    f"embedding training loss is not finite at epoch {epoch}, step {step}"
+                )
     return emb, table
 
 

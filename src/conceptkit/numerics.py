@@ -9,6 +9,7 @@ bit-identical streams on every platform.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_right
 
 import numpy as np
 
@@ -33,6 +34,8 @@ class NumericFailure(Exception):
 
 # Above this many outcomes the alias method beats a binary search on the CDF.
 ALIAS_THRESHOLD = 1024
+# Points per block of k-means distances: 64 x 100 centroids x 50 dims is 2.5 MB.
+KMEANS_BLOCK = 64
 
 
 class SparseVector:
@@ -109,11 +112,9 @@ def softmax(v):
 def sigmoid(x):
     """Logistic function, stable for arguments of any magnitude."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, so exp never overflows
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0, e) / (1.0 + e)
     if out.ndim == 0:
         return float(out)
     return out
@@ -138,6 +139,12 @@ class DiscreteSampler:
 
     Uses an alias table above ``ALIAS_THRESHOLD`` outcomes and inverse-CDF
     binary search below; the behavioral contract is identical either way.
+
+    The draw order is part of the contract, since seeded training replays
+    it: each ``sample`` call consumes exactly one ``rng.random()`` (inverse
+    CDF, index = first CDF entry above it) or one ``rng.integers(n)``
+    followed by one ``rng.random()`` (alias), so the same generator state
+    gives the same draws.
     """
 
     def __init__(self, weights):
@@ -151,12 +158,21 @@ class DiscreteSampler:
             raise ValueError("at least one weight must be positive")
         self.weights = w
         self.n = w.size
+        self._multi_support = np.count_nonzero(w) > 1
         self._use_alias = self.n > ALIAS_THRESHOLD
+        # The draw path indexes Python lists: per-draw numpy calls on
+        # scalars cost more than the draw itself.
         if self._use_alias:
             self._build_alias(w / total)
         else:
-            self._cdf = np.cumsum(w / total)
-            self._cdf[-1] = 1.0
+            cdf = np.cumsum(w / total)
+            cdf[-1] = 1.0
+            self._cdf = cdf.tolist()
+
+    def can_reject(self, observed):
+        """Whether some draw other than ``observed`` has positive weight, so
+        that rejection sampling of ``observed`` terminates."""
+        return self._multi_support or self.weights[observed] == 0
 
     def _build_alias(self, p):
         n = self.n
@@ -179,8 +195,8 @@ class DiscreteSampler:
             prob[i] = 1.0
         for i in small:
             prob[i] = 1.0
-        self._prob = prob
-        self._alias = alias
+        self._prob = prob.tolist()
+        self._alias = alias.tolist()
 
     def sample(self, rng):
         """Draw one index with probability weights[i] / sum(weights)."""
@@ -188,8 +204,8 @@ class DiscreteSampler:
             i = int(rng.integers(self.n))
             if rng.random() < self._prob[i]:
                 return i
-            return int(self._alias[i])
-        return int(np.searchsorted(self._cdf, rng.random(), side="right"))
+            return self._alias[i]
+        return bisect_right(self._cdf, rng.random())
 
 
 def _kmeans_pp_init(points, k, rng):
@@ -210,6 +226,16 @@ def _kmeans_pp_init(points, k, rng):
     return centroids
 
 
+def _sq_distances(points, centroids):
+    """n x k squared distances, one block of ``KMEANS_BLOCK`` points at a
+    time so the n x k x d difference tensor is never built whole."""
+    d2 = np.empty((points.shape[0], centroids.shape[0]))
+    for lo in range(0, points.shape[0], KMEANS_BLOCK):
+        block = points[lo:lo + KMEANS_BLOCK]
+        d2[lo:lo + KMEANS_BLOCK] = ((block[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    return d2
+
+
 def kmeans(points, k, max_iters, rng, return_objective=False):
     """Lloyd's algorithm with k-means++ seeding.
 
@@ -228,14 +254,14 @@ def kmeans(points, k, max_iters, rng, return_objective=False):
     objectives = []
     assign = None
     for _ in range(max_iters):
-        d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        d2 = _sq_distances(points, centroids)
         new_assign = d2.argmin(axis=1)
-        objectives.append(float(d2[np.arange(n), new_assign].sum()))
+        closest = d2[np.arange(n), new_assign]
+        objectives.append(float(closest.sum()))
         for j in range(k):
             members = points[new_assign == j]
             if len(members) == 0:
-                worst = int(d2[np.arange(n), new_assign].argmax())
-                centroids[j] = points[worst]
+                centroids[j] = points[int(closest.argmax())]
             else:
                 centroids[j] = members.mean(axis=0)
         if assign is not None and np.array_equal(new_assign, assign):
@@ -243,7 +269,7 @@ def kmeans(points, k, max_iters, rng, return_objective=False):
             break
         assign = new_assign
     # Final assignment against the final centroids.
-    d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    d2 = _sq_distances(points, centroids)
     assign = d2.argmin(axis=1)
     objectives.append(float(d2[np.arange(n), assign].sum()))
     if return_objective:

@@ -150,6 +150,24 @@ def test_embed_train_deterministic(tmp_path, cfg_file):
     assert outs[0] == outs[1]
 
 
+def test_embed_train_nonfinite_exits_3(tmp_path, cfg_file, capsys):
+    # a blown-up learning rate makes the loss non-finite within a few events;
+    # training stops at that step, names it, and writes no embeddings
+    corpus = tmp_path / "corpus.tsv"
+    _write_corpus(corpus)
+    cfg = tmp_path / "blowup.cfg"
+    with open(cfg_file) as f:
+        cfg.write_text(f.read() + "embed.lr_initial = 1e308\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    code = main(["embed-train", str(corpus), "--output", str(out / "emb.txt"),
+                 "--config", str(cfg), "--seed", "7"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "epoch 0, step 14" in err
+    assert list(out.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # fnet pipeline
 

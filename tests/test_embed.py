@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from conceptkit.corpus import FeatureGroupTable, FeatureEvent, build_vocab, parse_corpus
+from conceptkit.corpus import (
+    ConceptLexicon,
+    FeatureEvent,
+    FeatureGroupTable,
+    build_vocab,
+    extract_feature_events,
+    parse_corpus,
+)
 from conceptkit.embed import (
     EmbeddingSet,
     SkipNerConfig,
@@ -18,7 +25,13 @@ from conceptkit.embed import (
     sgd_step,
     train_skipner,
 )
-from conceptkit.numerics import DiscreteSampler, fd_gradcheck, make_rng
+from conceptkit.numerics import (
+    ALIAS_THRESHOLD,
+    DiscreteSampler,
+    fd_gradcheck,
+    make_rng,
+    substream_rng,
+)
 
 
 def make_emb(word_vectors, group_vectors=None):
@@ -191,6 +204,154 @@ class TestTrainSkipner:
         events1 = list(extract_feature_events(corpus, vocab, t1, groups=("word",), freeze=True))
         events6 = list(extract_feature_events(corpus, vocab, t6, groups=("word",), freeze=True))
         assert exact_objective(e6, events6) > exact_objective(e1, events1)
+
+
+# A frozen longhand copy of the first SGNS update: per-negative scalar
+# sigmoids, a dict of row gradients, np.searchsorted / numpy alias tables.
+# train_skipner must reproduce its bits and its RNG stream.
+
+
+def _frozen_sigmoid(x):
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return float(out)
+
+
+class _FrozenSampler:
+    def __init__(self, w):
+        self.weights = w
+        self.n = w.size
+        p = w / w.sum()
+        if self.n > ALIAS_THRESHOLD:
+            prob = np.empty(self.n)
+            alias = np.zeros(self.n, dtype=np.int64)
+            scaled = p * self.n
+            small = [i for i in range(self.n) if scaled[i] < 1.0]
+            large = [i for i in range(self.n) if scaled[i] >= 1.0]
+            while small and large:
+                s, l = small.pop(), large.pop()
+                prob[s] = scaled[s]
+                alias[s] = l
+                scaled[l] = scaled[l] - (1.0 - scaled[s])
+                (small if scaled[l] < 1.0 else large).append(l)
+            prob[large + small] = 1.0
+            self.prob, self.alias = prob, alias
+        else:
+            self.cdf = np.cumsum(p)
+            self.cdf[-1] = 1.0
+
+    def sample(self, rng):
+        if self.n > ALIAS_THRESHOLD:
+            i = int(rng.integers(self.n))
+            if rng.random() < self.prob[i]:
+                return i
+            return int(self.alias[i])
+        return int(np.searchsorted(self.cdf, rng.random(), side="right"))
+
+
+def _frozen_sgd_step(emb, event, sampler, lr, n, rng):
+    negatives = []
+    support = np.count_nonzero(sampler.weights)
+    if support > 1 or sampler.weights[event.feature_id] == 0:
+        while len(negatives) < n:
+            draw = sampler.sample(rng)
+            if draw != event.feature_id:
+                negatives.append(draw)
+    fid = event.feature_id
+    vw = emb.word_vectors[event.center_word_id]
+    feats = emb.feature_vectors[event.group_key]
+    grad_w = np.zeros_like(vw)
+    grad_f = {}
+    g = _frozen_sigmoid(feats[fid] @ vw) - 1.0
+    grad_w += g * feats[fid]
+    grad_f[fid] = g * vw
+    for nid in negatives:
+        g = _frozen_sigmoid(feats[nid] @ vw)
+        grad_w += g * feats[nid]
+        grad_f[nid] = grad_f.get(nid, 0.0) + g * vw
+    for i, gf in grad_f.items():
+        feats[i] -= lr * gf
+    emb.word_vectors[event.center_word_id] -= lr * grad_w
+
+
+def _frozen_train(corpus, vocab, config, taxonomy):
+    table = FeatureGroupTable()
+    events = list(extract_feature_events(
+        corpus, vocab, table, window=config.window, groups=config.groups, taxonomy=taxonomy
+    ))
+    counts = {}
+    for ev in events:
+        per = counts.setdefault(ev.group_key, {})
+        per[ev.feature_id] = per.get(ev.feature_id, 0) + 1
+    samplers = {}
+    for key, per in counts.items():
+        w = np.zeros(table.group_size(key))
+        for fid, c in per.items():
+            w[fid] = c
+        samplers[key] = _FrozenSampler(np.power(w, config.unigram_exponent))
+    rng = substream_rng(config.seed, "embed.train")
+    wv = (rng.random((len(vocab), config.dims)) - 0.5) / config.dims
+    feats = {k: np.zeros((table.group_size(k), config.dims)) for k in table.group_keys()}
+    emb = EmbeddingSet(tokens=list(vocab.id_to_token), word_vectors=wv, feature_vectors=feats)
+    total = config.epochs * len(events)
+    step = 0
+    for _ in range(config.epochs):
+        for idx in rng.permutation(len(events)):
+            ev = events[idx]
+            frac = step / max(1, total)
+            lr = config.lr_initial + (config.lr_final - config.lr_initial) * frac
+            _frozen_sgd_step(emb, ev, samplers[ev.group_key], lr, config.negatives, rng)
+            step += 1
+    return emb, samplers
+
+
+def _assert_same_bits(emb, want):
+    assert np.array_equal(emb.word_vectors, want.word_vectors)
+    assert set(emb.feature_vectors) == set(want.feature_vectors)
+    for key, rows in emb.feature_vectors.items():
+        assert np.array_equal(rows, want.feature_vectors[key]), key
+
+
+def test_train_matches_frozen_update_bits():
+    # pos and self groups are small (many rejected and repeated negatives);
+    # one concept makes every taxo group single-support, so those events
+    # skip rejection sampling and have no negatives
+    rng = make_rng(21)
+    words = ["acme", "board", "paris", "alice", "met", "the", "in", "rome"]
+    tags = ["NN", "VB", "JJ", "DT"]
+    lines = []
+    for _ in range(40):
+        for _ in range(int(rng.integers(3, 7))):
+            ne = "B-LOC" if rng.random() < 0.2 else "O"
+            lines.append(f"{words[int(rng.integers(8))]}\t{tags[int(rng.integers(4))]}\t{ne}\n")
+        lines.append("\n")
+    corpus = parse_corpus(lines)
+    vocab = build_vocab(corpus)
+    taxonomy = ConceptLexicon({"city": {"paris", "rome"}})
+    cfg = SkipNerConfig(dims=6, epochs=2, seed=4, groups=("word", "pos", "taxo", "self"))
+    emb, _ = train_skipner(corpus, vocab, cfg, taxonomy=taxonomy)
+    want, samplers = _frozen_train(corpus, vocab, cfg, taxonomy)
+    assert {samplers[k].n for k in samplers if k.startswith("taxo:")} == {1}
+    _assert_same_bits(emb, want)
+
+
+def test_train_matches_frozen_update_bits_alias_group():
+    # two-token sentences whose second words are all distinct: the word:1
+    # group has more than ALIAS_THRESHOLD features, so its draws use the
+    # alias table
+    n_sent = ALIAS_THRESHOLD + 40
+    text = "".join(f"a{i % 97}\tNN\tO\nb{i}\tNN\tO\n\n" for i in range(n_sent))
+    corpus = parse_corpus(text.splitlines(keepends=True))
+    vocab = build_vocab(corpus)
+    cfg = SkipNerConfig(dims=6, epochs=1, seed=4, groups=("word",))
+    emb, _ = train_skipner(corpus, vocab, cfg)
+    want, samplers = _frozen_train(corpus, vocab, cfg, None)
+    assert samplers["word:1"].n > ALIAS_THRESHOLD
+    _assert_same_bits(emb, want)
 
 
 class TestQueriesAndFeatures:

@@ -4,7 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conceptkit.numerics import (
+    ALIAS_THRESHOLD,
+    KMEANS_BLOCK,
     DiscreteSampler,
+    _kmeans_pp_init,
     fd_gradcheck,
     kmeans,
     make_rng,
@@ -51,6 +54,17 @@ class TestSigmoidSoftplus:
         assert sigmoid(1000.0) == 1.0
         assert softplus(-1000.0) == 0.0
         assert abs(softplus(700.0) - 700.0) < 1e-9
+
+    def test_branchwise_bits(self):
+        # 1 / (1 + e^-x) at x >= 0 and e^x / (1 + e^x) below, elementwise,
+        # bit for bit, whatever the shape
+        x = np.concatenate([make_rng(3).normal(scale=s, size=500) for s in (0.1, 5, 300)])
+        x = np.concatenate([x, [0.0, -0.0, 1e-320, -1e-320, 745.0, -745.0, np.inf, -np.inf]])
+        want = [1.0 / (1.0 + np.exp(-v)) if v >= 0 else np.exp(v) / (1.0 + np.exp(v))
+                for v in x]
+        assert sigmoid(x).tolist() == want
+        assert [sigmoid(v) for v in x] == want
+        assert sigmoid(x.reshape(4, -1)).ravel().tolist() == want
 
     @given(st.floats(-50, 50))
     def test_complement(self, x):
@@ -107,6 +121,72 @@ class TestDiscreteSampler:
             s.sample(rng2) for _ in range(500)
         ]
 
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            [0.2, 0.5, 0.3],
+            [0.0, 3.0, 0.0, 0.0, 1.0, 0.0],  # zeros repeat CDF values
+            [0.0, 0.0, 1.0],
+            [5.0, 0.0],
+            [1.0] * 7 + [0.0] * 5 + [2.0] * 3,
+        ],
+    )
+    def test_cdf_draws_match_searchsorted(self, weights):
+        # one rng.random() per draw; index of the first CDF entry above it
+        w = np.asarray(weights)
+        cdf = np.cumsum(w / w.sum())
+        cdf[-1] = 1.0
+        s = DiscreteSampler(w)
+        assert not s._use_alias
+        rng, ref = make_rng(17), make_rng(17)
+        draws = [s.sample(rng) for _ in range(2000)]
+        assert draws == [int(np.searchsorted(cdf, ref.random(), side="right"))
+                         for _ in range(2000)]
+        assert rng.random() == ref.random()
+
+        class Fixed:  # a generator whose draws land exactly on CDF values
+            def __init__(self, values):
+                self.values = list(values)
+
+            def random(self):
+                return self.values.pop(0)
+
+        ties = [u for u in [0.0, *cdf.tolist(), *np.nextafter(cdf, 0).tolist()] if u < 1.0]
+        got = [s.sample(Fixed([u])) for u in ties]
+        assert got == np.searchsorted(cdf, ties, side="right").tolist()
+        assert all(w[i] > 0 for i in got)
+
+    def test_alias_draw_order(self):
+        # one rng.integers(n), then one rng.random(); the tables reproduce
+        # the weights exactly up to rounding
+        n = ALIAS_THRESHOLD + 9
+        w = make_rng(4).random(n)
+        w[::7] = 0.0
+        s = DiscreteSampler(w)
+        assert s._use_alias
+        rng, ref = make_rng(23), make_rng(23)
+        draws = [s.sample(rng) for _ in range(3000)]
+        expect = []
+        for _ in range(3000):
+            i = int(ref.integers(n))
+            expect.append(i if ref.random() < s._prob[i] else s._alias[i])
+        assert draws == expect
+        mass = np.array(s._prob) / n
+        np.add.at(mass, s._alias, (1.0 - np.array(s._prob)) / n)
+        np.testing.assert_allclose(mass, w / w.sum(), atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "weights",
+        [[1.0, 1.0, 1.0], [0.0, 2.0, 0.0], [1.0], [0.0, 0.0, 4.0, 1.0], [3.0, 0.0]],
+    )
+    def test_can_reject_rule(self, weights):
+        # rejection sampling of the observed index terminates exactly when
+        # the weights have support > 1 or the observed weight is 0
+        w = np.asarray(weights)
+        s = DiscreteSampler(w)
+        for i in range(len(w)):
+            assert s.can_reject(i) == (np.count_nonzero(w) > 1 or w[i] == 0)
+
     def test_substreams_differ(self):
         a = substream_rng(7, "x").random(4)
         b = substream_rng(7, "y").random(4)
@@ -155,6 +235,41 @@ class TestKmeans:
             wcss(kmeans(pts, 5, 50, make_rng(1000 + i))) for i in range(100)
         )
         assert ours <= best * 1.25
+
+
+def _kmeans_longhand(points, k, max_iters, rng):
+    """Lloyd's iterations with the whole n x k x d difference tensor."""
+    n = points.shape[0]
+    centroids = _kmeans_pp_init(points, k, rng)
+    objectives, assign = [], None
+    for _ in range(max_iters):
+        d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        new_assign = d2.argmin(axis=1)
+        objectives.append(float(d2[np.arange(n), new_assign].sum()))
+        for j in range(k):
+            members = points[new_assign == j]
+            if len(members) == 0:
+                centroids[j] = points[int(d2[np.arange(n), new_assign].argmax())]
+            else:
+                centroids[j] = members.mean(axis=0)
+        if assign is not None and np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+    d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    assign = d2.argmin(axis=1)
+    objectives.append(float(d2[np.arange(n), assign].sum()))
+    return assign, objectives
+
+
+@pytest.mark.parametrize("n,k", [(2 * KMEANS_BLOCK + 13, 7), (KMEANS_BLOCK - 5, 3)])
+def test_kmeans_blocks_match_longhand(n, k):
+    assert n % KMEANS_BLOCK
+    pts = make_rng(n).normal(size=(n, 5))
+    pts[: n // 3] += 4.0
+    assign, obj = kmeans(pts, k, 30, make_rng(k), return_objective=True)
+    want_assign, want_obj = _kmeans_longhand(pts, k, 30, make_rng(k))
+    np.testing.assert_array_equal(assign, want_assign)
+    assert obj == want_obj
 
 
 class TestGradcheck:
