@@ -1,6 +1,6 @@
 """Prototype-driven label embeddings for fine-grained entity typing.
 
-The typing model scores a mention's sparse feature vector against every
+The typing model scores a mention's features (ids, counts) against every
 label in a two-level hierarchy through a bilinear map x A Bᵀ.  Instead of
 learning the label matrix B, we *fix* it: each label's column is built
 from the word embeddings of its highest-NPMI mention heads (prototypes).

@@ -57,11 +57,13 @@ print(f"recognizer 1-best WER: {asr_wer:.3f}")
 
 # ---------------------------------------------------------------------------
 # 2. Generative pretraining gives the discriminative phase a warm start.
+#    One config carries every stage's settings: 20 hidden units, 2 CD-1
+#    epochs, 3 hinge epochs and 50 perceptron pairs per list for 5 passes.
 # ---------------------------------------------------------------------------
+cfg = DrbmConfig(epochs=3, lr=0.05, seed=7, hidden=20, pretrain_epochs=2,
+                 slp_pairs=50, slp_iterations=5)
 sentences = [nb.reference for nb in train]
-W, b, c, history = pretrain_generative(
-    sentences, vocab, d=20, epochs=2, seed=7, return_history=True
-)
+W, b, c, history = pretrain_generative(sentences, vocab, cfg, return_history=True)
 init = DrbmParams(W=W, b=b, c=c, w0=1.0)
 print(f"CD-1 pretraining reconstruction cross-entropy: "
       f"{history[0]:.3f} -> {history[-1]:.3f}")
@@ -70,7 +72,6 @@ print(f"CD-1 pretraining reconstruction cross-entropy: "
 # 3. Discriminative training: a hinge on -free_energy between each list's
 #    minimum-WER hypothesis and every competitor inside the margin.
 # ---------------------------------------------------------------------------
-cfg = DrbmConfig(epochs=3, lr=0.05, seed=7)
 trained = train_drbm(train, init, vocab, cfg)
 rbm_wer = corpus_wer(test, lambda hyps: score_rbm(hyps, trained, vocab))
 print(f"reranked WER: {rbm_wer:.3f} "
@@ -84,7 +85,7 @@ print(f"reranked WER: {rbm_wer:.3f} "
 classes = {c: i for i, c in enumerate(GAZETTEER_CLASSES)}
 pairs = [(vocab.id_of(w), classes[c]) for w, c in sorted(gaz.items()) if w in vocab]
 prior = EntityPrior(pairs=pairs, lam=0.05)
-blank = DrbmParams.zeros(len(vocab), 20)
+blank = DrbmParams.zeros(len(vocab), cfg.hidden)
 before = float(np.mean([prior_activation(blank, prior, w, e) for w, e in pairs]))
 with_prior = train_drbm(train, blank, vocab, cfg, prior=prior)
 after = float(np.mean([prior_activation(with_prior, prior, w, e) for w, e in pairs]))
@@ -93,7 +94,7 @@ print(f"entity-unit activation: {before:.3f} -> {after:.3f}")
 # ---------------------------------------------------------------------------
 # 5. Score-level fusion with a pairwise perceptron.
 # ---------------------------------------------------------------------------
-slp = train_slp(train, vocab, pairs_per_list=50, iterations=5, seed=7)
+slp = train_slp(train, vocab, cfg)
 slp_wer = corpus_wer(test, lambda hyps: slp_score(hyps, slp, vocab))
 fuse_wer = corpus_wer(
     test,

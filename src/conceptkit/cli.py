@@ -226,14 +226,7 @@ def cmd_rerank_pretrain(args):
     cfg = load_config(args.config, args.seed)
     data = rerank_mod.load_nbest(args.nbest)
     vocab = rerank_mod.build_nbest_vocab(data)
-    W, b, c = rerank_mod.pretrain_generative(
-        [nb.reference for nb in data],
-        vocab,
-        cfg.rerank.hidden,
-        epochs=cfg.rerank.pretrain_epochs,
-        seed=cfg.rerank.seed,
-        lr=cfg.rerank.pretrain_lr,
-    )
+    W, b, c = rerank_mod.pretrain_generative([nb.reference for nb in data], vocab, cfg.rerank)
     params = rerank_mod.DrbmParams(W=W, b=b, c=c, w0=cfg.rerank.w0)
     _check_finite("generative pretraining", params.W, params.b, params.c)
     rerank_mod.save_drbm(params, args.output)
@@ -286,14 +279,7 @@ def cmd_rerank_eval(args):
         rbm = lambda hyps: rerank_mod.score_rbm(hyps, params, vocab, presence=presence)  # noqa: E731
         if args.fuse_slp is not None:
             slp_data = rerank_mod.load_nbest(args.slp_train) if args.slp_train else data
-            model = rerank_mod.train_slp(
-                slp_data,
-                vocab,
-                pairs_per_list=cfg.rerank.slp_pairs,
-                iterations=cfg.rerank.slp_iterations,
-                lr=cfg.rerank.slp_lr,
-                seed=cfg.rerank.seed,
-            )
+            model = rerank_mod.train_slp(slp_data, vocab, cfg.rerank)
             alpha = args.fuse_slp
             scorer = lambda hyps: rerank_mod.fuse(  # noqa: E731
                 rbm(hyps), rerank_mod.slp_score(hyps, model, vocab), alpha=alpha

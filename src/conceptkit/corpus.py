@@ -134,6 +134,17 @@ class Vocabulary:
         return cls(token_to_id={t: i for i, t in enumerate(tokens)}, id_to_token=list(tokens),
                    counts=dict.fromkeys(tokens, 0), min_count=1)
 
+    @classmethod
+    def from_counts(cls, counts, min_count):
+        """<unk> first, then every token counted at least ``min_count`` times;
+        a literal <unk> token keeps id 0 rather than getting a second id."""
+        kept = sorted((t for t, c in counts.items() if c >= min_count and t != UNK),
+                      key=lambda t: (-counts[t], t))
+        id_to_token = [UNK] + kept
+        return cls(token_to_id={t: i for i, t in enumerate(id_to_token)},
+                   id_to_token=id_to_token,
+                   counts={t: counts.get(t, 0) for t in id_to_token}, min_count=min_count)
+
 
 def build_vocab(corpus, min_count=1):
     counts = {}
@@ -141,16 +152,7 @@ def build_vocab(corpus, min_count=1):
         counts[tok.surface] = counts.get(tok.surface, 0) + 1
     if not counts:
         raise ValueError("empty corpus")
-    kept = [t for t, c in counts.items() if c >= min_count]
-    kept.sort(key=lambda t: (-counts[t], t))
-    id_to_token = [UNK] + kept
-    token_to_id = {t: i for i, t in enumerate(id_to_token)}
-    return Vocabulary(
-        token_to_id=token_to_id,
-        id_to_token=id_to_token,
-        counts={t: counts.get(t, 0) for t in id_to_token},
-        min_count=min_count,
-    )
+    return Vocabulary.from_counts(counts, min_count)
 
 
 @dataclass

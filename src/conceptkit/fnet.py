@@ -14,7 +14,7 @@ import numpy as np
 
 from .artifact import atomic_write, load_arrays, save_arrays
 from .corpus import FeatureGroupTable
-from .numerics import NumericFailure, SparseVector, substream_rng
+from .numerics import NumericFailure, substream_rng
 
 log = logging.getLogger(__name__)
 
@@ -102,7 +102,7 @@ class MentionInstance:
     start: int
     end: int
     labels: frozenset
-    features: SparseVector = None
+    features: tuple = None  # (ids, counts) from extract_mention_features
 
     def __post_init__(self):
         if not (0 <= self.start < self.end <= len(self.tokens)):
@@ -213,7 +213,7 @@ class PrototypeTable:
         return [w for w, _ in self.prototypes[label]]
 
 
-def select_prototypes(dataset, hierarchy, k=60, manual=None):
+def select_prototypes(dataset, hierarchy, k, manual=None):
     """Top-k mention head words per label by NPMI, ties lexicographic.
 
     ``manual`` maps labels (typically unseen ones) to hand-picked word lists
@@ -247,7 +247,7 @@ def select_prototypes(dataset, hierarchy, k=60, manual=None):
     return PrototypeTable(prototypes=prototypes, k=k)
 
 
-def load_prototypes(path, k=60):
+def load_prototypes(path, k):
     table = {}
     with open(path, encoding="utf-8") as f:
         for lineno, raw in enumerate(f, start=1):
@@ -347,14 +347,17 @@ class JointEmbeddingModel:
     labels: list
 
 
-def score(x, label_id, model):
+def score(features, label_id, model):
+    """f(x, y) for the mention features (ids, counts) and one label id."""
     if not (0 <= label_id < model.B.shape[1]):
         raise ValueError(f"label id {label_id} out of range")
-    return float(x.matvec(model.A) @ model.B[:, label_id])
+    ids, counts = features
+    return float(model.A[:, ids] @ counts @ model.B[:, label_id])
 
 
-def score_all(x, model):
-    return x.matvec(model.A) @ model.B
+def score_all(features, model):
+    ids, counts = features
+    return model.A[:, ids] @ counts @ model.B
 
 
 def warp_loss_weight(rank):
@@ -390,9 +393,7 @@ def warp_train(dataset, hierarchy, mode, config, b_init=None):
     if mode in ("fixed", "adaptive") and b_init is None:
         raise ValueError(f"mode {mode!r} requires a label embedding")
     n_labels = len(hierarchy)
-    m_feats = 1 + max(
-        (int(i) for inst in dataset for i, _ in inst.features), default=0
-    )
+    m_feats = 1 + max((int(i) for inst in dataset for i in inst.features[0]), default=0)
     rng = substream_rng(config.seed, "fnet.warp")
     if b_init is not None:
         B = b_init.matrix.copy()
@@ -434,7 +435,8 @@ def warp_train(dataset, hierarchy, mode, config, b_init=None):
                 continue
             neg_mask = np.ones(n_labels, dtype=bool)
             neg_mask[pos_ids] = False
-            ax = inst.features.matvec(A)
+            ids, counts = inst.features
+            ax = A[:, ids] @ counts
             scores = finite_scores(ax)
             for y in pos_ids:
                 violators = all_ids[neg_mask & (config.margin + scores > scores[y])]
@@ -443,15 +445,14 @@ def warp_train(dataset, hierarchy, mode, config, b_init=None):
                     continue
                 y_neg = int(violators[rng.integers(rank)])
                 w = warp_loss_weight(rank)
-                # hinge term w * (margin - f(y) + f(y'))
-                grad_a = np.outer(
-                    w * (B[:, y_neg] - B[:, y]), inst.features.to_dense(m_feats)
-                )
-                adagrad_update(A, grad_a, ga)
+                # hinge term w * (margin - f(y) + f(y')); only A's columns
+                # at the mention's feature ids have a gradient
+                grad_a = np.outer(w * (B[:, y_neg] - B[:, y]), counts)
+                adagrad_update(A, grad_a, ga, sub=ids)
                 if mode != "fixed":
                     grad_b_cols = np.stack([-w * ax, w * ax], axis=1)
                     adagrad_update(B, grad_b_cols, gb, sub=[y, y_neg])
-                ax = inst.features.matvec(A)
+                ax = A[:, ids] @ counts
                 scores = finite_scores(ax)
             if mode == "adaptive":
                 adagrad_update(B, 2.0 * config.lam * (B - B_prior), gb)
@@ -510,7 +511,10 @@ def char_trigrams(word):
 
 
 def extract_mention_features(inst, table=None, clusters=None, deps=None, freeze=False):
-    """Sparse count vector over the mention feature templates.
+    """Feature ids and counts over the mention feature templates.
+
+    Returns ((ids, counts), table): ascending unique int64 feature ids and
+    their float64 counts, none of them zero.
 
     Features: mention unigrams, head word, head's cluster id (when a cluster
     resource is supplied), lower-cased head character trigrams, per-token
@@ -553,7 +557,9 @@ def extract_mention_features(inst, table=None, clusters=None, deps=None, freeze=
         else:
             fid = table.intern(key, f)
         counts[fid] = counts.get(fid, 0) + 1
-    return SparseVector.from_counts(counts), table
+    ids = sorted(counts)
+    values = np.array([counts[i] for i in ids], dtype=np.float64)
+    return (np.array(ids, dtype=np.int64), values), table
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ import numpy as np
 
 __all__ = [
     "NumericFailure",
-    "SparseVector",
     "make_rng",
     "substream_rng",
     "softmax",
@@ -36,52 +35,6 @@ class NumericFailure(Exception):
 ALIAS_THRESHOLD = 1024
 # Points per block of k-means distances: 64 x 100 centroids x 50 dims is 2.5 MB.
 KMEANS_BLOCK = 64
-
-
-class SparseVector:
-    """Sparse real vector held as strictly increasing (index, value) pairs.
-
-    Zero-valued entries are dropped on construction; entry order never
-    affects any arithmetic.
-    """
-
-    __slots__ = ("indices", "values")
-
-    def __init__(self, entries):
-        pairs = sorted((int(i), float(v)) for i, v in entries if v != 0)
-        indices = [i for i, _ in pairs]
-        if len(set(indices)) != len(indices):
-            raise ValueError("duplicate indices in sparse vector")
-        self.indices = np.array(indices, dtype=np.int64)
-        self.values = np.array([v for _, v in pairs], dtype=np.float64)
-
-    @classmethod
-    def from_counts(cls, counts):
-        return cls(counts.items())
-
-    def __len__(self):
-        return len(self.indices)
-
-    def __iter__(self):
-        return iter(zip(self.indices.tolist(), self.values.tolist()))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SparseVector)
-            and np.array_equal(self.indices, other.indices)
-            and np.array_equal(self.values, other.values)
-        )
-
-    def matvec(self, matrix):
-        """matrix @ self for a (D x M) dense matrix."""
-        if len(self.indices) == 0:
-            return np.zeros(matrix.shape[0])
-        return matrix[:, self.indices] @ self.values
-
-    def to_dense(self, size):
-        out = np.zeros(size)
-        out[self.indices] = self.values
-        return out
 
 
 def make_rng(seed):

@@ -154,13 +154,11 @@ class SlpModel:
     """Perceptron weights over unigram features, scored on top of asr_logp."""
 
     weights: np.ndarray
-    pairs_per_list: int
-    iterations: int
 
 
 def build_nbest_vocab(data):
     """Vocabulary over all training hypotheses and references."""
-    from .corpus import UNK, Vocabulary
+    from .corpus import Vocabulary
 
     counts = {}
     for nb in data:
@@ -169,14 +167,7 @@ def build_nbest_vocab(data):
         for h in nb.hyps:
             for w in h.words:
                 counts[w] = counts.get(w, 0) + 1
-    kept = sorted(counts, key=lambda t: (-counts[t], t))
-    id_to_token = [UNK] + [t for t in kept if t != UNK]
-    return Vocabulary(
-        token_to_id={t: i for i, t in enumerate(id_to_token)},
-        id_to_token=id_to_token,
-        counts={t: counts.get(t, 0) for t in id_to_token},
-        min_count=1,
-    )
+    return Vocabulary.from_counts(counts, min_count=1)
 
 
 def phi_unigram(hyps, vocab, presence=False):
@@ -293,14 +284,15 @@ def prior_activation(params, prior, w, e):
     return float(sigmoid(params.c[e] + params.W[w, e]))
 
 
-def pretrain_generative(sentences, vocab, d, epochs, seed, lr=0.01, return_history=False):
-    """One-step contrastive divergence over binary presence vectors.
+def pretrain_generative(sentences, vocab, config, return_history=False):
+    """One-step contrastive divergence over binary presence vectors, with
+    ``config.hidden`` units, ``pretrain_epochs`` passes at ``pretrain_lr``.
 
     Returns W, b, c suited as a train_drbm initialization (w0 untouched).
     With zero epochs the random initialization is returned unchanged.
     """
-    n = len(vocab)
-    rng = substream_rng(seed, "rerank.pretrain")
+    n, d, lr = len(vocab), config.hidden, config.pretrain_lr
+    rng = substream_rng(config.seed, "rerank.pretrain")
     W = rng.normal(scale=0.01, size=(n, d))
     b = np.zeros(n)
     c = np.zeros(d)
@@ -311,7 +303,7 @@ def pretrain_generative(sentences, vocab, d, epochs, seed, lr=0.01, return_histo
             v[vocab.id_of(w)] = 1.0
         visibles.append(v)
     history = []
-    for _ in range(epochs):
+    for _ in range(config.pretrain_epochs):
         xent = 0.0
         for v0 in visibles:
             h0 = sigmoid(c + W.T @ v0)
@@ -337,21 +329,22 @@ def slp_score(hyps, model, vocab):
     return _logp(hyps) + phi @ model.weights[cols]
 
 
-def train_slp(data, vocab, pairs_per_list=100, iterations=10, lr=1.0, seed=1):
-    """Sampled-pair perceptron: for random hypothesis pairs, if the
-    lower-WER member does not outscore the other, move the weights by the
+def train_slp(data, vocab, config):
+    """Sampled-pair perceptron: for ``config.slp_pairs`` random hypothesis
+    pairs per list and ``slp_iterations`` passes, if the lower-WER member
+    does not outscore the other, move the weights by ``slp_lr`` times the
     feature difference. Equal-WER pairs are skipped."""
     weights = np.zeros(len(vocab))
-    model = SlpModel(weights=weights, pairs_per_list=pairs_per_list, iterations=iterations)
-    rng = substream_rng(seed, "rerank.slp")
+    lr = config.slp_lr
+    rng = substream_rng(config.seed, "rerank.slp")
     wers = [[wer(nb.reference, h.words) for h in nb.hyps] for nb in data]
     feats = [(*phi_unigram(nb.hyps, vocab), _logp(nb.hyps)) for nb in data]
-    for _ in range(iterations):
+    for _ in range(config.slp_iterations):
         for nb, werrs, (cols, phi, logp) in zip(data, wers, feats):
             if len(nb.hyps) < 2:
                 log.warning("%s: need >= 2 hypotheses for pair sampling", nb.utt_id)
                 continue
-            for _ in range(pairs_per_list):
+            for _ in range(config.slp_pairs):
                 i, j = rng.integers(len(nb.hyps)), rng.integers(len(nb.hyps))
                 if werrs[i] == werrs[j]:
                     continue
@@ -360,7 +353,7 @@ def train_slp(data, vocab, pairs_per_list=100, iterations=10, lr=1.0, seed=1):
                 if logp[good] + phi[good] @ w <= logp[bad] + phi[bad] @ w:
                     weights[cols] += lr * phi[good]
                     weights[cols] -= lr * phi[bad]
-    return model
+    return SlpModel(weights=weights)
 
 
 def fuse(s_rbm, s_slp, alpha=1.0):

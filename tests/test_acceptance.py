@@ -63,26 +63,26 @@ def _grad_sgns(seed):
 
 def _grad_warp(seed):
     rng = make_rng(seed)
-    from conceptkit.numerics import SparseVector
-
-    x = SparseVector([(0, float(rng.normal())), (2, float(rng.normal()))])
+    ids = np.array([0, 2])
+    counts = np.array([float(rng.normal()), float(rng.normal())])
     y, y_neg = 0, 1
     w = fnet_mod.warp_loss_weight(int(rng.integers(1, 6)))
     while True:
         A0 = rng.normal(size=(3, 4))
         B0 = rng.normal(size=(3, 2))
-        ax = x.matvec(A0)
+        ax = A0[:, ids] @ counts
         margin = 1.0 - ax @ B0[:, y] + ax @ B0[:, y_neg]
         if margin > 0.1:  # stay away from the hinge kink
             break
 
     def loss(params):
         A, B = params
-        ax = x.matvec(A)
+        ax = A[:, ids] @ counts
         return w * max(0.0, 1.0 - ax @ B[:, y] + ax @ B[:, y_neg])
 
-    ax = x.matvec(A0)
-    gA = np.outer(w * (B0[:, y_neg] - B0[:, y]), x.to_dense(4))
+    ax = A0[:, ids] @ counts
+    gA = np.zeros_like(A0)
+    gA[:, ids] = np.outer(w * (B0[:, y_neg] - B0[:, y]), counts)
     gB = np.zeros_like(B0)
     gB[:, y] = -w * ax
     gB[:, y_neg] = w * ax
@@ -493,7 +493,9 @@ def test_criterion_4_synthetic_reranking():
         np.mean([rerank_mod.prior_activation(with_prior, prior, w, e) for w, e in pairs])
     )
 
-    slp = rerank_mod.train_slp(train, vocab, pairs_per_list=50, iterations=5, seed=7)
+    slp = rerank_mod.train_slp(
+        train, vocab, rerank_mod.DrbmConfig(seed=7, slp_pairs=50, slp_iterations=5)
+    )
     slp_wer = rerank_mod.corpus_wer(
         test, lambda hyps: rerank_mod.slp_score(hyps, slp, vocab)
     )

@@ -62,6 +62,13 @@ class TestVocabulary:
         v = build_vocab(c)
         assert v.id_to_token == ["<unk>", "a", "b", "c"]
 
+    def test_literal_unk_token_keeps_id_zero(self):
+        c = make_corpus("a\tX\tO\na\tX\tO\n<unk>\tX\tO\n\n")
+        v = build_vocab(c)
+        assert v.id_to_token == ["<unk>", "a"]
+        assert v.token_to_id == {"<unk>": 0, "a": 1}
+        assert len(v) == 2 and v.counts["<unk>"] == 1
+
 
 class TestLexicons:
     def test_taxonomy(self, tmp_path):

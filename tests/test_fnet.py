@@ -26,7 +26,7 @@ from conceptkit.fnet import (
     warp_loss_weight,
     warp_train,
 )
-from conceptkit.numerics import SparseVector, fd_gradcheck, make_rng
+from conceptkit.numerics import fd_gradcheck, make_rng, substream_rng
 
 
 def counts_from(total, label, mention, joint):
@@ -210,16 +210,26 @@ class TestLabelEmbeddings:
             proto_hle(bp, bh)
 
 
+def feats(pairs):
+    """Mention features (ids, counts) from (id, count) pairs, ids ascending."""
+    pairs = sorted(pairs)
+    return (np.array([i for i, _ in pairs], dtype=np.int64),
+            np.array([c for _, c in pairs], dtype=np.float64))
+
+
+NO_FEATURES = feats([])
+
+
 class TestScore:
     def test_identity_matrices(self):
         model = JointEmbeddingModel(A=np.eye(3), B=np.eye(3), labels=["/A", "/B", "/C"])
-        x = SparseVector([(0, 1.0)])
+        x = feats([(0, 1.0)])
         assert score(x, 0, model) == 1.0
 
     def test_zero_x(self):
         model = JointEmbeddingModel(A=np.eye(3), B=np.eye(3), labels=["a", "b", "c"])
-        x = SparseVector([])
-        assert all(score(x, i, model) == 0.0 for i in range(3))
+        assert all(score(NO_FEATURES, i, model) == 0.0 for i in range(3))
+        np.testing.assert_array_equal(score_all(NO_FEATURES, model), np.zeros(3))
 
     def test_matches_explicit_w(self):
         rng = make_rng(3)
@@ -227,8 +237,8 @@ class TestScore:
         B = rng.normal(size=(5, 3))
         model = JointEmbeddingModel(A=A, B=B, labels=["a", "b", "c"])
         W = A.T @ B  # M x N
-        x = SparseVector([(0, 0.5), (2, -1.0)])
-        xd = x.to_dense(4)
+        x = feats([(0, 0.5), (2, -1.0)])
+        xd = np.array([0.5, 0.0, -1.0, 0.0])
         for y in range(3):
             assert abs(score(x, y, model) - float(xd @ W[:, y])) < 1e-12
 
@@ -237,14 +247,14 @@ class TestScore:
         model = JointEmbeddingModel(
             A=rng.normal(size=(3, 5)), B=rng.normal(size=(3, 2)), labels=["a", "b"]
         )
-        x1 = SparseVector([(0, 1.0), (3, 2.0)])
-        x2 = SparseVector([(3, 2.0), (0, 1.0)])
+        x1 = (np.array([0, 3]), np.array([1.0, 2.0]))
+        x2 = (np.array([3, 0]), np.array([2.0, 1.0]))
         assert score(x1, 0, model) == score(x2, 0, model)
 
     def test_bad_label_id(self):
         model = JointEmbeddingModel(A=np.eye(2), B=np.eye(2), labels=["a", "b"])
         with pytest.raises(ValueError):
-            score(SparseVector([]), 5, model)
+            score(NO_FEATURES, 5, model)
 
 
 class TestWarp:
@@ -266,9 +276,9 @@ class TestWarp:
         for _ in range(40):
             lab = "/A" if rng.random() < 0.5 else "/B"
             base = 0 if lab == "/A" else 3
-            feats = SparseVector([(base + int(rng.integers(3)), 1.0)])
+            x = feats([(base + int(rng.integers(3)), 1.0)])
             data.append(
-                MentionInstance(tokens=["w"], start=0, end=1, labels={lab}, features=feats)
+                MentionInstance(tokens=["w"], start=0, end=1, labels={lab}, features=x)
             )
         model = warp_train(data, hier, "joint", WarpConfig(dims=4, epochs=5, seed=6))
         correct = 0
@@ -287,7 +297,7 @@ class TestWarp:
         data = [
             MentionInstance(
                 tokens=["w"], start=0, end=1, labels={"/A"},
-                features=SparseVector([(0, 1.0)]),
+                features=feats([(0, 1.0)]),
             )
             for _ in range(10)
         ]
@@ -303,9 +313,9 @@ class TestWarp:
         data = []
         for _ in range(30):
             lab = "/A" if rng.random() < 0.5 else "/B"
-            feats = SparseVector([(0 if lab == "/A" else 1, 1.0)])
+            x = feats([(0 if lab == "/A" else 1, 1.0)])
             data.append(
-                MentionInstance(tokens=["w"], start=0, end=1, labels={lab}, features=feats)
+                MentionInstance(tokens=["w"], start=0, end=1, labels={lab}, features=x)
             )
         cfg_strong = WarpConfig(epochs=3, seed=10, lam=1e6, lr=1e-4)
         cfg_joint = WarpConfig(epochs=3, seed=10, dims=4)
@@ -320,7 +330,7 @@ class TestWarp:
         data = [
             MentionInstance(
                 tokens=["w"], start=0, end=1, labels={"/A", "/B"},
-                features=SparseVector([(0, 1.0)]),
+                features=feats([(0, 1.0)]),
             )
         ]
         with caplog.at_level("WARNING"):
@@ -329,22 +339,98 @@ class TestWarp:
 
     def test_hinge_gradient_matches_fd(self):
         rng = make_rng(11)
-        x = SparseVector([(0, 1.0), (2, -0.5)])
+        ids, counts = feats([(0, 1.0), (2, -0.5)])
         y, y_neg, w = 0, 1, 1.5
         A0 = rng.normal(size=(3, 4))
         B0 = rng.normal(size=(3, 2))
 
         def loss(params):
             A, B = params
-            ax = x.matvec(A)
+            ax = A[:, ids] @ counts
             return w * (1.0 - ax @ B[:, y] + ax @ B[:, y_neg])
 
-        ax = x.matvec(A0)
-        gA = np.outer(w * (B0[:, y_neg] - B0[:, y]), x.to_dense(4))
+        ax = A0[:, ids] @ counts
+        gA = np.zeros_like(A0)
+        gA[:, ids] = np.outer(w * (B0[:, y_neg] - B0[:, y]), counts)
         gB = np.zeros_like(B0)
         gB[:, y] = -w * ax
         gB[:, y_neg] = w * ax
         assert fd_gradcheck(loss, [A0, B0], [gA, gB], eps=1e-5) < 1e-5
+
+
+# A frozen longhand copy of the dense WARP update: every hinge step builds the
+# mention's dense feature vector, takes its outer product with the B column
+# difference and runs AdaGrad over all of A. warp_train must reproduce its bits.
+
+
+def _frozen_warp_train(dataset, hierarchy, mode, config, b_init=None):
+    n_labels = len(hierarchy)
+    m_feats = 1 + max(int(i) for inst in dataset for i in inst.features[0])
+    rng = substream_rng(config.seed, "fnet.warp")
+    if b_init is not None:
+        B = b_init.matrix.copy()
+    else:
+        B = rng.normal(scale=0.1, size=(config.dims, n_labels))
+    A = rng.normal(scale=0.1, size=(B.shape[0], m_feats))
+    ga = np.zeros_like(A)
+    gb = np.zeros_like(B)
+    for _ in range(config.epochs):
+        for idx in rng.permutation(len(dataset)):
+            inst = dataset[idx]
+            ids, counts = inst.features
+            x = np.zeros(m_feats)
+            x[ids] = counts
+            pos_ids = [hierarchy.index[lab] for lab in sorted(inst.labels)]
+            neg_ids = [i for i in range(n_labels) if i not in pos_ids]
+            ax = A[:, ids] @ counts
+            scores = ax @ B
+            for y in pos_ids:
+                violators = [i for i in neg_ids if config.margin + scores[i] > scores[y]]
+                if not violators:
+                    continue
+                y_neg = violators[rng.integers(len(violators))]
+                w = sum(1.0 / i for i in range(1, len(violators) + 1))
+                grad = np.outer(w * (B[:, y_neg] - B[:, y]), x)
+                ga += grad * grad
+                A -= config.lr * grad / (np.sqrt(ga) + 1e-8)
+                if mode != "fixed":
+                    cols = [y, y_neg]
+                    grad = np.stack([-w * ax, w * ax], axis=1)
+                    gb[:, cols] += grad * grad
+                    B[:, cols] -= config.lr * grad / (np.sqrt(gb[:, cols]) + 1e-8)
+                ax = A[:, ids] @ counts
+                scores = ax @ B
+            if mode == "adaptive":
+                grad = 2.0 * config.lam * (B - b_init.matrix)
+                gb += grad * grad
+                B -= config.lr * grad / (np.sqrt(gb) + 1e-8)
+    return A, B
+
+
+@pytest.mark.parametrize("mode", ["joint", "fixed", "adaptive"])
+def test_warp_train_matches_frozen_dense_update_bits(mode):
+    from conceptkit.fnet import LabelEmbeddingMatrix
+
+    hier = LabelHierarchy(["/A", "/A/B", "/C", "/D"])
+    rng = make_rng(15)
+    # feature ids skip 0, 2, 3, 5, 6, 8 and 10 (columns no mention touches);
+    # one mention counts its feature 4 twice
+    pool = [1, 4, 7, 9, 11]
+    data = []
+    for k in range(30):
+        lab = ["/A/B", "/C", "/D"][k % 3]
+        labels = {lab, "/A"} if lab == "/A/B" else {lab}
+        chosen = sorted(rng.choice(pool, size=2, replace=False).tolist())
+        data.append(MentionInstance(tokens=["w"], start=0, end=1, labels=labels,
+                                    features=feats([(i, 1.0) for i in chosen])))
+    data[0].features = feats([(4, 2.0), (9, 1.0)])
+    prior = LabelEmbeddingMatrix("proto", list(hier.labels), rng.normal(size=(3, 4)))
+    b_init = None if mode == "joint" else prior
+    cfg = WarpConfig(dims=3, epochs=4, lr=0.2, lam=0.5, seed=16)
+    model = warp_train(data, hier, mode, cfg, b_init=b_init)
+    A, B = _frozen_warp_train(data, hier, mode, cfg, b_init=b_init)
+    assert np.array_equal(model.A, A)
+    assert np.array_equal(model.B, B)
 
 
 class TestTypeInfer:

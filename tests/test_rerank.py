@@ -291,30 +291,33 @@ class TestPrior:
 class TestPretrain:
     def test_zero_epochs_unchanged(self):
         vocab = vocab_of(["a", "b"])
-        W1, b1, c1 = pretrain_generative([["a"]], vocab, 3, epochs=0, seed=2)
-        W2, b2, c2 = pretrain_generative([["a"]], vocab, 3, epochs=0, seed=2)
+        cfg = DrbmConfig(hidden=3, pretrain_epochs=0, seed=2)
+        W1, b1, c1 = pretrain_generative([["a"]], vocab, cfg)
+        W2, b2, c2 = pretrain_generative([["a"]], vocab, cfg)
         np.testing.assert_array_equal(W1, W2)
         assert not b1.any() and not c1.any()
 
     def test_reproducible(self):
         vocab = vocab_of(["a", "b", "c"])
         sents = [["a", "b"], ["c"], ["a", "c"]]
-        W1, _, _ = pretrain_generative(sents, vocab, 4, epochs=3, seed=9)
-        W2, _, _ = pretrain_generative(sents, vocab, 4, epochs=3, seed=9)
+        cfg = DrbmConfig(hidden=4, pretrain_epochs=3, seed=9)
+        W1, _, _ = pretrain_generative(sents, vocab, cfg)
+        W2, _, _ = pretrain_generative(sents, vocab, cfg)
         np.testing.assert_array_equal(W1, W2)
 
     def test_xent_non_increasing(self):
         vocab = vocab_of(["a", "b", "c", "d"])
         sents = [["a", "b"], ["c", "d"]] * 4
         _, _, _, hist = pretrain_generative(
-            sents, vocab, 4, epochs=3, seed=1, return_history=True
+            sents, vocab, DrbmConfig(hidden=4, pretrain_epochs=3, seed=1), return_history=True
         )
         assert hist[1] <= hist[0] and hist[2] <= hist[1]
 
     def test_disjoint_sentences_separate(self):
         vocab = vocab_of(["a", "b", "x", "y"])
         sents = ([["a", "b"]] * 20 + [["x", "y"]] * 20)
-        W, b, c = pretrain_generative(sents, vocab, 2, epochs=30, seed=6, lr=0.1)
+        cfg = DrbmConfig(hidden=2, pretrain_epochs=30, pretrain_lr=0.1, seed=6)
+        W, b, c = pretrain_generative(sents, vocab, cfg)
         from conceptkit.numerics import sigmoid
 
         def hidden(words):
@@ -333,21 +336,22 @@ class TestSlp:
         nb = NBestList(
             "u", ["good"], [Hypothesis(["good"], -1.0), Hypothesis(["bad"], -1.0)]
         )
-        model = train_slp([nb], vocab, pairs_per_list=50, iterations=1, lr=1.0, seed=1)
+        cfg = DrbmConfig(slp_pairs=50, slp_iterations=1, slp_lr=1.0, seed=1)
+        model = train_slp([nb], vocab, cfg)
         assert model.weights[vocab.id_of("good")] > 0
         assert model.weights[vocab.id_of("bad")] < 0
 
     def test_equal_wer_no_update(self):
         vocab = vocab_of(["a", "b"])
         nb = NBestList("u", ["a"], [Hypothesis(["b"], -1.0), Hypothesis(["b"], -2.0)])
-        model = train_slp([nb], vocab, pairs_per_list=100, iterations=5, seed=2)
+        model = train_slp([nb], vocab, DrbmConfig(slp_pairs=100, slp_iterations=5, seed=2))
         assert not model.weights.any()
 
     def test_separable_ordering(self):
         rng = make_rng(14)
         lists = make_lists(rng, n_utts=15)
         vocab = build_nbest_vocab(lists)
-        model = train_slp(lists, vocab, pairs_per_list=30, iterations=10, seed=3)
+        model = train_slp(lists, vocab, DrbmConfig(slp_pairs=30, slp_iterations=10, seed=3))
         from conceptkit.metrics import wer as wer_fn
 
         for nb in lists:
@@ -360,7 +364,7 @@ class TestSlp:
         vocab = vocab_of(["a"])
         nb = NBestList("u", ["a"], [Hypothesis(["a"], 0.0)])
         with caplog.at_level("WARNING"):
-            train_slp([nb], vocab, pairs_per_list=5, iterations=1)
+            train_slp([nb], vocab, DrbmConfig(slp_pairs=5, slp_iterations=1))
         assert any("pair sampling" in r.message for r in caplog.records)
 
 
