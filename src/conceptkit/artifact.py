@@ -1,10 +1,15 @@
-"""One file format for trained models, and atomic writes for every output.
+"""File formats: trained models, line-based text records, and atomic writes
+for every output.
 
 A model artifact is one JSON manifest line ``{"kind", "meta", "arrays"}``
 followed by each named array as an ``.npy`` stream, in manifest order.
 ``atomic_write`` writes a temporary sibling that replaces the target only once
 complete, so a failed write leaves the old file as it was. There is no fsync:
 this guards against failures of the process, not against power loss.
+
+``read_records`` and ``write_records`` are the one reader and writer of the
+line-based text files: blank lines are skipped, and a malformed line is
+reported as ``path:lineno: ...``.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import os
 
 import numpy as np
 
-__all__ = ["atomic_write", "save_arrays", "load_arrays"]
+__all__ = ["atomic_write", "read_records", "write_records", "save_arrays", "load_arrays"]
 
 
 @contextlib.contextmanager
@@ -32,6 +37,29 @@ def atomic_write(path, mode="w"):
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+def read_records(path, parse):
+    """``parse(line)`` for each non-blank line of the UTF-8 text file ``path``,
+    in order; ``line`` has its newline removed. A ValueError, KeyError or
+    TypeError from ``parse`` becomes a ValueError naming ``path:lineno``."""
+    out = []
+    with open(path, encoding="utf-8") as f:
+        for lineno, raw in enumerate(f, start=1):
+            if not raw.strip():
+                continue
+            try:
+                out.append(parse(raw.rstrip("\n")))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    return out
+
+
+def write_records(path, lines):
+    """Each string of ``lines`` as one line of ``path``, through ``atomic_write``."""
+    with atomic_write(path) as f:
+        for line in lines:
+            f.write(line + "\n")
 
 
 def save_arrays(path, kind, meta, arrays):

@@ -1,7 +1,8 @@
 """Subcommand front door for the training and evaluation pipelines.
 
-Exit codes: 0 success, 2 input error (missing/malformed files, bad flags,
-unknown config keys), 3 numeric failure (non-finite values produced).
+Exit codes: 0 success, 2 input error (missing/malformed files, a sidecar
+whose length disagrees with its model, bad flags, unknown config keys),
+3 numeric failure (non-finite values produced).
 Every output file is written through ``artifact.atomic_write``, so a failing
 invocation leaves no partial file behind; a model and its sidecar are
 replaced one after the other, not together.
@@ -22,7 +23,7 @@ from . import fnet as fnet_mod
 from . import metrics as metrics_mod
 from . import rerank as rerank_mod
 from . import sentic as sentic_mod
-from .artifact import atomic_write
+from .artifact import atomic_write, read_records, write_records
 from .config import load_config
 from .numerics import NumericFailure
 
@@ -44,19 +45,20 @@ def _write_report(values, path):
         sys.stdout.write(text)
 
 
-def _save_tokens(tokens, path):
-    with atomic_write(path) as f:
-        for t in tokens:
-            f.write(t + "\n")
+def _load_sidecar(model_path, suffix, size):
+    """Lines of the ``<model><suffix>`` sidecar; there must be ``size`` of them."""
+    path = f"{model_path}{suffix}"
+    lines = read_records(path, str)
+    if len(lines) != size:
+        raise ValueError(f"{path}: {len(lines)} entries for a model of size {size}")
+    return lines
 
 
-def _load_tokens(path):
-    with open(path, encoding="utf-8") as f:
-        return [line.rstrip("\n") for line in f if line.rstrip("\n")]
-
-
-def _load_vocab_file(path):
-    return corpus_mod.Vocabulary.from_tokens(_load_tokens(path), path)
+def _load_drbm(path):
+    """A DRBM model and the vocabulary in its ``.vocab`` sidecar."""
+    params = rerank_mod.load_drbm(path)
+    tokens = _load_sidecar(path, ".vocab", params.W.shape[0])
+    return params, corpus_mod.Vocabulary.from_tokens(tokens, f"{path}.vocab")
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +166,7 @@ def cmd_fnet_train(args):
     model = fnet_mod.warp_train(mentions, hierarchy, args.mode, cfg.fnet, b_init=b_init)
     _check_finite("typing model", model.A, model.B)
     fnet_mod.save_model(model, args.label_emb or "joint", args.output)
-    _save_tokens(list(table.groups.get("mention:0", {})), str(args.output) + ".feats")
+    write_records(f"{args.output}.feats", table.groups.get("mention:0", {}))
     return 0
 
 
@@ -183,7 +185,7 @@ def cmd_fnet_eval(args):
         raise ValueError("either --model or --oracle is required")
     model, _kind = fnet_mod.load_model(args.model)
     table = corpus_mod.FeatureGroupTable()
-    for feat in _load_tokens(str(args.model) + ".feats"):
+    for feat in _load_sidecar(args.model, ".feats", model.A.shape[1]):
         table.intern("mention:0", feat)
     _mention_features(mentions, table=table, freeze=True)
     ranked = [
@@ -230,7 +232,7 @@ def cmd_rerank_pretrain(args):
     params = rerank_mod.DrbmParams(W=W, b=b, c=c, w0=cfg.rerank.w0)
     _check_finite("generative pretraining", params.W, params.b, params.c)
     rerank_mod.save_drbm(params, args.output)
-    _save_tokens(vocab.id_to_token, str(args.output) + ".vocab")
+    write_records(f"{args.output}.vocab", vocab.id_to_token)
     return 0
 
 
@@ -238,10 +240,7 @@ def cmd_rerank_train(args):
     cfg = load_config(args.config, args.seed)
     data = rerank_mod.load_nbest(args.nbest)
     if args.init:
-        params = rerank_mod.load_drbm(args.init)
-        vocab = _load_vocab_file(str(args.init) + ".vocab")
-        if params.W.shape[0] != len(vocab):
-            raise ValueError("init model and vocabulary sizes disagree")
+        params, vocab = _load_drbm(args.init)
     else:
         vocab = rerank_mod.build_nbest_vocab(data)
         params = rerank_mod.DrbmParams.zeros(len(vocab), cfg.rerank.hidden, w0=cfg.rerank.w0)
@@ -260,7 +259,7 @@ def cmd_rerank_train(args):
     trained = rerank_mod.train_drbm(data, params, vocab, cfg.rerank, prior=prior)
     _check_finite("reranker training", trained.W, trained.b, trained.c)
     rerank_mod.save_drbm(trained, args.output)
-    _save_tokens(vocab.id_to_token, str(args.output) + ".vocab")
+    write_records(f"{args.output}.vocab", vocab.id_to_token)
     return 0
 
 
@@ -273,8 +272,7 @@ def cmd_rerank_eval(args):
     else:
         if not args.model:
             raise ValueError("either --model or --zero-model is required")
-        params = rerank_mod.load_drbm(args.model)
-        vocab = _load_vocab_file(str(args.model) + ".vocab")
+        params, vocab = _load_drbm(args.model)
         presence = cfg.rerank.presence
         rbm = lambda hyps: rerank_mod.score_rbm(hyps, params, vocab, presence=presence)  # noqa: E731
         if args.fuse_slp is not None:

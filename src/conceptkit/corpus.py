@@ -14,6 +14,8 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 
+from .artifact import read_records
+
 log = logging.getLogger(__name__)
 
 UNK = "<unk>"
@@ -177,19 +179,18 @@ class ConceptLexicon:
 
 
 def load_taxonomy(path):
+    def parse(line):
+        parts = line.strip().split("\t")
+        if len(parts) != 2 or not parts[1]:
+            raise ValueError("expected 'concept<TAB>w1,w2,...'")
+        words = {w for w in parts[1].split(",") if w}
+        if not words:
+            raise ValueError("empty word set")
+        return parts[0], words
+
     concept_words = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[1]:
-                raise ValueError(f"{path}:{lineno}: expected 'concept<TAB>w1,w2,...'")
-            words = {w for w in parts[1].split(",") if w}
-            if not words:
-                raise ValueError(f"{path}:{lineno}: empty word set")
-            concept_words.setdefault(parts[0], set()).update(words)
+    for concept, words in read_records(path, parse):
+        concept_words.setdefault(concept, set()).update(words)
     if not concept_words:
         log.warning("taxonomy file %s is empty", path)
     return ConceptLexicon(concept_words)
@@ -197,22 +198,20 @@ def load_taxonomy(path):
 
 def load_gazetteer(path):
     """word -> entity class; words listed under several classes are dropped."""
+    def parse(line):
+        parts = line.strip().split("\t")
+        if len(parts) != 2:
+            raise ValueError("expected 'word<TAB>CLASS'")
+        if parts[1] not in GAZETTEER_CLASSES:
+            raise ValueError(f"unknown class {parts[1]!r}")
+        return parts[0].lower(), parts[1]
+
     seen = {}
     ambiguous = set()
-    with open(path, encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'word<TAB>CLASS'")
-            word, cls = parts[0].lower(), parts[1]
-            if cls not in GAZETTEER_CLASSES:
-                raise ValueError(f"{path}:{lineno}: unknown class {cls!r}")
-            if word in seen and seen[word] != cls:
-                ambiguous.add(word)
-            seen[word] = cls
+    for word, cls in read_records(path, parse):
+        if word in seen and seen[word] != cls:
+            ambiguous.add(word)
+        seen[word] = cls
     for word in ambiguous:
         del seen[word]
     if ambiguous:

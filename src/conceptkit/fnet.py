@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .artifact import atomic_write, load_arrays, save_arrays
+from .artifact import load_arrays, read_records, save_arrays, write_records
 from .corpus import FeatureGroupTable
 from .numerics import NumericFailure, substream_rng
 
@@ -91,9 +91,7 @@ class LabelHierarchy:
 
 
 def load_hierarchy(path):
-    with open(path, encoding="utf-8") as f:
-        labels = [line.strip() for line in f if line.strip()]
-    return LabelHierarchy(labels)
+    return LabelHierarchy(read_records(path, str.strip))
 
 
 @dataclass
@@ -123,40 +121,20 @@ class MentionInstance:
 
 def load_mentions(path):
     """JSON lines: {"tokens": [...], "start": i, "end": j, "labels": [...]}"""
-    out = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            if not raw.strip():
-                continue
-            try:
-                rec = json.loads(raw)
-                out.append(
-                    MentionInstance(
-                        tokens=rec["tokens"],
-                        start=rec["start"],
-                        end=rec["end"],
-                        labels=frozenset(rec["labels"]),
-                    )
-                )
-            except (KeyError, ValueError, TypeError) as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    return out
+    def parse(line):
+        rec = json.loads(line)
+        return MentionInstance(tokens=rec["tokens"], start=rec["start"], end=rec["end"],
+                               labels=frozenset(rec["labels"]))
+
+    return read_records(path, parse)
 
 
 def save_mentions(instances, path):
-    with open(path, "w", encoding="utf-8") as f:
-        for inst in instances:
-            f.write(
-                json.dumps(
-                    {
-                        "tokens": inst.tokens,
-                        "start": inst.start,
-                        "end": inst.end,
-                        "labels": sorted(inst.labels),
-                    }
-                )
-                + "\n"
-            )
+    write_records(path, (
+        json.dumps({"tokens": inst.tokens, "start": inst.start, "end": inst.end,
+                    "labels": sorted(inst.labels)})
+        for inst in instances
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -248,24 +226,20 @@ def select_prototypes(dataset, hierarchy, k, manual=None):
 
 
 def load_prototypes(path, k):
-    table = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'label<TAB>w1,w2,...'")
-            words = [w for w in parts[1].split(",") if w]
-            table[parts[0]] = [(w, 1.0) for w in words[:k]]
-    return PrototypeTable(prototypes=table, k=k)
+    def parse(line):
+        parts = line.strip().split("\t")
+        if len(parts) != 2:
+            raise ValueError("expected 'label<TAB>w1,w2,...'")
+        words = [w for w in parts[1].split(",") if w]
+        return parts[0], [(w, 1.0) for w in words[:k]]
+
+    return PrototypeTable(prototypes=dict(read_records(path, parse)), k=k)
 
 
 def save_prototypes(table, path):
-    with atomic_write(path) as f:
-        for lab in sorted(table.prototypes):
-            f.write(lab + "\t" + ",".join(table.words(lab)) + "\n")
+    write_records(
+        path, (lab + "\t" + ",".join(table.words(lab)) for lab in sorted(table.prototypes))
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics
-from .artifact import load_arrays, save_arrays
+from .artifact import load_arrays, read_records, save_arrays, write_records
 from .metrics import align, wer
 from .numerics import NumericFailure, sigmoid, softplus, substream_rng
 
@@ -76,6 +76,10 @@ class NBestList:
     def __post_init__(self):
         if not self.hyps:
             raise ValueError(f"{self.utt_id}: N-best list is empty")
+        # the .vocab sidecar holds one token per line
+        for words in [self.reference, *(h.words for h in self.hyps)]:
+            if " ".join(words).split() != list(words):
+                raise ValueError(f"{self.utt_id}: {words!r} holds an empty or spaced word")
 
     def oracle_index(self):
         """Index of the minimum-WER hypothesis; ties go to the lowest index."""
@@ -403,55 +407,34 @@ def tfidf_keywords(documents, threshold=3.0):
 
 def load_nbest(path):
     """JSON lines: {"utt_id", "ref": [...], "hyps": [{"words", "logp"}]}"""
-    out = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            if not raw.strip():
-                continue
-            try:
-                rec = json.loads(raw)
-                hyps = [Hypothesis(words=h["words"], asr_logp=h["logp"]) for h in rec["hyps"]]
-                out.append(NBestList(utt_id=rec["utt_id"], reference=rec["ref"], hyps=hyps))
-            except (KeyError, ValueError, TypeError) as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    return out
+    def parse(line):
+        rec = json.loads(line)
+        hyps = [Hypothesis(words=h["words"], asr_logp=h["logp"]) for h in rec["hyps"]]
+        return NBestList(utt_id=rec["utt_id"], reference=rec["ref"], hyps=hyps)
+
+    return read_records(path, parse)
 
 
 def save_nbest(data, path):
-    with open(path, "w", encoding="utf-8") as f:
-        for nb in data:
-            f.write(
-                json.dumps(
-                    {
-                        "utt_id": nb.utt_id,
-                        "ref": nb.reference,
-                        "hyps": [
-                            {"words": h.words, "logp": h.asr_logp} for h in nb.hyps
-                        ],
-                    }
-                )
-                + "\n"
-            )
+    write_records(path, (
+        json.dumps({"utt_id": nb.utt_id, "ref": nb.reference,
+                    "hyps": [{"words": h.words, "logp": h.asr_logp} for h in nb.hyps]})
+        for nb in data
+    ))
 
 
 def load_keywords(path):
-    out = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'word<TAB>weight'")
-            out[parts[0]] = float(parts[1])
-    return out
+    def parse(line):
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ValueError("expected 'word<TAB>weight'")
+        return parts[0], float(parts[1])
+
+    return dict(read_records(path, parse))
 
 
 def save_keywords(weights, path):
-    with open(path, "w", encoding="utf-8") as f:
-        for w in sorted(weights):
-            f.write(f"{w}\t{weights[w]:.17g}\n")
+    write_records(path, (f"{w}\t{weights[w]:.17g}" for w in sorted(weights)))
 
 
 def save_drbm(params, path):

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .artifact import load_arrays, save_arrays
+from .artifact import load_arrays, read_records, save_arrays, write_records
 from .metrics import LabelSetPrediction, macro_f1, micro_f1, strict_accuracy
 from .numerics import NumericFailure, sigmoid, softmax, substream_rng
 
@@ -492,40 +492,20 @@ def predict_and_evaluate(dataset, params):
 
 def load_tsa(path):
     """JSON lines with tokens, target_positions, aspects, concepts."""
-    out = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            if not raw.strip():
-                continue
-            try:
-                rec = json.loads(raw)
-                out.append(
-                    TsaInstance(
-                        tokens=rec["tokens"],
-                        target_positions=rec["target_positions"],
-                        aspects=rec["aspects"],
-                        concepts=rec["concepts"],
-                    )
-                )
-            except (KeyError, ValueError, TypeError) as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    return out
+    def parse(line):
+        rec = json.loads(line)
+        return TsaInstance(tokens=rec["tokens"], target_positions=rec["target_positions"],
+                           aspects=rec["aspects"], concepts=rec["concepts"])
+
+    return read_records(path, parse)
 
 
 def save_tsa(dataset, path):
-    with open(path, "w", encoding="utf-8") as f:
-        for inst in dataset:
-            f.write(
-                json.dumps(
-                    {
-                        "tokens": inst.tokens,
-                        "target_positions": inst.target_positions,
-                        "aspects": inst.aspects,
-                        "concepts": inst.concepts,
-                    }
-                )
-                + "\n"
-            )
+    write_records(path, (
+        json.dumps({"tokens": inst.tokens, "target_positions": inst.target_positions,
+                    "aspects": inst.aspects, "concepts": inst.concepts})
+        for inst in dataset
+    ))
 
 
 def save_checkpoint(params, path):

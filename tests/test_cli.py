@@ -508,3 +508,43 @@ def test_bad_model_artifact_exits_2(
     }[kind]
     assert main(argv) == 2
     assert bad in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pipeline", ["rerank", "fnet"])
+def test_sidecar_size_mismatch_exits_2(
+    tmp_path, fnet_files, nbest_files, cfg_file, capsys, pipeline
+):
+    mpath, hpath, _ = fnet_files
+    npath, _ = nbest_files
+    model = str(tmp_path / "model")
+    if pipeline == "rerank":
+        train = ["rerank-train", npath]
+        evaluate = ["rerank-eval", npath]
+        sidecar = model + ".vocab"
+    else:
+        train = ["fnet-train", mpath, hpath]
+        evaluate = ["fnet-eval", mpath, hpath]
+        sidecar = model + ".feats"
+    assert main(train + ["--output", model, "--config", cfg_file, "--seed", "7"]) == 0
+    with open(sidecar, encoding="utf-8") as f:
+        lines = f.readlines()
+    # a missing token or three extra features shift the ids the model was trained on
+    lines = lines[:-1] if pipeline == "rerank" else ["x=1\n", "x=2\n", "x=3\n"] + lines
+    with open(sidecar, "w", encoding="utf-8") as f:
+        f.writelines(lines)
+    report = str(tmp_path / "report.json")
+    assert main(evaluate + ["--model", model, "--report", report, "--config", cfg_file]) == 2
+    assert sidecar in capsys.readouterr().err
+    assert not os.path.exists(report)
+
+
+def test_nbest_word_with_whitespace_exits_2(tmp_path, capsys):
+    npath = tmp_path / "nbest.jsonl"
+    npath.write_text(
+        '{"utt_id": "u1", "ref": ["a"], "hyps": [{"words": ["a"], "logp": -1.0}]}\n'
+        '{"utt_id": "u2", "ref": ["a"], "hyps": [{"words": ["a", ""], "logp": -1.0}]}\n'
+    )
+    out = tmp_path / "init.drbm"
+    assert main(["rerank-pretrain", str(npath), "--output", str(out)]) == 2
+    assert f"{npath}:2:" in capsys.readouterr().err
+    assert not out.exists()
