@@ -230,7 +230,6 @@ def cmd_rerank_pretrain(args):
     vocab = rerank_mod.build_nbest_vocab(data)
     W, b, c = rerank_mod.pretrain_generative([nb.reference for nb in data], vocab, cfg.rerank)
     params = rerank_mod.DrbmParams(W=W, b=b, c=c, w0=cfg.rerank.w0)
-    _check_finite("generative pretraining", params.W, params.b, params.c)
     rerank_mod.save_drbm(params, args.output)
     write_records(f"{args.output}.vocab", vocab.id_to_token)
     return 0

@@ -227,8 +227,9 @@ def select_prototypes(dataset, hierarchy, k, manual=None):
 
 def load_prototypes(path, k):
     def parse(line):
-        parts = line.strip().split("\t")
-        if len(parts) != 2:
+        # the word list may be empty: a label saved with no prototypes
+        parts = [part.strip() for part in line.split("\t")]
+        if len(parts) != 2 or not parts[0]:
             raise ValueError("expected 'label<TAB>w1,w2,...'")
         words = [w for w in parts[1].split(",") if w]
         return parts[0], [(w, 1.0) for w in words[:k]]

@@ -293,7 +293,9 @@ def pretrain_generative(sentences, vocab, config, return_history=False):
     ``config.hidden`` units, ``pretrain_epochs`` passes at ``pretrain_lr``.
 
     Returns W, b, c suited as a train_drbm initialization (w0 untouched).
-    With zero epochs the random initialization is returned unchanged.
+    With zero epochs the random initialization is returned unchanged. An
+    epoch whose summed cross-entropy or final weights are non-finite raises
+    ``NumericFailure`` naming it.
     """
     n, d, lr = len(vocab), config.hidden, config.pretrain_lr
     rng = substream_rng(config.seed, "rerank.pretrain")
@@ -307,7 +309,7 @@ def pretrain_generative(sentences, vocab, config, return_history=False):
             v[vocab.id_of(w)] = 1.0
         visibles.append(v)
     history = []
-    for _ in range(config.pretrain_epochs):
+    for epoch in range(config.pretrain_epochs):
         xent = 0.0
         for v0 in visibles:
             h0 = sigmoid(c + W.T @ v0)
@@ -320,6 +322,10 @@ def pretrain_generative(sentences, vocab, config, return_history=False):
             eps = 1e-12
             xent -= float(
                 v0 @ np.log(v1 + eps) + (1.0 - v0) @ np.log(1.0 - v1 + eps)
+            )
+        if not (math.isfinite(xent) and all(np.isfinite(a).all() for a in (W, b, c))):
+            raise NumericFailure(
+                f"generative pretraining went non-finite at epoch {epoch} (cross-entropy {xent})"
             )
         history.append(xent / max(1, len(visibles)))
     if return_history:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -209,9 +210,9 @@ def _recur_back(dH, X, MU, p, dirn, H, C, trace, g):
     dW = DZ.T @ np.hstack([X, H[:-1], MU])
     db = DZ.sum(axis=0)
     for n, (w, b) in enumerate(_GATES):
-        g[f"{w}:{dirn}"] = dW[n * d : (n + 1) * d]
-        g[f"{b}:{dirn}"] = db[n * d : (n + 1) * d]
-    g[f"Wc:{dirn}"] = DK.T @ MU
+        g[f"{w}:{dirn}"][...] = dW[n * d : (n + 1) * d]
+        g[f"{b}:{dirn}"][...] = db[n * d : (n + 1) * d]
+    g[f"Wc:{dirn}"][...] = DK.T @ MU
     dJ = DZ @ W
     return dJ[:, :d_w], dJ[:, d_w + d :] + DK @ p[f"Wc:{dirn}"]
 
@@ -327,19 +328,21 @@ def forward(inst, params, dropout_mask=None):
     return _forward(inst, params, dropout_mask)[-1]
 
 
-def loss_and_grads(inst, params, dropout_mask=None):
+def loss_and_grads(inst, params, dropout_mask=None, grads=None):
     """Summed per-aspect cross-entropy and its gradient for every array.
 
     One backward pass through the softmax heads, sentence attention, target
     attention and both directions of the recurrence; the word and concept
     tables get their rows added in once. Arrays the instance does not reach
     (rows of other tokens, the target-attention query under averaging) get
-    zero gradients.
+    zero gradients. ``grads``, if given, maps every array name to a zeroed
+    buffer of that array's shape; the gradient is written into it and it is
+    returned, with the same bits as the fresh dict made without it.
     """
     cfg, p = params.config, params.arrays
     classes = list(cfg.classes)
     columns, enc, (v_t, alpha, alpha_act), heads, probs = _forward(inst, params, dropout_mask)
-    g = {k: np.zeros_like(v) for k, v in p.items()}
+    g = {k: np.zeros_like(v) for k, v in p.items()} if grads is None else grads
     d2 = columns.shape[1]
     d_cols, d_v_t = np.zeros_like(columns), np.zeros(d2)
     loss = 0.0
@@ -352,8 +355,8 @@ def loss_and_grads(inst, params, dropout_mask=None):
         loss -= float(np.log(probs[a][gold]))
         d_logits = probs[a] - np.eye(len(classes))[gold]
         g["Wp"] += np.outer(d_logits, v_s)
-        g[f"bp:{a}"] = d_logits
-        d_values, d_pre, g[f"va:{a}"] = _attend_back(
+        g[f"bp:{a}"][...] = d_logits
+        d_values, d_pre, g[f"va:{a}"][...] = _attend_back(
             p["Wp"].T @ d_logits, columns, beta, act, p[f"va:{a}"]
         )
         d_cols += d_values + d_pre @ p["Wm"][:, :d2]
@@ -365,9 +368,9 @@ def loss_and_grads(inst, params, dropout_mask=None):
         d_targets = np.outer(alpha, d_v_t)
     else:
         cols = columns[inst.target_positions]
-        d_targets, d_pre, g["Wa2"] = _attend_back(d_v_t, cols, alpha, alpha_act, p["Wa2"])
+        d_targets, d_pre, g["Wa2"][...] = _attend_back(d_v_t, cols, alpha, alpha_act, p["Wa2"])
         d_targets += d_pre @ p["Wa1"]
-        g["Wa1"] = d_pre.T @ cols
+        g["Wa1"][...] = d_pre.T @ cols
     np.add.at(d_cols, inst.target_positions, d_targets)
     tids, known, at, cid, share, X, MU, fwd, bwd = enc
     d_h = cfg.d_h
@@ -382,27 +385,66 @@ def loss_and_grads(inst, params, dropout_mask=None):
     return loss, g
 
 
+def _views(flat, shapes):
+    """Arrays of the given shapes laid end to end in ``flat``, as views."""
+    out, at = {}, 0
+    for k, shape in shapes.items():
+        n = math.prod(shape)
+        out[k] = flat[at : at + n].reshape(shape)
+        at += n
+    return out
+
+
 def train(train_set, dev_set, config, rng=None):
     """Adam over per-instance gradients; keeps the epoch whose dev sentiment
     accuracy (ties: strict aspect accuracy, then the earlier epoch) is best.
+
+    Buffer layout: every trainable array is a view into one flat float64
+    vector, ``E`` first and the other arrays after it in ``SenticParams.init``
+    order. The gradient, both Adam moments and two scratch vectors are flat
+    vectors of the same layout, so a step is a fixed sequence of in-place
+    ufunc calls and allocates nothing the size of the vocabulary. ``E``'s
+    block is row-sparse in its moments and gradient: the moments decay in
+    place, only the rows of the instance's tokens get the gradient term,
+    and only those gradient rows are zeroed after the step.
+
+    Bit identity: every array comes out with the same bits as per-array
+    dense Adam, ``m = beta1*m + (1-beta1)*g``, ``v = beta2*v +
+    ((1-beta2)*g)*g`` and ``p -= (lr*mhat) / (sqrt(vhat) + eps)``, because
+    each element goes through the same operations in the same order and an
+    untouched row of ``E`` would only add a +0.0 gradient term. (The sparse
+    form leaves one trace: a first moment that underflows to -0.0 stays -0.0
+    where dense Adam makes it +0.0, and the step it gives, p - (-0.0),
+    differs from p - (+0.0) only for p = -0.0.)
     """
     if not config.aspects:
         raise ValueError("aspect set must be non-empty")
     if not train_set or not dev_set:
         raise ValueError("train and dev sets must be non-empty")
+    if config.epochs < 1:
+        raise ValueError(f"tsa.epochs must be at least 1, not {config.epochs}")
     tokens = sorted({t for inst in train_set for t in inst.tokens})
     concept_ids = sorted(
         {c for inst in train_set for per_tok in inst.concepts for c in per_tok}
     )
     rng = rng or substream_rng(config.seed, "sentic.train")
     params = SenticParams.init(config, tokens, concept_ids, rng)
-    m = {k: np.zeros_like(v) for k, v in params.arrays.items()}
-    v = {k: np.zeros_like(a) for k, a in params.arrays.items()}
+    shapes = {k: params.arrays[k].shape for k in ["E", *params.arrays]}  # E first
+    theta = np.concatenate([params.arrays[k].ravel() for k in shapes])
+    params.arrays = _views(theta, shapes)
+    g, m, v, s1, s2 = (np.zeros_like(theta) for _ in range(5))
+    grads = _views(g, shapes)
+    n_E = math.prod(shapes["E"])
+    g_E, m_E, v_E = (buf[:n_E].reshape(shapes["E"]) for buf in (g, m, v))
+    g_r, m_r, v_r, s1_r = (buf[n_E:] for buf in (g, m, v, s1))
+    rows_of = [np.unique([params.token_index[t] for t in inst.tokens]) for inst in train_set]
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
     best = None
     drop = config.dropout
     for epoch in range(config.epochs):
+        started = time.perf_counter()
+        total_loss, n_loss = 0.0, 0
         order = rng.permutation(len(train_set))
         for idx in order:
             inst = train_set[idx]
@@ -414,25 +456,47 @@ def train(train_set, dev_set, config, rng=None):
                 ).astype(np.float64) / (1.0 - drop)
             if config.lr == 0.0:
                 continue
-            loss, grads = loss_and_grads(inst, params, dropout_mask=mask)
+            loss, _ = loss_and_grads(inst, params, dropout_mask=mask, grads=grads)
             step += 1
             if not math.isfinite(loss):
                 raise NumericFailure(
                     f"sentiment training loss is {loss} at epoch {epoch}, step {step}"
                 )
-            for k, g in grads.items():
-                m[k] = beta1 * m[k] + (1 - beta1) * g
-                v[k] = beta2 * v[k] + (1 - beta2) * g * g
-                mhat = m[k] / (1 - beta1**step)
-                vhat = v[k] / (1 - beta2**step)
-                params.arrays[k] -= config.lr * mhat / (np.sqrt(vhat) + eps)
+            total_loss += loss
+            n_loss += 1
+            rows = rows_of[idx]
+            g_rows = g_E[rows]
+            # m = beta1*m + (1-beta1)*g
+            m *= beta1
+            np.multiply(g_r, 1 - beta1, out=s1_r)
+            m_r += s1_r
+            m_E[rows] += (1 - beta1) * g_rows
+            # v = beta2*v + ((1-beta2)*g)*g
+            v *= beta2
+            np.multiply(g_r, 1 - beta2, out=s1_r)
+            s1_r *= g_r
+            v_r += s1_r
+            v_E[rows] += ((1 - beta2) * g_rows) * g_rows
+            # p -= (lr*mhat) / (sqrt(vhat) + eps)
+            np.divide(m, 1 - beta1**step, out=s1)
+            s1 *= config.lr
+            np.divide(v, 1 - beta2**step, out=s2)
+            np.sqrt(s2, out=s2)
+            s2 += eps
+            s1 /= s2
+            theta -= s1
+            g_r[:] = 0.0
+            g_E[rows] = 0.0
+        elapsed = time.perf_counter() - started
         report = predict_and_evaluate(dev_set, params)
         key = (report["sentiment_accuracy"], report["strict_accuracy"], -epoch)
         if best is None or key > best[0]:
             best = (key, params.copy(), epoch)
         log.info(
-            "epoch %d dev sentiment %.4f strict %.4f",
+            "epoch %d train loss %.4f (%.1f instances/s) dev sentiment %.4f strict %.4f",
             epoch,
+            total_loss / n_loss if n_loss else math.nan,
+            len(order) / elapsed if elapsed > 0 else math.inf,
             report["sentiment_accuracy"],
             report["strict_accuracy"],
         )

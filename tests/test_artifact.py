@@ -62,6 +62,9 @@ ROUND_TRIPS = {
                  rerank.save_keywords, rerank.load_keywords),
     "prototypes": (lambda: fnet.PrototypeTable({"/A": [("x", 1.0), ("y", 1.0)]}, k=3),
                    fnet.save_prototypes, lambda p: fnet.load_prototypes(p, k=3)),
+    # a label with no prototype words is saved as 'label<TAB>'
+    "prototypes-empty-list": (lambda: fnet.PrototypeTable({"/A": [("x", 1.0)], "/B": []}, k=3),
+                              fnet.save_prototypes, lambda p: fnet.load_prototypes(p, k=3)),
 }
 
 

@@ -407,6 +407,20 @@ def test_tsa_train_nonfinite_loss_exits_3(tmp_path, tsa_files, cfg_file, capsys)
     assert list(out.iterdir()) == []
 
 
+def test_tsa_train_zero_epochs_exits_2(tmp_path, tsa_files, cfg_file, capsys):
+    tr, dv = tsa_files
+    cfg = tmp_path / "zero.cfg"
+    with open(cfg_file) as f:
+        cfg.write_text(f.read().replace("tsa.epochs = 1", "tsa.epochs = 0"))
+    out = tmp_path / "out"
+    out.mkdir()
+    code = main(["tsa-train", tr, dv, "--output", str(out / "tsa.ckpt"),
+                 "--config", str(cfg), "--seed", "7"])
+    assert code == 2
+    assert "tsa.epochs must be at least 1" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_tsa_train_deterministic(tmp_path, tsa_files, cfg_file):
     tr, dv = tsa_files
     blobs = []
@@ -416,6 +430,25 @@ def test_tsa_train_deterministic(tmp_path, tsa_files, cfg_file):
                      "--config", cfg_file, "--seed", "7", "--workers", "1"]) == 0
         blobs.append(_read(ckpt))
     assert blobs[0] == blobs[1]
+
+
+def test_rerank_pretrain_nonfinite_exits_3(tmp_path, nbest_files, cfg_file, capsys):
+    # contrastive divergence saturates its units, so even a rate of 1e308 keeps
+    # the weights finite; an infinite rate makes the first update inf * 0 = nan.
+    # Pretraining stops after that epoch, names it, and writes no model or vocab
+    npath, _ = nbest_files
+    cfg = tmp_path / "blowup.cfg"
+    with open(cfg_file) as f:
+        cfg.write_text(f.read().replace("rerank.pretrain_epochs = 1", "rerank.pretrain_epochs = 3")
+                       + "rerank.pretrain_lr = inf\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    code = main(["rerank-pretrain", npath, "--output", str(out / "init.drbm"),
+                 "--config", str(cfg), "--seed", "7"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "generative pretraining went non-finite at epoch 0" in err
+    assert list(out.iterdir()) == []
 
 
 def test_rerank_train_nonfinite_scores_exit_3(tmp_path, nbest_files, cfg_file, capsys):

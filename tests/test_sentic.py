@@ -1,3 +1,5 @@
+import logging
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -349,6 +351,61 @@ def rule_dataset(rng, n, aspects=("price", "service")):
     return data
 
 
+def reference_train(train_set, dev_set, config):
+    """Dense Adam over a dict of arrays, one fresh array per operation, in
+    ``train``'s order of random draws; returns the best epoch's parameters,
+    that epoch and each epoch's mean training loss."""
+    rng = substream_rng(config.seed, "sentic.train")
+    tokens = sorted({t for inst in train_set for t in inst.tokens})
+    concepts = sorted({c for inst in train_set for ids in inst.concepts for c in ids})
+    params = SenticParams.init(config, tokens, concepts, rng)
+    m = {k: np.zeros_like(a) for k, a in params.arrays.items()}
+    v = {k: np.zeros_like(a) for k, a in params.arrays.items()}
+    beta1, beta2, eps, step = 0.9, 0.999, 1e-8, 0
+    best, mean_losses = None, []
+    for epoch in range(config.epochs):
+        losses = []
+        for idx in rng.permutation(len(train_set)):
+            inst = train_set[idx]
+            keep = rng.random((len(inst.tokens), config.d_w)) >= config.dropout
+            mask = keep.astype(np.float64) / (1.0 - config.dropout)
+            loss, grads = loss_and_grads(inst, params, dropout_mask=mask)
+            losses.append(loss)
+            step += 1
+            for k, g in grads.items():
+                m[k] = beta1 * m[k] + (1 - beta1) * g
+                v[k] = beta2 * v[k] + (1 - beta2) * g * g
+                mhat = m[k] / (1 - beta1**step)
+                vhat = v[k] / (1 - beta2**step)
+                params.arrays[k] = params.arrays[k] - config.lr * mhat / (np.sqrt(vhat) + eps)
+        mean_losses.append(sum(losses) / len(losses))
+        report = predict_and_evaluate(dev_set, params)
+        key = (report["sentiment_accuracy"], report["strict_accuracy"], -epoch)
+        if best is None or key > best[0]:
+            best = (key, params.copy(), epoch)
+    return best[1], best[2], mean_losses
+
+
+def adam_dataset():
+    """Rule data with concepts, plus a sentence that repeats a token (its
+    word row gets two gradient rows added) and a dev sentence with a token
+    the training vocabulary lacks."""
+    rng = make_rng(23)
+    data = rule_dataset(rng, 12)
+    for inst in data[::3]:
+        inst.concepts = [["k1"], [], ["k2", "k1"], [], []]
+    data.append(make_instance(["good", "target", "good", "cost", "x1"], [1],
+                              {"price": "positive"}, [["k2"], [], [], [], ["k1"]]))
+    dev = rule_dataset(rng, 6)
+    dev.append(make_instance(["unseen", "target", "awful", "staff"], [1],
+                             {"service": "negative"}))
+    return data, dev
+
+
+ADAM_CFG = SenticConfig(d_w=4, d_h=3, d_m=2, d_c=2, aspects=("price", "service"),
+                        lr=0.05, epochs=4, dropout=0.5, seed=3)
+
+
 class TestTrain:
     def test_lr_zero_unchanged(self):
         rng = make_rng(18)
@@ -378,6 +435,33 @@ class TestTrain:
         params = train(data, dev, cfg)
         report = predict_and_evaluate(dev, params)
         assert report["sentiment_accuracy"] >= 0.8
+
+    def test_bit_identical_to_dense_adam(self):
+        data, dev = adam_dataset()
+        expect, expect_epoch, _ = reference_train(data, dev, ADAM_CFG)
+        params = train(data, dev, ADAM_CFG)
+        assert params.best_epoch == expect_epoch
+        assert sorted(params.arrays) == sorted(expect.arrays)
+        for k in expect.arrays:
+            assert np.array_equal(params.arrays[k], expect.arrays[k]), k
+
+    def test_epoch_log_reports_loss_and_throughput(self, caplog):
+        data, dev = adam_dataset()
+        _, _, mean_losses = reference_train(data, dev, ADAM_CFG)
+        caplog.set_level(logging.INFO, logger="conceptkit.sentic")
+        train(data, dev, ADAM_CFG)
+        lines = [r.getMessage() for r in caplog.records if r.name == "conceptkit.sentic"]
+        assert len(lines) == ADAM_CFG.epochs
+        for epoch, (line, loss) in enumerate(zip(lines, mean_losses)):
+            found = re.fullmatch(
+                r"epoch (\d+) train loss (\S+) \((\S+) instances/s\) "
+                r"dev sentiment \S+ strict \S+",
+                line,
+            )
+            assert found, line
+            assert int(found[1]) == epoch
+            assert found[2] == f"{loss:.4f}"
+            assert float(found[3]) > 0
 
     def test_empty_aspects_error(self):
         with pytest.raises(ValueError):
