@@ -273,25 +273,32 @@ def cmd_rerank_eval(args):
             raise ValueError("either --model or --zero-model is required")
         params, vocab = _load_drbm(args.model)
         presence = cfg.rerank.presence
-        rbm = lambda hyps: rerank_mod.score_rbm(hyps, params, vocab, presence=presence)  # noqa: E731
-        if args.fuse_slp is not None:
+
+        def rbm(hyps, feats=None):
+            return rerank_mod.score_rbm(hyps, params, vocab, presence, feats=feats)
+
+        if args.fuse_slp is None:
+            scorer = rbm
+        else:
             slp_data = rerank_mod.load_nbest(args.slp_train) if args.slp_train else data
             model = rerank_mod.train_slp(slp_data, vocab, cfg.rerank)
             alpha = args.fuse_slp
-            scorer = lambda hyps: rerank_mod.fuse(  # noqa: E731
-                rbm(hyps), rerank_mod.slp_score(hyps, model, vocab), alpha=alpha
-            )
-        else:
-            scorer = rbm
-    chosen = [(nb.reference, rerank_mod.rerank(nb, scorer).words) for nb in data]
+
+            def scorer(hyps):  # each list featurized once for both scores
+                feats = rerank_mod.phi_unigram(hyps, vocab)
+                return rerank_mod.fuse(
+                    rbm(hyps, feats), rerank_mod.slp_score(hyps, model, vocab, feats=feats),
+                    alpha=alpha,
+                )
+    # the plain WERs sum each list's cached errors: one edit distance per hypothesis
+    picks = [rerank_mod.rerank_index(nb, scorer) for nb in data]
     report = {
-        "wer": metrics_mod.corpus_wer(chosen),
+        "wer": rerank_mod.picked_wer(data, picks),
         "asr_wer": rerank_mod.corpus_wer(data, _asr_scores),
-        "oracle_wer": metrics_mod.corpus_wer(
-            (nb.reference, nb.hyps[nb.oracle_index()].words) for nb in data
-        ),
+        "oracle_wer": rerank_mod.picked_wer(data, [nb.oracle_index() for nb in data]),
     }
     if keywords is not None:
+        chosen = [(nb.reference, nb.hyps[k].words) for nb, k in zip(data, picks)]
         report["weighted_wer"] = metrics_mod.weighted_wer(chosen, keywords)
     _write_report(report, args.report)
     return 0

@@ -15,13 +15,13 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from . import metrics
 from .artifact import load_arrays, read_records, save_arrays, write_records
-from .metrics import align, wer
+from .metrics import edit_distance
 from .numerics import NumericFailure, sigmoid, softplus, substream_rng
 
 log = logging.getLogger(__name__)
@@ -43,7 +43,9 @@ __all__ = [
     "train_slp",
     "slp_score",
     "fuse",
+    "rerank_index",
     "rerank",
+    "picked_wer",
     "corpus_wer",
     "tfidf_keywords",
     "load_nbest",
@@ -81,10 +83,15 @@ class NBestList:
             if " ".join(words).split() != list(words):
                 raise ValueError(f"{self.utt_id}: {words!r} holds an empty or spaced word")
 
+    @cached_property
+    def errors(self):
+        """Edit distance of each hypothesis to the reference, computed on
+        first use and kept (the list is not expected to change after)."""
+        return tuple(edit_distance(self.reference, h.words) for h in self.hyps)
+
     def oracle_index(self):
         """Index of the minimum-WER hypothesis; ties go to the lowest index."""
-        errs = [align(self.reference, h.words).errors for h in self.hyps]
-        return int(np.argmin(errs))
+        return int(np.argmin(self.errors))
 
 
 @dataclass
@@ -198,9 +205,17 @@ def _neg_free_energy(cols, phi, logp, params):
     return params.w0 * logp + phi @ params.b[cols] + softplus(z).sum(1), z
 
 
-def score_rbm(hyps, params, vocab, presence=False):
-    """Negative free energy of every hypothesis in the list."""
-    cols, phi = phi_unigram(hyps, vocab, presence=presence)
+def score_rbm(hyps, params, vocab, presence=False, feats=None):
+    """Negative free energy of every hypothesis in the list.
+
+    ``feats`` is the list's ``phi_unigram(hyps, vocab)`` (counts) when the
+    caller has it already; presence indicators are taken from it.
+    """
+    if feats is None:
+        cols, phi = phi_unigram(hyps, vocab, presence=presence)
+    else:
+        cols, phi = feats
+        phi = np.minimum(phi, 1.0) if presence else phi
     return _neg_free_energy(cols, phi, _logp(hyps), params)[0]
 
 
@@ -333,9 +348,13 @@ def pretrain_generative(sentences, vocab, config, return_history=False):
     return W, b, c
 
 
-def slp_score(hyps, model, vocab):
-    """asr_logp plus the perceptron's unigram correction, per hypothesis."""
-    cols, phi = phi_unigram(hyps, vocab)
+def slp_score(hyps, model, vocab, feats=None):
+    """asr_logp plus the perceptron's unigram correction, per hypothesis.
+
+    ``feats`` is the list's ``phi_unigram(hyps, vocab)`` when the caller has
+    it already.
+    """
+    cols, phi = phi_unigram(hyps, vocab) if feats is None else feats
     return _logp(hyps) + phi @ model.weights[cols]
 
 
@@ -343,26 +362,39 @@ def train_slp(data, vocab, config):
     """Sampled-pair perceptron: for ``config.slp_pairs`` random hypothesis
     pairs per list and ``slp_iterations`` passes, if the lower-WER member
     does not outscore the other, move the weights by ``slp_lr`` times the
-    feature difference. Equal-WER pairs are skipped."""
+    feature difference. Equal-WER pairs are skipped.
+
+    Draw order: each iteration visits the lists in order and makes one
+    ``rng.integers(n, size=(slp_pairs, 2))`` draw per list of n hypotheses,
+    row p being pair p's (i, j). It yields the same numbers, and leaves the
+    stream in the same place, as drawing i then j one scalar at a time in
+    pair order. A list with fewer than two hypotheses is warned about once
+    and consumes no draws. The updates stay sequential, pair by pair.
+    """
     weights = np.zeros(len(vocab))
     lr = config.slp_lr
     rng = substream_rng(config.seed, "rerank.slp")
-    wers = [[wer(nb.reference, h.words) for h in nb.hyps] for nb in data]
-    feats = [(*phi_unigram(nb.hyps, vocab), _logp(nb.hyps)) for nb in data]
+    lists = []
+    for nb in data:
+        if len(nb.hyps) < 2:
+            log.warning("%s: need >= 2 hypotheses for pair sampling", nb.utt_id)
+            continue
+        lists.append((*phi_unigram(nb.hyps, vocab), _logp(nb.hyps), np.array(nb.errors)))
     for _ in range(config.slp_iterations):
-        for nb, werrs, (cols, phi, logp) in zip(data, wers, feats):
-            if len(nb.hyps) < 2:
-                log.warning("%s: need >= 2 hypotheses for pair sampling", nb.utt_id)
-                continue
-            for _ in range(config.slp_pairs):
-                i, j = rng.integers(len(nb.hyps)), rng.integers(len(nb.hyps))
-                if werrs[i] == werrs[j]:
-                    continue
-                good, bad = (i, j) if werrs[i] < werrs[j] else (j, i)
-                w = weights[cols]
-                if logp[good] + phi[good] @ w <= logp[bad] + phi[bad] @ w:
-                    weights[cols] += lr * phi[good]
-                    weights[cols] -= lr * phi[bad]
+        for cols, phi, logp, errs in lists:
+            i, j = rng.integers(len(errs), size=(config.slp_pairs, 2)).T
+            i_wins = errs[i] < errs[j]
+            differ = errs[i] != errs[j]
+            good = np.where(i_wins, i, j)[differ].tolist()
+            bad = np.where(i_wins, j, i)[differ].tolist()
+            # cols holds distinct ids, so updating the gathered weights and
+            # scattering them back once equals updating weights[cols] in place
+            w = weights[cols]
+            for g, b in zip(good, bad):
+                if logp[g] + phi[g] @ w <= logp[b] + phi[b] @ w:
+                    w += lr * phi[g]
+                    w -= lr * phi[b]
+            weights[cols] = w
     return SlpModel(weights=weights)
 
 
@@ -371,16 +403,33 @@ def fuse(s_rbm, s_slp, alpha=1.0):
     return s_rbm + alpha * s_slp
 
 
-def rerank(nbest, scorer):
-    """Return the hypothesis whose score, from a scorer that maps the list's
+def rerank_index(nbest, scorer):
+    """Index of the hypothesis whose score, from a scorer that maps the list's
     hypotheses to one score each, is highest; ties go to the lowest index."""
-    return nbest.hyps[int(np.argmax(scorer(nbest.hyps)))]
+    return int(np.argmax(scorer(nbest.hyps)))
+
+
+def rerank(nbest, scorer):
+    """The hypothesis at ``rerank_index(nbest, scorer)``."""
+    return nbest.hyps[rerank_index(nbest, scorer)]
+
+
+def picked_wer(data, picks):
+    """Corpus-level WER of hypothesis ``picks[k]`` of list k, from the lists'
+    cached errors: total errors over total reference words (at least 1), the
+    same float as ``metrics.corpus_wer`` of those pairs."""
+    errors = ref_words = 0
+    for nb, k in zip(data, picks):
+        errors += nb.errors[k]
+        ref_words += len(nb.reference)
+    return errors / max(1, ref_words)
 
 
 def corpus_wer(data, scorer):
     """Corpus-level WER of the scorer's 1-best: total errors over total
     reference words."""
-    return metrics.corpus_wer((nb.reference, rerank(nb, scorer).words) for nb in data)
+    data = list(data)
+    return picked_wer(data, [rerank_index(nb, scorer) for nb in data])
 
 
 def tfidf_keywords(documents, threshold=3.0):

@@ -7,6 +7,7 @@ from conceptkit.metrics import (
     LabelSetPrediction,
     align,
     corpus_wer,
+    edit_distance,
     format_report,
     macro_f1,
     micro_f1,
@@ -145,6 +146,20 @@ class TestWer:
         rec_hyp = [hyp[hi] for op, _, hi in a.ops if hi is not None]
         assert rec_ref == ref
         assert rec_hyp == hyp
+
+    @pytest.mark.parametrize("ref, hyp", [([], []), ([], ["a", "b"]), (["a", "b", "c"], [])],
+                             ids=["both-empty", "empty-ref", "empty-hyp"])
+    def test_edit_distance_empty_sides(self, ref, hyp):
+        assert edit_distance(ref, hyp) == align(ref, hyp).errors == max(len(ref), len(hyp))
+
+    def test_edit_distance_equals_alignment_errors(self):
+        # short words from a small alphabet, so that shared prefixes and
+        # suffixes, repeats and every edit kind are common
+        rnd = random.Random(2)
+        for _ in range(3000):
+            ref = [rnd.choice("abcd") for _ in range(rnd.randint(0, 9))]
+            hyp = [rnd.choice("abcd") for _ in range(rnd.randint(0, 9))]
+            assert edit_distance(ref, hyp) == align(ref, hyp).errors, (ref, hyp)
 
 
 def test_format_report():

@@ -10,6 +10,7 @@ from conceptkit.rerank import (
     EntityPrior,
     Hypothesis,
     NBestList,
+    SlpModel,
     build_nbest_vocab,
     corpus_wer,
     free_energy,
@@ -18,6 +19,7 @@ from conceptkit.rerank import (
     load_keywords,
     load_nbest,
     phi_unigram,
+    picked_wer,
     pretrain_generative,
     prior_activation,
     rerank,
@@ -30,7 +32,9 @@ from conceptkit.rerank import (
     train_drbm,
     train_slp,
 )
-from conceptkit.numerics import fd_gradcheck, make_rng
+from conceptkit.metrics import align
+from conceptkit.metrics import corpus_wer as metrics_corpus_wer
+from conceptkit.numerics import fd_gradcheck, make_rng, substream_rng
 
 
 def vocab_of(words):
@@ -330,7 +334,76 @@ class TestPretrain:
         assert gap.max() > 0.2
 
 
+def edited_lists(rng, n_utts=12, n_best=8, words=6):
+    """Hypotheses are the reference under 0-3 random substitutions,
+    deletions and insertions, so that WERs within a list vary and tie."""
+    lists = []
+    for u in range(n_utts):
+        ref = [f"w{rng.integers(words)}" for _ in range(int(rng.integers(2, 7)))]
+        hyps = []
+        for _ in range(n_best):
+            h = list(ref)
+            for _ in range(int(rng.integers(4))):
+                k, op = int(rng.integers(len(h) + 1)), int(rng.integers(3))
+                if op == 0 and k < len(h):
+                    h[k] = f"w{rng.integers(words + 2)}"
+                elif op == 1 and k < len(h):
+                    del h[k]
+                else:
+                    h.insert(k, f"w{rng.integers(words + 2)}")
+            hyps.append(Hypothesis(h, float(rng.normal())))
+        lists.append(NBestList(f"utt{u}", ref, hyps))
+    return lists
+
+
+def scalar_draw_slp(data, vocab, config):
+    """The sampled-pair perceptron with two scalar draws per pair and the
+    weights updated in place, pair by pair."""
+    weights = np.zeros(len(vocab))
+    rng = substream_rng(config.seed, "rerank.slp")
+    for _ in range(config.slp_iterations):
+        for nb in data:
+            if len(nb.hyps) < 2:
+                continue
+            cols, phi = phi_unigram(nb.hyps, vocab)
+            logp = np.array(asr_scores(nb.hyps))
+            errs = [align(nb.reference, h.words).errors for h in nb.hyps]
+            for _ in range(config.slp_pairs):
+                i, j = rng.integers(len(nb.hyps)), rng.integers(len(nb.hyps))
+                if errs[i] == errs[j]:
+                    continue
+                good, bad = (i, j) if errs[i] < errs[j] else (j, i)
+                w = weights[cols]
+                if logp[good] + phi[good] @ w <= logp[bad] + phi[bad] @ w:
+                    weights[cols] += config.slp_lr * phi[good]
+                    weights[cols] -= config.slp_lr * phi[bad]
+    return weights
+
+
 class TestSlp:
+    @pytest.mark.parametrize("lr", [1.0, 0.3])
+    def test_matches_scalar_draw_reference(self, lr):
+        lists = edited_lists(make_rng(21))
+        vocab = build_nbest_vocab(lists)
+        cfg = DrbmConfig(slp_pairs=40, slp_iterations=6, slp_lr=lr, seed=4)
+        weights = train_slp(lists, vocab, cfg).weights
+        assert weights.any()
+        assert np.array_equal(weights, scalar_draw_slp(lists, vocab, cfg))
+
+    def test_single_hypothesis_list_draws_nothing(self, caplog):
+        # the 1-hypothesis list sits between others: had it consumed draws,
+        # every later list would see different pairs
+        lists = edited_lists(make_rng(22), n_utts=6)
+        lone = NBestList("lone", lists[0].reference, lists[0].hyps[:1])
+        lists = lists[:3] + [lone] + lists[3:]
+        vocab = build_nbest_vocab(lists)
+        cfg = DrbmConfig(slp_pairs=25, slp_iterations=4, slp_lr=0.3, seed=5)
+        with caplog.at_level("WARNING"):
+            weights = train_slp(lists, vocab, cfg).weights
+        assert np.array_equal(weights, scalar_draw_slp(lists, vocab, cfg))
+        warned = [r for r in caplog.records if "pair sampling" in r.message]
+        assert len(warned) == 1 and "lone" in warned[0].getMessage()
+
     def test_single_word_update(self):
         vocab = vocab_of(["good", "bad"])
         nb = NBestList(
@@ -364,8 +437,8 @@ class TestSlp:
         vocab = vocab_of(["a"])
         nb = NBestList("u", ["a"], [Hypothesis(["a"], 0.0)])
         with caplog.at_level("WARNING"):
-            train_slp([nb], vocab, DrbmConfig(slp_pairs=5, slp_iterations=1))
-        assert any("pair sampling" in r.message for r in caplog.records)
+            train_slp([nb], vocab, DrbmConfig(slp_pairs=5, slp_iterations=3))
+        assert sum("pair sampling" in r.message for r in caplog.records) == 1
 
 
 class TestFuseAndRerank:
@@ -406,6 +479,51 @@ class TestFuseAndRerank:
         oracle_wer = errs / refw
         any_wer = corpus_wer(lists, asr_scores)
         assert oracle_wer <= any_wer
+
+
+class TestNBestErrors:
+    def test_errors_computed_once(self, monkeypatch):
+        import conceptkit.rerank as rerank_mod
+
+        calls = []
+        real = rerank_mod.edit_distance
+        monkeypatch.setattr(rerank_mod, "edit_distance",
+                            lambda ref, hyp: calls.append(1) or real(ref, hyp))
+        nb = edited_lists(make_rng(23), n_utts=1)[0]
+        first = nb.oracle_index()
+        assert nb.oracle_index() == first
+        assert nb.errors == tuple(align(nb.reference, h.words).errors for h in nb.hyps)
+        assert len(calls) == len(nb.hyps)
+
+    def test_oracle_ties_go_to_lowest_index(self):
+        nb = NBestList("u", ["a", "b"], [
+            Hypothesis(["a"], 0.0), Hypothesis(["a", "b", "c"], 0.0),
+            Hypothesis(["x", "b"], 0.0), Hypothesis(["a", "b"], 0.0),
+            Hypothesis(["a", "b"], 0.0),
+        ])
+        assert nb.errors == (1, 1, 1, 0, 0)
+        assert nb.oracle_index() == 3
+
+    def test_picked_wer_equals_metrics_corpus_wer(self):
+        lists = edited_lists(make_rng(24))
+        picks = [int(k) for k in make_rng(25).integers(8, size=len(lists))]
+        pairs = [(nb.reference, nb.hyps[k].words) for nb, k in zip(lists, picks)]
+        assert picked_wer(lists, picks) == metrics_corpus_wer(pairs)
+
+    @pytest.mark.parametrize("presence", [False, True], ids=["counts", "presence"])
+    def test_shared_features_score_the_same(self, presence):
+        lists = edited_lists(make_rng(26), n_utts=3)
+        vocab = vocab_of(["w0", "w1", "w2"])  # the other words fold into <unk>
+        rng = make_rng(27)
+        params = DrbmParams(W=rng.normal(size=(len(vocab), 5)), b=rng.normal(size=len(vocab)),
+                            c=rng.normal(size=5))
+        model = SlpModel(weights=rng.normal(size=len(vocab)))
+        for nb in lists:
+            feats = phi_unigram(nb.hyps, vocab)
+            assert np.array_equal(score_rbm(nb.hyps, params, vocab, presence, feats=feats),
+                                  score_rbm(nb.hyps, params, vocab, presence))
+            assert np.array_equal(slp_score(nb.hyps, model, vocab, feats=feats),
+                                  slp_score(nb.hyps, model, vocab))
 
 
 class TestTfidf:
