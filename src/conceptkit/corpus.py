@@ -328,32 +328,14 @@ def extract_feature_events(
                         yield ev
 
 
-def _affixes(word, max_len=4):
-    feats = []
-    for l in range(1, max_len + 1):
-        if l <= len(word):
-            feats.append(("pre", l, word[:l]))
-            feats.append(("suf", l, word[-l:]))
-    return feats
-
-
-def baseline_features(sent, i, window=2):
-    """Unigram/bigram word and POS plus affix features around position i."""
-    n = len(sent)
-    feats = []
-    for k in range(-window, window + 1):
-        j = i + k
-        if 0 <= j < n:
-            feats.append(f"w[{k}]={sent[j].surface}")
-            feats.append(f"pos[{k}]={sent[j].pos}")
-            for kind, l, s in _affixes(sent[j].surface):
-                feats.append(f"{kind}{l}[{k}]={s}")
-    for k in range(-window, window):
-        j, j2 = i + k, i + k + 1
-        if 0 <= j < n and 0 <= j2 < n:
-            feats.append(f"w[{k},{k+1}]={sent[j].surface}_{sent[j2].surface}")
-            feats.append(f"pos[{k},{k+1}]={sent[j].pos}_{sent[j2].pos}")
-    return feats
+def _unigram_block(k, surface, pos):
+    """The word, POS and affix (lengths 1-4) features of one token at offset
+    k, TAB-joined."""
+    feats = [f"w[{k}]={surface}", f"pos[{k}]={pos}"]
+    for l in range(1, min(4, len(surface)) + 1):
+        feats.append(f"pre{l}[{k}]={surface[:l]}")
+        feats.append(f"suf{l}[{k}]={surface[-l:]}")
+    return "\t".join(feats)
 
 
 def emit_crf_features(corpus, vocab, binarized, clusterings, window=2):
@@ -364,33 +346,59 @@ def emit_crf_features(corpus, vocab, binarized, clusterings, window=2):
     K to a V-length assignment array. Only non-zero binarized entries emit
     features.
     """
-    lines = []
+    # the generator's caches are freed before the join builds the text
+    return "\n".join(_crf_lines(corpus, vocab, binarized, clusterings, window)) + "\n"
+
+
+def _crf_lines(corpus, vocab, binarized, clusterings, window):
+    """One line per token, a blank line after each sentence.
+
+    Per token, the fields are: the baseline word/POS/affix unigrams and the
+    word and POS bigrams in the window, each window word's ``vd`` and ``cK``
+    features, then the cluster bigrams and ``cK[-1^+1]``, then the tag. A
+    token's unigram block and a word's ``vd``/``cK`` block at a given offset
+    are the same at every occurrence, so each is formatted once.
+    """
+    ks = sorted(clusterings)
+    cluster_ids = {K: [str(int(c)) for c in clusterings[K].tolist()] for K in ks}
+    # each word's "dim:sign" strings, for its non-zero binarized dimensions
+    signs = [[f"{dim}:{int(v)}" for dim, v in enumerate(col) if v] for col in binarized.T.tolist()]
+    unigram_blocks = {}
+    word_blocks = {}
     for sent in corpus.sentences:
         n = len(sent)
         wid = [vocab.id_of(t.surface) for t in sent]
         for i, tok in enumerate(sent):
-            feats = baseline_features(sent, i, window)
-            for k in range(-window, window + 1):
-                j = i + k
-                if not (0 <= j < n):
-                    continue
-                col = binarized[:, wid[j]]
-                for dim in col.nonzero()[0]:
-                    feats.append(f"vd[{k}]={dim}:{int(col[dim])}")
-                for K, assign in sorted(clusterings.items()):
-                    feats.append(f"c{K}[{k}]={int(assign[wid[j]])}")
-            for K, assign in sorted(clusterings.items()):
-                for k in range(-window, window):
-                    j, j2 = i + k, i + k + 1
-                    if 0 <= j < n and 0 <= j2 < n:
-                        feats.append(
-                            f"c{K}[{k},{k+1}]={int(assign[wid[j]])}_{int(assign[wid[j2]])}"
-                        )
-                if 0 <= i - 1 and i + 1 < n:
-                    feats.append(
-                        f"c{K}[-1^+1]={int(assign[wid[i-1]])}_{int(assign[wid[i+1]])}"
+            lo, hi = max(0, i - window), min(n, i + window + 1)
+            feats = []
+            for j in range(lo, hi):
+                key = (j - i, sent[j].surface, sent[j].pos)
+                block = unigram_blocks.get(key)
+                if block is None:
+                    block = unigram_blocks[key] = _unigram_block(*key)
+                feats.append(block)
+            for j in range(lo, hi - 1):
+                k, a, b = j - i, sent[j], sent[j + 1]
+                feats.append(f"w[{k},{k+1}]={a.surface}_{b.surface}")
+                feats.append(f"pos[{k},{k+1}]={a.pos}_{b.pos}")
+            for j in range(lo, hi):
+                key = (j - i, wid[j])
+                block = word_blocks.get(key)
+                if block is None:
+                    k, w = key
+                    block = word_blocks[key] = "\t".join(
+                        [f"vd[{k}]={s}" for s in signs[w]]
+                        + [f"c{K}[{k}]={cluster_ids[K][w]}" for K in ks]
                     )
+                if block:
+                    feats.append(block)
+            for K in ks:
+                ids = cluster_ids[K]
+                for j in range(lo, hi - 1):
+                    k = j - i
+                    feats.append(f"c{K}[{k},{k+1}]={ids[wid[j]]}_{ids[wid[j + 1]]}")
+                if 0 < i < n - 1:
+                    feats.append(f"c{K}[-1^+1]={ids[wid[i - 1]]}_{ids[wid[i + 1]]}")
             feats.append(tok.ne_tag or "O")
-            lines.append("\t".join(feats))
-        lines.append("")
-    return "\n".join(lines) + "\n"
+            yield "\t".join(feats)
+        yield ""

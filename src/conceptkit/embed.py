@@ -29,6 +29,7 @@ from .artifact import atomic_write
 from .numerics import (
     DiscreteSampler,
     NumericFailure,
+    kmeans,
     log_sigmoid,
     sigmoid,
     softmax,
@@ -296,8 +297,6 @@ def binarize(emb):
 
 def cluster_words(emb, ks, seed, max_iters=50):
     """One k-means clustering of the word vectors per requested K."""
-    from .numerics import kmeans
-
     result = {}
     for k in ks:
         if k > emb.word_vectors.shape[0]:

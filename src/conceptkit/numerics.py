@@ -33,7 +33,8 @@ class NumericFailure(Exception):
 
 # Above this many outcomes the alias method beats a binary search on the CDF.
 ALIAS_THRESHOLD = 1024
-# Points per block of k-means distances: 64 x 100 centroids x 50 dims is 2.5 MB.
+# Points per block of exact k-means distances, taken only for the rows the BLAS
+# form cannot certify: 64 x 100 centroids x 50 dims is 2.5 MB.
 KMEANS_BLOCK = 64
 
 
@@ -128,12 +129,14 @@ class DiscreteSampler:
         return self._multi_support or self.weights[observed] == 0
 
     def _build_alias(self, p):
+        # Python floats are IEEE doubles, so list arithmetic gives the same
+        # tables as numpy scalars at a fraction of the per-element cost.
         n = self.n
-        prob = np.empty(n)
-        alias = np.zeros(n, dtype=np.int64)
-        scaled = p * n
-        small = [i for i in range(n) if scaled[i] < 1.0]
-        large = [i for i in range(n) if scaled[i] >= 1.0]
+        scaled = (p * n).tolist()
+        prob = [1.0] * n
+        alias = [0] * n
+        small = [i for i, x in enumerate(scaled) if x < 1.0]
+        large = [i for i, x in enumerate(scaled) if x >= 1.0]
         while small and large:
             s = small.pop()
             l = large.pop()
@@ -144,12 +147,8 @@ class DiscreteSampler:
                 small.append(l)
             else:
                 large.append(l)
-        for i in large:
-            prob[i] = 1.0
-        for i in small:
-            prob[i] = 1.0
-        self._prob = prob.tolist()
-        self._alias = alias.tolist()
+        self._prob = prob
+        self._alias = alias
 
     def sample(self, rng):
         """Draw one index with probability weights[i] / sum(weights)."""
@@ -189,6 +188,30 @@ def _sq_distances(points, centroids):
     return d2
 
 
+def _nearest(points, sq_norms, centroids):
+    """Each point's nearest centroid (first index on ties) and its squared
+    distance, exactly as ``_sq_distances(...).argmin(axis=1)`` gives them.
+
+    Distances come from one BLAS product, ||x||^2 - 2 x.c + ||c||^2. Each
+    form is within about (d + 2) eps (||x||^2 + ||c||^2) of the true
+    distance, so ``tol``, 8 times that, bounds their difference per entry: a
+    row whose best two differ by more than 2 tol has the same unique minimum
+    in both, and only the other rows are redone with ``_sq_distances``.
+    """
+    cc = (centroids ** 2).sum(axis=1)
+    d2 = sq_norms[:, None] - 2.0 * (points @ centroids.T) + cc
+    assign = d2.argmin(axis=1)
+    if centroids.shape[0] > 1:
+        best_two = np.partition(d2, 1, axis=1)
+        tol = 8 * (points.shape[1] + 2) * np.finfo(np.float64).eps * (sq_norms + cc.max())
+        unsure = np.flatnonzero(best_two[:, 1] - best_two[:, 0] <= 2.0 * tol)
+        if unsure.size:
+            assign[unsure] = _sq_distances(points[unsure], centroids).argmin(axis=1)
+    # the same length-d reduction as _sq_distances, so the same bits
+    closest = ((points - centroids[assign]) ** 2).sum(axis=1)
+    return assign, closest
+
+
 def kmeans(points, k, max_iters, rng, return_objective=False):
     """Lloyd's algorithm with k-means++ seeding.
 
@@ -204,27 +227,29 @@ def kmeans(points, k, max_iters, rng, return_objective=False):
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     centroids = _kmeans_pp_init(points, k, rng)
+    sq_norms = (points ** 2).sum(axis=1)
     objectives = []
     assign = None
     for _ in range(max_iters):
-        d2 = _sq_distances(points, centroids)
-        new_assign = d2.argmin(axis=1)
-        closest = d2[np.arange(n), new_assign]
+        new_assign, closest = _nearest(points, sq_norms, centroids)
         objectives.append(float(closest.sum()))
+        # a stable sort keeps each cluster's members in index order, so each
+        # mean sums the same rows in the same order as a boolean mask would
+        order = np.argsort(new_assign, kind="stable")
+        sorted_points = points[order]
+        bounds = np.searchsorted(new_assign[order], np.arange(k + 1))
         for j in range(k):
-            members = points[new_assign == j]
-            if len(members) == 0:
+            lo, hi = bounds[j], bounds[j + 1]
+            if lo == hi:
                 centroids[j] = points[int(closest.argmax())]
             else:
-                centroids[j] = members.mean(axis=0)
+                centroids[j] = sorted_points[lo:hi].mean(axis=0)
         if assign is not None and np.array_equal(new_assign, assign):
-            assign = new_assign
             break
         assign = new_assign
     # Final assignment against the final centroids.
-    d2 = _sq_distances(points, centroids)
-    assign = d2.argmin(axis=1)
-    objectives.append(float(d2[np.arange(n), assign].sum()))
+    assign, closest = _nearest(points, sq_norms, centroids)
+    objectives.append(float(closest.sum()))
     if return_objective:
         return assign, objectives
     return assign

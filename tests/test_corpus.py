@@ -4,6 +4,7 @@ import pytest
 from conceptkit.corpus import (
     ConceptLexicon,
     FeatureGroupTable,
+    Vocabulary,
     build_vocab,
     emit_crf_features,
     extract_feature_events,
@@ -247,3 +248,82 @@ class TestCrfEmission:
         out = emit_crf_features(self.c, self.v, binz, {})
         first = out.splitlines()[0].split("\t")
         assert first[-1] == "B-LOC"
+
+
+def _baseline_longhand(sent, i, window):
+    n = len(sent)
+    feats = []
+    for k in range(-window, window + 1):
+        j = i + k
+        if 0 <= j < n:
+            w = sent[j].surface
+            feats.append(f"w[{k}]={w}")
+            feats.append(f"pos[{k}]={sent[j].pos}")
+            for l in range(1, 5):
+                if l <= len(w):
+                    feats.append(f"pre{l}[{k}]={w[:l]}")
+                    feats.append(f"suf{l}[{k}]={w[-l:]}")
+    for k in range(-window, window):
+        j, j2 = i + k, i + k + 1
+        if 0 <= j < n and 0 <= j2 < n:
+            feats.append(f"w[{k},{k+1}]={sent[j].surface}_{sent[j2].surface}")
+            feats.append(f"pos[{k},{k+1}]={sent[j].pos}_{sent[j2].pos}")
+    return feats
+
+
+def _emit_longhand(corpus, vocab, binarized, clusterings, window):
+    """Every feature string formatted at every occurrence."""
+    lines = []
+    for sent in corpus.sentences:
+        n = len(sent)
+        wid = [vocab.id_of(t.surface) for t in sent]
+        for i, tok in enumerate(sent):
+            feats = _baseline_longhand(sent, i, window)
+            for k in range(-window, window + 1):
+                j = i + k
+                if not (0 <= j < n):
+                    continue
+                col = binarized[:, wid[j]]
+                for dim in col.nonzero()[0]:
+                    feats.append(f"vd[{k}]={dim}:{int(col[dim])}")
+                for K, assign in sorted(clusterings.items()):
+                    feats.append(f"c{K}[{k}]={int(assign[wid[j]])}")
+            for K, assign in sorted(clusterings.items()):
+                for k in range(-window, window):
+                    j, j2 = i + k, i + k + 1
+                    if 0 <= j < n and 0 <= j2 < n:
+                        feats.append(
+                            f"c{K}[{k},{k+1}]={int(assign[wid[j]])}_{int(assign[wid[j2]])}"
+                        )
+                if 0 <= i - 1 and i + 1 < n:
+                    feats.append(
+                        f"c{K}[-1^+1]={int(assign[wid[i-1]])}_{int(assign[wid[i+1]])}"
+                    )
+            feats.append(tok.ne_tag or "O")
+            lines.append("\t".join(feats))
+        lines.append("")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("window", [1, 2, 3])
+@pytest.mark.parametrize("ks", [(), (3,), (5, 2)])
+def test_crf_emission_matches_longhand(window, ks):
+    text = (
+        "the\tDT\tO\nparis\tNNP\tB-LOC\nsummit\tNN\tO\nin\tIN\tO\nthe\tDT\tO\n"
+        "spring\tNN\tO\n\n"
+        "solo\tNN\tO\n\n"
+        "the\tDT\tO\nzanzibar\tNNP\tB-LOC\n\n"
+        "in\tIN\tO\nparis\tNNP\tB-LOC\nthe\tDT\tO\nqux\tNN\tO\nsummit\tNN\tO\n"
+        "paris\tNNP\tB-LOC\nin\tIN\t\n\n"
+    )
+    corpus = make_corpus(text)
+    # "solo", "zanzibar" and "qux" are not in the vocabulary: they map to <unk>
+    vocab = Vocabulary.from_tokens(["<unk>", "the", "paris", "summit", "in", "spring"], "emb")
+    rng = np.random.default_rng(window)
+    binz = rng.integers(-1, 2, size=(6, len(vocab))).astype(np.int8)
+    binz[:, 3] = 0  # "summit" has no binarized features
+    binz[:, 0] = 0
+    clusterings = {K: rng.integers(K, size=len(vocab)) for K in ks}
+    got = emit_crf_features(corpus, vocab, binz, clusterings, window=window)
+    assert got == _emit_longhand(corpus, vocab, binz, clusterings, window)
+    assert "\t\t" not in got

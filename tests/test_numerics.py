@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conceptkit import numerics
 from conceptkit.numerics import (
     ALIAS_THRESHOLD,
     KMEANS_BLOCK,
     DiscreteSampler,
     _kmeans_pp_init,
+    _sq_distances,
     fd_gradcheck,
     kmeans,
     make_rng,
@@ -73,6 +75,31 @@ class TestSigmoidSoftplus:
     @given(st.floats(-30, 30))
     def test_softplus_difference(self, x):
         assert abs(softplus(x) - softplus(-x) - x) < 1e-9
+
+
+def _alias_longhand(p):
+    """Vose's alias tables built with numpy scalars and arrays."""
+    n = p.size
+    prob = np.empty(n)
+    alias = np.zeros(n, dtype=np.int64)
+    scaled = p * n
+    small = [i for i in range(n) if scaled[i] < 1.0]
+    large = [i for i in range(n) if scaled[i] >= 1.0]
+    while small and large:
+        s = small.pop()
+        l = large.pop()
+        prob[s] = scaled[s]
+        alias[s] = l
+        scaled[l] = scaled[l] - (1.0 - scaled[s])
+        if scaled[l] < 1.0:
+            small.append(l)
+        else:
+            large.append(l)
+    for i in large:
+        prob[i] = 1.0
+    for i in small:
+        prob[i] = 1.0
+    return prob.tolist(), alias.tolist()
 
 
 class TestDiscreteSampler:
@@ -176,6 +203,24 @@ class TestDiscreteSampler:
         np.testing.assert_allclose(mass, w / w.sum(), atol=1e-12)
 
     @pytest.mark.parametrize(
+        "n,kind", [(1025, "random"), (5000, "random"), (1025, "zeros"),
+                   (5000, "zeros"), (5000, "near-uniform")],
+    )
+    def test_alias_tables_match_longhand(self, n, kind):
+        rng = make_rng(n)
+        if kind == "near-uniform":
+            w = 1.0 + rng.uniform(-1e-9, 1e-9, size=n)
+        else:
+            w = rng.random(n) ** 3
+            if kind == "zeros":
+                w[rng.random(n) < 0.3] = 0.0
+        s = DiscreteSampler(w)
+        assert s._use_alias
+        prob, alias = _alias_longhand(w / w.sum())
+        assert s._prob == prob
+        assert s._alias == alias
+
+    @pytest.mark.parametrize(
         "weights",
         [[1.0, 1.0, 1.0], [0.0, 2.0, 0.0], [1.0], [0.0, 0.0, 4.0, 1.0], [3.0, 0.0]],
     )
@@ -261,15 +306,44 @@ def _kmeans_longhand(points, k, max_iters, rng):
     return assign, objectives
 
 
-@pytest.mark.parametrize("n,k", [(2 * KMEANS_BLOCK + 13, 7), (KMEANS_BLOCK - 5, 3)])
-def test_kmeans_blocks_match_longhand(n, k):
-    assert n % KMEANS_BLOCK
-    pts = make_rng(n).normal(size=(n, 5))
-    pts[: n // 3] += 4.0
+def _kmeans_points(case):
+    if case == "lattice":
+        # integer points on a 7 x 7 grid: centroids that are grid points or
+        # midpoints leave points exactly equidistant from two of them, so
+        # the best two distances differ by 0 and the exact distances decide
+        return np.array([(x, y) for x in range(7) for y in range(7)], dtype=float)
+    if case == "duplicates":
+        return make_rng(12).normal(size=(6, 4))[make_rng(13).integers(6, size=40)]
+    if case == "far":
+        # ||x||^2 - 2 x.c + ||c||^2 cancels most digits here, so near ties
+        # are common and only the tolerance keeps them on the exact path
+        return make_rng(14).normal(size=(150, 3)) + 1e6
+    assert case % KMEANS_BLOCK
+    pts = make_rng(case).normal(size=(case, 5))
+    pts[: case // 3] += 4.0
+    return pts
+
+
+@pytest.mark.parametrize(
+    "case,k",
+    [(2 * KMEANS_BLOCK + 13, 7), (KMEANS_BLOCK - 5, 3), ("lattice", 1), ("lattice", 4),
+     ("lattice", 9), ("duplicates", 3), ("duplicates", 8), ("far", 6)],
+)
+def test_kmeans_blocks_match_longhand(case, k, monkeypatch):
+    pts = _kmeans_points(case)
+    fallback_rows = []
+
+    def counted(points, centroids):
+        fallback_rows.append(points.shape[0])
+        return _sq_distances(points, centroids)
+
+    monkeypatch.setattr(numerics, "_sq_distances", counted)
     assign, obj = kmeans(pts, k, 30, make_rng(k), return_objective=True)
     want_assign, want_obj = _kmeans_longhand(pts, k, 30, make_rng(k))
     np.testing.assert_array_equal(assign, want_assign)
     assert obj == want_obj
+    if case == "lattice" and k > 1:
+        assert fallback_rows, "no row fell back to the exact distances"
 
 
 class TestGradcheck:
