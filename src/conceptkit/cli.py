@@ -349,8 +349,6 @@ def cmd_tsa_eval(args):
 def _add_common(p):
     p.add_argument("--config", help="key=value run configuration file")
     p.add_argument("--seed", type=int, help="global random seed")
-    p.add_argument("--workers", type=int,
-                   help="accepted and ignored: every pipeline is single-process and deterministic")
 
 
 def build_parser():

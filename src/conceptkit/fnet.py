@@ -485,16 +485,15 @@ def char_trigrams(word):
     return [w[i : i + 3] for i in range(len(w) - 2)]
 
 
-def extract_mention_features(inst, table=None, clusters=None, deps=None, freeze=False):
+def extract_mention_features(inst, table=None, freeze=False):
     """Feature ids and counts over the mention feature templates.
 
     Returns ((ids, counts), table): ascending unique int64 feature ids and
     their float64 counts, none of them zero.
 
-    Features: mention unigrams, head word, head's cluster id (when a cluster
-    resource is supplied), lower-cased head character trigrams, per-token
-    word shapes, context unigrams/bigrams, and dependency role/parent when
-    available. Feature ids are interned through a FeatureGroupTable.
+    Features: mention unigrams, head word, lower-cased head character
+    trigrams, per-token word shapes and context unigrams/bigrams. Feature
+    ids are interned through a FeatureGroupTable.
     """
     if table is None:
         table = FeatureGroupTable()
@@ -504,8 +503,6 @@ def extract_mention_features(inst, table=None, clusters=None, deps=None, freeze=
     for tok in inst.mention_tokens:
         feats.append(f"tok={tok.lower()}")
     feats.append(f"head={head}")
-    if clusters is not None and head in clusters:
-        feats.append(f"cluster={clusters[head]}")
     for tri in char_trigrams(head):
         feats.append(f"tri={tri}")
     feats.append("shape=" + " ".join(word_shape(t) for t in inst.mention_tokens))
@@ -517,12 +514,6 @@ def extract_mention_features(inst, table=None, clusters=None, deps=None, freeze=
         feats.append(f"ctx2={a.lower()}_{b.lower()}")
     for a, b in zip(right, right[1:]):
         feats.append(f"ctx2={a.lower()}_{b.lower()}")
-    if deps is not None:
-        role, parent = deps.get((tuple(inst.tokens), inst.start, inst.end), (None, None))
-        if role:
-            feats.append(f"role={role}")
-        if parent:
-            feats.append(f"dep_parent={parent.lower()}")
     counts = {}
     for f in feats:
         if freeze:

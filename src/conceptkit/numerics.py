@@ -31,8 +31,6 @@ class NumericFailure(Exception):
     """Raised when a pipeline produces non-finite values."""
 
 
-# Above this many outcomes the alias method beats a binary search on the CDF.
-ALIAS_THRESHOLD = 1024
 # Points per block of exact k-means distances, taken only for the rows the BLAS
 # form cannot certify: 64 x 100 centroids x 50 dims is 2.5 MB.
 KMEANS_BLOCK = 64
@@ -91,14 +89,10 @@ def log_sigmoid(x):
 class DiscreteSampler:
     """Sample indices proportionally to a fixed non-negative weight vector.
 
-    Uses an alias table above ``ALIAS_THRESHOLD`` outcomes and inverse-CDF
-    binary search below; the behavioral contract is identical either way.
-
     The draw order is part of the contract, since seeded training replays
-    it: each ``sample`` call consumes exactly one ``rng.random()`` (inverse
-    CDF, index = first CDF entry above it) or one ``rng.integers(n)``
-    followed by one ``rng.random()`` (alias), so the same generator state
-    gives the same draws.
+    it: each ``sample`` call consumes exactly one ``rng.random()``, at every
+    size, and returns the index of the first CDF entry above it, so the
+    same generator state gives the same draws.
     """
 
     def __init__(self, weights):
@@ -111,52 +105,20 @@ class DiscreteSampler:
         if total <= 0:
             raise ValueError("at least one weight must be positive")
         self.weights = w
-        self.n = w.size
         self._multi_support = np.count_nonzero(w) > 1
-        self._use_alias = self.n > ALIAS_THRESHOLD
-        # The draw path indexes Python lists: per-draw numpy calls on
+        cdf = np.cumsum(w / total)
+        cdf[-1] = 1.0
+        # The draw path searches a Python list: per-draw numpy calls on
         # scalars cost more than the draw itself.
-        if self._use_alias:
-            self._build_alias(w / total)
-        else:
-            cdf = np.cumsum(w / total)
-            cdf[-1] = 1.0
-            self._cdf = cdf.tolist()
+        self._cdf = cdf.tolist()
 
     def can_reject(self, observed):
         """Whether some draw other than ``observed`` has positive weight, so
         that rejection sampling of ``observed`` terminates."""
         return self._multi_support or self.weights[observed] == 0
 
-    def _build_alias(self, p):
-        # Python floats are IEEE doubles, so list arithmetic gives the same
-        # tables as numpy scalars at a fraction of the per-element cost.
-        n = self.n
-        scaled = (p * n).tolist()
-        prob = [1.0] * n
-        alias = [0] * n
-        small = [i for i, x in enumerate(scaled) if x < 1.0]
-        large = [i for i, x in enumerate(scaled) if x >= 1.0]
-        while small and large:
-            s = small.pop()
-            l = large.pop()
-            prob[s] = scaled[s]
-            alias[s] = l
-            scaled[l] = scaled[l] - (1.0 - scaled[s])
-            if scaled[l] < 1.0:
-                small.append(l)
-            else:
-                large.append(l)
-        self._prob = prob
-        self._alias = alias
-
     def sample(self, rng):
         """Draw one index with probability weights[i] / sum(weights)."""
-        if self._use_alias:
-            i = int(rng.integers(self.n))
-            if rng.random() < self._prob[i]:
-                return i
-            return self._alias[i]
         return bisect_right(self._cdf, rng.random())
 
 

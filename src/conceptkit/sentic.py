@@ -53,7 +53,7 @@ FOUR_CLASSES = (NONE_CLASS, "negative", "positive", "neutral")
 @dataclass
 class TsaInstance:
     """A sentence with target token positions, gold aspect polarities and
-    up-to-K concept vectors per token (stored pre-averaged as one vector)."""
+    the concept ids of each token, whose vectors the encoder averages."""
 
     tokens: list
     target_positions: list
@@ -454,8 +454,6 @@ def train(train_set, dev_set, config, rng=None):
                 mask = (
                     rng.random((len(inst.tokens), config.d_w)) >= drop
                 ).astype(np.float64) / (1.0 - drop)
-            if config.lr == 0.0:
-                continue
             loss, _ = loss_and_grads(inst, params, dropout_mask=mask, grads=grads)
             step += 1
             if not math.isfinite(loss):

@@ -300,7 +300,7 @@ def test_criterion_2_exactness_suite():
 def _reference_skipgram(corpus, vocab, config):
     """Plain skip-gram with negative sampling, written independently of the
     multi-group trainer's update code (it shares only event extraction,
-    the alias sampler, and the seed substream layout)."""
+    the sampler, and the seed substream layout)."""
     from conceptkit.numerics import DiscreteSampler, log_sigmoid
 
     table = corpus_mod.FeatureGroupTable()
@@ -673,7 +673,7 @@ def test_criterion_7_cli_determinism(tmp_path, capsys):
         "tsa.d_w = 6\ntsa.d_h = 4\ntsa.d_m = 3\ntsa.d_c = 3\ntsa.epochs = 1\n"
         "tsa.lr = 0.01\ntsa.dropout = 0.5\ntsa.aspects = price,service\n"
     )
-    common = ["--config", str(cfg_path), "--seed", "7", "--workers", "1"]
+    common = ["--config", str(cfg_path), "--seed", "7"]
 
     corpus_path = tmp_path / "corpus.tsv"
     sents = [
@@ -766,6 +766,6 @@ def test_criterion_7_cli_determinism(tmp_path, capsys):
         7,
         "pipeline determinism",
         ok,
-        "byte-identical artifacts under --seed 7 --workers 1 for "
+        "byte-identical artifacts under --seed 7 for "
         + ", ".join(f"{k}={'ok' if v else 'FAIL'}" for k, v in sorted(results.items())),
     )

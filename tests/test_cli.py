@@ -144,7 +144,7 @@ def test_embed_train_deterministic(tmp_path, cfg_file):
     for name in ("a.txt", "b.txt"):
         out = str(tmp_path / name)
         args = ["embed-train", str(corpus), "--output", out, "--config", cfg_file,
-                "--seed", "7", "--workers", "1"]
+                "--seed", "7"]
         assert main(args) == 0
         outs.append(_read(out))
     assert outs[0] == outs[1]
@@ -249,7 +249,7 @@ def test_fnet_train_deterministic(tmp_path, fnet_files, cfg_file):
     for name in ("m1", "m2"):
         model = str(tmp_path / name)
         assert main(["fnet-train", mpath, hpath, "--output", model,
-                     "--config", cfg_file, "--seed", "7", "--workers", "1"]) == 0
+                     "--config", cfg_file, "--seed", "7"]) == 0
         blobs.append(_read(model))
     assert blobs[0] == blobs[1]
 
@@ -339,7 +339,7 @@ def test_rerank_train_deterministic(tmp_path, nbest_files, cfg_file):
     for name in ("r1", "r2"):
         model = str(tmp_path / name)
         assert main(["rerank-train", npath, "--gazetteer", gpath, "--output", model,
-                     "--config", cfg_file, "--seed", "7", "--workers", "1"]) == 0
+                     "--config", cfg_file, "--seed", "7"]) == 0
         blobs.append(_read(model))
     assert blobs[0] == blobs[1]
 
@@ -427,7 +427,7 @@ def test_tsa_train_deterministic(tmp_path, tsa_files, cfg_file):
     for name in ("t1", "t2"):
         ckpt = str(tmp_path / name)
         assert main(["tsa-train", tr, dv, "--output", ckpt,
-                     "--config", cfg_file, "--seed", "7", "--workers", "1"]) == 0
+                     "--config", cfg_file, "--seed", "7"]) == 0
         blobs.append(_read(ckpt))
     assert blobs[0] == blobs[1]
 

@@ -26,7 +26,6 @@ from conceptkit.embed import (
     train_skipner,
 )
 from conceptkit.numerics import (
-    ALIAS_THRESHOLD,
     DiscreteSampler,
     fd_gradcheck,
     make_rng,
@@ -207,7 +206,7 @@ class TestTrainSkipner:
 
 
 # A frozen longhand copy of the first SGNS update: per-negative scalar
-# sigmoids, a dict of row gradients, np.searchsorted / numpy alias tables.
+# sigmoids, a dict of row gradients, np.searchsorted on a numpy CDF.
 # train_skipner must reproduce its bits and its RNG stream.
 
 
@@ -225,31 +224,10 @@ class _FrozenSampler:
     def __init__(self, w):
         self.weights = w
         self.n = w.size
-        p = w / w.sum()
-        if self.n > ALIAS_THRESHOLD:
-            prob = np.empty(self.n)
-            alias = np.zeros(self.n, dtype=np.int64)
-            scaled = p * self.n
-            small = [i for i in range(self.n) if scaled[i] < 1.0]
-            large = [i for i in range(self.n) if scaled[i] >= 1.0]
-            while small and large:
-                s, l = small.pop(), large.pop()
-                prob[s] = scaled[s]
-                alias[s] = l
-                scaled[l] = scaled[l] - (1.0 - scaled[s])
-                (small if scaled[l] < 1.0 else large).append(l)
-            prob[large + small] = 1.0
-            self.prob, self.alias = prob, alias
-        else:
-            self.cdf = np.cumsum(p)
-            self.cdf[-1] = 1.0
+        self.cdf = np.cumsum(w / w.sum())
+        self.cdf[-1] = 1.0
 
     def sample(self, rng):
-        if self.n > ALIAS_THRESHOLD:
-            i = int(rng.integers(self.n))
-            if rng.random() < self.prob[i]:
-                return i
-            return int(self.alias[i])
         return int(np.searchsorted(self.cdf, rng.random(), side="right"))
 
 
@@ -341,16 +319,15 @@ def test_train_matches_frozen_update_bits():
 
 def test_train_matches_frozen_update_bits_alias_group():
     # two-token sentences whose second words are all distinct: the word:1
-    # group has more than ALIAS_THRESHOLD features, so its draws use the
-    # alias table
-    n_sent = ALIAS_THRESHOLD + 40
+    # group has more than 1,024 features
+    n_sent = 1064
     text = "".join(f"a{i % 97}\tNN\tO\nb{i}\tNN\tO\n\n" for i in range(n_sent))
     corpus = parse_corpus(text.splitlines(keepends=True))
     vocab = build_vocab(corpus)
     cfg = SkipNerConfig(dims=6, epochs=1, seed=4, groups=("word",))
     emb, _ = train_skipner(corpus, vocab, cfg)
     want, samplers = _frozen_train(corpus, vocab, cfg, None)
-    assert samplers["word:1"].n > ALIAS_THRESHOLD
+    assert samplers["word:1"].n > 1024
     _assert_same_bits(emb, want)
 
 

@@ -496,7 +496,7 @@ class TestMentionFeatures:
 
     def test_missing_deps_ok(self):
         inst = MentionInstance(tokens=["a", "b"], start=0, end=1, labels={"/A"})
-        vec, table = extract_mention_features(inst, deps=None)
+        vec, table = extract_mention_features(inst)
         assert not any(s.startswith("role") for s in table.groups["mention:0"])
 
 

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from conceptkit import numerics
 from conceptkit.numerics import (
-    ALIAS_THRESHOLD,
     KMEANS_BLOCK,
     DiscreteSampler,
     _kmeans_pp_init,
@@ -77,31 +76,6 @@ class TestSigmoidSoftplus:
         assert abs(softplus(x) - softplus(-x) - x) < 1e-9
 
 
-def _alias_longhand(p):
-    """Vose's alias tables built with numpy scalars and arrays."""
-    n = p.size
-    prob = np.empty(n)
-    alias = np.zeros(n, dtype=np.int64)
-    scaled = p * n
-    small = [i for i in range(n) if scaled[i] < 1.0]
-    large = [i for i in range(n) if scaled[i] >= 1.0]
-    while small and large:
-        s = small.pop()
-        l = large.pop()
-        prob[s] = scaled[s]
-        alias[s] = l
-        scaled[l] = scaled[l] - (1.0 - scaled[s])
-        if scaled[l] < 1.0:
-            small.append(l)
-        else:
-            large.append(l)
-    for i in large:
-        prob[i] = 1.0
-    for i in small:
-        prob[i] = 1.0
-    return prob.tolist(), alias.tolist()
-
-
 class TestDiscreteSampler:
     def test_degenerate(self):
         s = DiscreteSampler([1.0, 0.0])
@@ -126,13 +100,11 @@ class TestDiscreteSampler:
         f0 = draws.count(0) / len(draws)
         assert abs(f0 - 0.75) < 0.01
 
-    def test_alias_path_frequencies(self):
-        # Large support forces the alias table.
+    def test_large_support_frequencies(self):
         n = 2000
         w = np.ones(n)
         w[0] = n  # half of all draws should land on 0
         s = DiscreteSampler(w)
-        assert s._use_alias
         rng = make_rng(3)
         draws = [s.sample(rng) for _ in range(100_000)]
         assert abs(draws.count(0) / len(draws) - 0.5) < 0.01
@@ -156,6 +128,8 @@ class TestDiscreteSampler:
             [0.0, 0.0, 1.0],
             [5.0, 0.0],
             [1.0] * 7 + [0.0] * 5 + [2.0] * 3,
+            # more than 1,024 outcomes, with zeros
+            np.where(np.arange(1033) % 7 == 0, 0.0, make_rng(4).random(1033)).tolist(),
         ],
     )
     def test_cdf_draws_match_searchsorted(self, weights):
@@ -164,7 +138,6 @@ class TestDiscreteSampler:
         cdf = np.cumsum(w / w.sum())
         cdf[-1] = 1.0
         s = DiscreteSampler(w)
-        assert not s._use_alias
         rng, ref = make_rng(17), make_rng(17)
         draws = [s.sample(rng) for _ in range(2000)]
         assert draws == [int(np.searchsorted(cdf, ref.random(), side="right"))
@@ -182,43 +155,6 @@ class TestDiscreteSampler:
         got = [s.sample(Fixed([u])) for u in ties]
         assert got == np.searchsorted(cdf, ties, side="right").tolist()
         assert all(w[i] > 0 for i in got)
-
-    def test_alias_draw_order(self):
-        # one rng.integers(n), then one rng.random(); the tables reproduce
-        # the weights exactly up to rounding
-        n = ALIAS_THRESHOLD + 9
-        w = make_rng(4).random(n)
-        w[::7] = 0.0
-        s = DiscreteSampler(w)
-        assert s._use_alias
-        rng, ref = make_rng(23), make_rng(23)
-        draws = [s.sample(rng) for _ in range(3000)]
-        expect = []
-        for _ in range(3000):
-            i = int(ref.integers(n))
-            expect.append(i if ref.random() < s._prob[i] else s._alias[i])
-        assert draws == expect
-        mass = np.array(s._prob) / n
-        np.add.at(mass, s._alias, (1.0 - np.array(s._prob)) / n)
-        np.testing.assert_allclose(mass, w / w.sum(), atol=1e-12)
-
-    @pytest.mark.parametrize(
-        "n,kind", [(1025, "random"), (5000, "random"), (1025, "zeros"),
-                   (5000, "zeros"), (5000, "near-uniform")],
-    )
-    def test_alias_tables_match_longhand(self, n, kind):
-        rng = make_rng(n)
-        if kind == "near-uniform":
-            w = 1.0 + rng.uniform(-1e-9, 1e-9, size=n)
-        else:
-            w = rng.random(n) ** 3
-            if kind == "zeros":
-                w[rng.random(n) < 0.3] = 0.0
-        s = DiscreteSampler(w)
-        assert s._use_alias
-        prob, alias = _alias_longhand(w / w.sum())
-        assert s._prob == prob
-        assert s._alias == alias
 
     @pytest.mark.parametrize(
         "weights",
