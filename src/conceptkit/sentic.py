@@ -10,10 +10,12 @@ classifier per aspect. Gradients come from one hand-written backward pass
 
 from __future__ import annotations
 
+import copy
 import json
 import logging
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -136,6 +138,17 @@ class SenticParams:
                 arrays[f"{gate}:{dirn}"] = np.zeros(d_h)
             arrays[f"Wc:{dirn}"] = glorot(d_h, d_c)
         return cls(config, tokens, concept_ids, arrays)
+
+    def row_block(self, rows, block):
+        """These parameters with the word table cut down to ``block``, the
+        rows ``rows`` (sorted, unique) of ``E``; every other array is
+        shared. ``loss_and_grads`` reads a sentence whose known tokens all
+        have rows in ``rows`` the same way through it as through ``self``."""
+        view = copy.copy(self)
+        view.tokens = [self.tokens[r] for r in rows]
+        view.token_index = {t: i for i, t in enumerate(view.tokens)}
+        view.arrays = {**self.arrays, "E": block}
+        return view
 
     def copy(self):
         return SenticParams(
@@ -337,7 +350,10 @@ def loss_and_grads(inst, params, dropout_mask=None, grads=None):
     (rows of other tokens, the target-attention query under averaging) get
     zero gradients. ``grads``, if given, maps every array name to a zeroed
     buffer of that array's shape; the gradient is written into it and it is
-    returned, with the same bits as the fresh dict made without it.
+    returned, with the same bits as the fresh dict made without it. Through
+    ``params.row_block(rows, block)`` the word table ``E`` is the block of
+    the sentence's rows, and its gradient (in ``grads`` too) is a block of
+    the same shape, with the bits of those rows of the full-table gradient.
     """
     cfg, p = params.config, params.arrays
     classes = list(cfg.classes)
@@ -395,27 +411,84 @@ def _views(flat, shapes):
     return out
 
 
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
+
+def _adam_rows(p, m, v, s1, s2, rows, g_rows, step, lr):
+    """Adam step ``step`` in place on ``p`` and its moments ``m`` and ``v``,
+    whose gradient is ``g_rows`` at ``rows`` and zero elsewhere: the moments
+    decay everywhere and only ``rows`` get the gradient term. ``s1`` and
+    ``s2`` are scratch of ``p``'s shape."""
+    m *= _BETA1
+    m[rows] += (1 - _BETA1) * g_rows
+    v *= _BETA2
+    v[rows] += ((1 - _BETA2) * g_rows) * g_rows
+    _adam_apply(p, m, v, s1, s2, step, lr)
+
+
+def _adam_dense(p, m, v, s1, s2, g, step, lr):
+    """``_adam_rows`` for a gradient ``g`` of ``p``'s shape."""
+    m *= _BETA1
+    np.multiply(g, 1 - _BETA1, out=s1)
+    m += s1
+    v *= _BETA2
+    np.multiply(g, 1 - _BETA2, out=s1)
+    s1 *= g
+    v += s1
+    _adam_apply(p, m, v, s1, s2, step, lr)
+
+
+def _adam_apply(p, m, v, s1, s2, step, lr):
+    """``p -= (lr*mhat) / (sqrt(vhat) + eps)`` in place, from the updated
+    moments ``m`` and ``v``, with ``s1`` and ``s2`` as scratch."""
+    np.divide(m, 1 - _BETA1**step, out=s1)
+    s1 *= lr
+    np.divide(v, 1 - _BETA2**step, out=s2)
+    np.sqrt(s2, out=s2)
+    s2 += _EPS
+    s1 /= s2
+    p -= s1
+
+
 def train(train_set, dev_set, config, rng=None):
     """Adam over per-instance gradients; keeps the epoch whose dev sentiment
     accuracy (ties: strict aspect accuracy, then the earlier epoch) is best.
 
     Buffer layout: every trainable array is a view into one flat float64
-    vector, ``E`` first and the other arrays after it in ``SenticParams.init``
-    order. The gradient, both Adam moments and two scratch vectors are flat
-    vectors of the same layout, so a step is a fixed sequence of in-place
-    ufunc calls and allocates nothing the size of the vocabulary. ``E``'s
-    block is row-sparse in its moments and gradient: the moments decay in
-    place, only the rows of the instance's tokens get the gradient term,
-    and only those gradient rows are zeroed after the step.
+    vector ``theta``, ``E`` first and the other arrays after it in
+    ``SenticParams.init`` order; both Adam moments and two scratch vectors
+    are flat vectors of the same layout. The gradient of the non-``E``
+    arrays is one flat vector of the rest of that layout; ``E``'s gradient
+    is a block of the rows of the instance's tokens only, because the
+    forward/backward pass reads ``E`` through ``SenticParams.row_block``.
+
+    Two threads share every step. After step t's ``loss_and_grads`` the
+    main thread waits for the worker's step t-1, works out the ``E`` rows
+    step t+1 will read as they will be after step t (gathered copies of
+    those rows of ``theta`` and both moments, put through the same element
+    operations), hands step t's ``E`` update to the worker and updates the
+    non-``E`` slice itself; step t+1's forward/backward then runs while the
+    worker sweeps ``E``. The worker alone touches the ``E`` slices of
+    ``theta``, the moments and the scratch while it runs; the main thread
+    alone touches the rest and the next gradient block. The main thread
+    waits for the worker at the end of every epoch (before the dev
+    evaluation and the copy of the best parameters) and the pool is closed
+    before ``train`` returns or raises, so no thread outlives the call. The
+    overlap hides the ``E`` sweep only while it is shorter than the main
+    thread's share of a step: the step still scales with the vocabulary
+    size, and at tens of thousands of words the sweep sets the pace again.
+    With a few hundred words the hand-offs cost more than the sweep: each of
+    the worker's ufunc calls trades the GIL with the main thread.
 
     Bit identity: every array comes out with the same bits as per-array
     dense Adam, ``m = beta1*m + (1-beta1)*g``, ``v = beta2*v +
     ((1-beta2)*g)*g`` and ``p -= (lr*mhat) / (sqrt(vhat) + eps)``, because
-    each element goes through the same operations in the same order and an
-    untouched row of ``E`` would only add a +0.0 gradient term. (The sparse
-    form leaves one trace: a first moment that underflows to -0.0 stays -0.0
-    where dense Adam makes it +0.0, and the step it gives, p - (-0.0),
-    differs from p - (+0.0) only for p = -0.0.)
+    each element goes through the same operations in the same order, on
+    whichever thread and in whichever copy, and an untouched row of ``E``
+    would only add a +0.0 gradient term. (The row-sparse form leaves one
+    trace: a first moment that underflows to -0.0 stays -0.0 where dense
+    Adam makes it +0.0, and the step it gives, p - (-0.0), differs from
+    p - (+0.0) only for p = -0.0.)
     """
     if not config.aspects:
         raise ValueError("aspect set must be non-empty")
@@ -432,72 +505,78 @@ def train(train_set, dev_set, config, rng=None):
     shapes = {k: params.arrays[k].shape for k in ["E", *params.arrays]}  # E first
     theta = np.concatenate([params.arrays[k].ravel() for k in shapes])
     params.arrays = _views(theta, shapes)
-    g, m, v, s1, s2 = (np.zeros_like(theta) for _ in range(5))
-    grads = _views(g, shapes)
+    m, v, s1, s2 = (np.zeros_like(theta) for _ in range(4))
     n_E = math.prod(shapes["E"])
-    g_E, m_E, v_E = (buf[:n_E].reshape(shapes["E"]) for buf in (g, m, v))
-    g_r, m_r, v_r, s1_r = (buf[n_E:] for buf in (g, m, v, s1))
+    E, m_E, v_E, s1_E, s2_E = (buf[:n_E].reshape(shapes["E"]) for buf in (theta, m, v, s1, s2))
+    theta_r, m_r, v_r, s1_r, s2_r = (buf[n_E:] for buf in (theta, m, v, s1, s2))
+    g_r = np.zeros_like(theta_r)
+    grads = _views(g_r, {k: s for k, s in shapes.items() if k != "E"})
     rows_of = [np.unique([params.token_index[t] for t in inst.tokens]) for inst in train_set]
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    lr = config.lr
     step = 0
     best = None
     drop = config.dropout
-    for epoch in range(config.epochs):
-        started = time.perf_counter()
-        total_loss, n_loss = 0.0, 0
-        order = rng.permutation(len(train_set))
-        for idx in order:
-            inst = train_set[idx]
-            mask = None
-            if drop > 0.0:
-                # inverted dropout on the word-embedding inputs
-                mask = (
-                    rng.random((len(inst.tokens), config.d_w)) >= drop
-                ).astype(np.float64) / (1.0 - drop)
-            loss, _ = loss_and_grads(inst, params, dropout_mask=mask, grads=grads)
-            step += 1
-            if not math.isfinite(loss):
-                raise NumericFailure(
-                    f"sentiment training loss is {loss} at epoch {epoch}, step {step}"
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        for epoch in range(config.epochs):
+            started = time.perf_counter()
+            total_loss, n_loss = 0.0, 0
+            order = rng.permutation(len(train_set))
+            block = None  # the E rows this step reads, as of the last step
+            e_update = None  # the worker's E update of the last step
+            for n, idx in enumerate(order):
+                inst = train_set[idx]
+                rows = rows_of[idx]
+                if block is None:  # no update of E is pending
+                    block = E[rows]
+                mask = None
+                if drop > 0.0:
+                    # inverted dropout on the word-embedding inputs
+                    mask = (
+                        rng.random((len(inst.tokens), config.d_w)) >= drop
+                    ).astype(np.float64) / (1.0 - drop)
+                grads["E"] = g_rows = np.zeros_like(block)
+                loss, _ = loss_and_grads(
+                    inst, params.row_block(rows, block), dropout_mask=mask, grads=grads
                 )
-            total_loss += loss
-            n_loss += 1
-            rows = rows_of[idx]
-            g_rows = g_E[rows]
-            # m = beta1*m + (1-beta1)*g
-            m *= beta1
-            np.multiply(g_r, 1 - beta1, out=s1_r)
-            m_r += s1_r
-            m_E[rows] += (1 - beta1) * g_rows
-            # v = beta2*v + ((1-beta2)*g)*g
-            v *= beta2
-            np.multiply(g_r, 1 - beta2, out=s1_r)
-            s1_r *= g_r
-            v_r += s1_r
-            v_E[rows] += ((1 - beta2) * g_rows) * g_rows
-            # p -= (lr*mhat) / (sqrt(vhat) + eps)
-            np.divide(m, 1 - beta1**step, out=s1)
-            s1 *= config.lr
-            np.divide(v, 1 - beta2**step, out=s2)
-            np.sqrt(s2, out=s2)
-            s2 += eps
-            s1 /= s2
-            theta -= s1
-            g_r[:] = 0.0
-            g_E[rows] = 0.0
-        elapsed = time.perf_counter() - started
-        report = predict_and_evaluate(dev_set, params)
-        key = (report["sentiment_accuracy"], report["strict_accuracy"], -epoch)
-        if best is None or key > best[0]:
-            best = (key, params.copy(), epoch)
-        log.info(
-            "epoch %d train loss %.4f (%.1f instances/s) dev sentiment %.4f strict %.4f",
-            epoch,
-            total_loss / n_loss if n_loss else math.nan,
-            len(order) / elapsed if elapsed > 0 else math.inf,
-            report["sentiment_accuracy"],
-            report["strict_accuracy"],
-        )
+                step += 1
+                if not math.isfinite(loss):
+                    raise NumericFailure(
+                        f"sentiment training loss is {loss} at epoch {epoch}, step {step}"
+                    )
+                total_loss += loss
+                n_loss += 1
+                if e_update is not None:
+                    e_update.result()
+                block = None
+                if n + 1 < len(order):
+                    # the next step's rows of E after this step, on copies
+                    after = rows_of[order[n + 1]]
+                    _, here, there = np.intersect1d(
+                        rows, after, assume_unique=True, return_indices=True
+                    )
+                    block = E[after]
+                    _adam_rows(block, m_E[after], v_E[after], np.empty_like(block),
+                               np.empty_like(block), there, g_rows[here], step, lr)
+                e_update = worker.submit(
+                    _adam_rows, E, m_E, v_E, s1_E, s2_E, rows, g_rows, step, lr
+                )
+                _adam_dense(theta_r, m_r, v_r, s1_r, s2_r, g_r, step, lr)
+                g_r[:] = 0.0
+            if e_update is not None:
+                e_update.result()
+            elapsed = time.perf_counter() - started
+            report = predict_and_evaluate(dev_set, params)
+            key = (report["sentiment_accuracy"], report["strict_accuracy"], -epoch)
+            if best is None or key > best[0]:
+                best = (key, params.copy(), epoch)
+            log.info(
+                "epoch %d train loss %.4f (%.1f instances/s) dev sentiment %.4f strict %.4f",
+                epoch,
+                total_loss / n_loss if n_loss else math.nan,
+                len(order) / elapsed if elapsed > 0 else math.inf,
+                report["sentiment_accuracy"],
+                report["strict_accuracy"],
+            )
     chosen = best[1]
     chosen.best_epoch = best[2]
     return chosen

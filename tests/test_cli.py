@@ -7,6 +7,7 @@ and byte-level determinism under a fixed seed.
 
 import json
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -392,16 +393,19 @@ def test_tsa_target_averaging_flag(tmp_path, tsa_files, cfg_file):
 
 def test_tsa_train_nonfinite_loss_exits_3(tmp_path, tsa_files, cfg_file, capsys):
     # a blown-up learning rate makes the loss non-finite after one update;
-    # training stops at that step, names it, and writes no checkpoint
+    # training stops at that step, names it, writes no checkpoint and leaves
+    # no worker thread behind
     tr, dv = tsa_files
     cfg = tmp_path / "blowup.cfg"
     with open(cfg_file) as f:
         cfg.write_text(f.read().replace("tsa.lr = 0.01", "tsa.lr = 1e300"))
     out = tmp_path / "out"
     out.mkdir()
+    threads = threading.enumerate()
     code = main(["tsa-train", tr, dv, "--output", str(out / "tsa.ckpt"),
                  "--config", str(cfg), "--seed", "7"])
     assert code == 3
+    assert threading.enumerate() == threads
     err = capsys.readouterr().err
     assert "epoch 0, step 2" in err
     assert list(out.iterdir()) == []

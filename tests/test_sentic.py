@@ -1,11 +1,13 @@
 import logging
 import re
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conceptkit.numerics import fd_gradcheck, make_rng, sigmoid, substream_rng
+from conceptkit.numerics import NumericFailure, fd_gradcheck, make_rng, sigmoid, substream_rng
 from conceptkit.sentic import (
     SenticConfig,
     SenticParams,
@@ -327,6 +329,25 @@ class TestGradients:
             params.arrays[k] = base[k]
         assert err < 1e-4
 
+    def test_row_block_matches_full_table(self):
+        # the word table read as a block of the sentence's rows, as training
+        # reads it, gives the full table's loss and gradients bit for bit
+        params = tiny_params(seed=21)
+        inst = make_instance(["b", "cue", "unseen", "b"], [1, 3],
+                             {"price": "positive"}, [["k1"], [], ["k2"], []])
+        mask = (make_rng(22).random((4, CFG.d_w)) >= 0.5) / 0.5
+        loss, grads = loss_and_grads(inst, params, dropout_mask=mask)
+        rows = np.unique([params.token_index[t] for t in inst.tokens if t in params.token_index])
+        block = params.row_block(rows, params.arrays["E"][rows])
+        block_loss, block_grads = loss_and_grads(inst, block, dropout_mask=mask)
+        assert block_loss == loss
+        assert sorted(block_grads) == sorted(grads)
+        for k in grads:
+            if k != "E":
+                assert np.array_equal(block_grads[k], grads[k]), k
+        assert np.array_equal(block_grads["E"], grads["E"][rows])
+        assert not np.any(np.delete(grads["E"], rows, axis=0))
+
 
 def rule_dataset(rng, n, aspects=("price", "service")):
     """Polarity cue adjacent to the target decides sentiment; a second cue
@@ -367,8 +388,10 @@ def reference_train(train_set, dev_set, config):
         losses = []
         for idx in rng.permutation(len(train_set)):
             inst = train_set[idx]
-            keep = rng.random((len(inst.tokens), config.d_w)) >= config.dropout
-            mask = keep.astype(np.float64) / (1.0 - config.dropout)
+            mask = None
+            if config.dropout > 0.0:
+                keep = rng.random((len(inst.tokens), config.d_w)) >= config.dropout
+                mask = keep.astype(np.float64) / (1.0 - config.dropout)
             loss, grads = loss_and_grads(inst, params, dropout_mask=mask)
             losses.append(loss)
             step += 1
@@ -400,6 +423,16 @@ def adam_dataset():
     dev.append(make_instance(["unseen", "target", "awful", "staff"], [1],
                              {"service": "negative"}))
     return data, dev
+
+
+def shared_token_dataset():
+    """Rule data where every sentence repeats its polarity cue and all share
+    the target word, so consecutive steps always have word rows in common."""
+    rng = make_rng(24)
+    data = rule_dataset(rng, 8)
+    for inst in data:
+        inst.tokens[4] = inst.tokens[2]
+    return data, rule_dataset(rng, 4)
 
 
 ADAM_CFG = SenticConfig(d_w=4, d_h=3, d_m=2, d_c=2, aspects=("price", "service"),
@@ -438,12 +471,44 @@ class TestTrain:
 
     def test_bit_identical_to_dense_adam(self):
         data, dev = adam_dataset()
-        expect, expect_epoch, _ = reference_train(data, dev, ADAM_CFG)
-        params = train(data, dev, ADAM_CFG)
+        self.assert_dense_adam(data, dev, ADAM_CFG)
+
+    @pytest.mark.parametrize(
+        "case", ["one_sentence", "shared_tokens", "no_dropout", "short_switch_interval"]
+    )
+    def test_bit_identical_to_dense_adam_edge_cases(self, case):
+        # one sentence: every step is its epoch's last; shared tokens: the
+        # next step's rows overlap this step's gradient rows; a short switch
+        # interval interleaves the training and worker threads finely
+        data, dev = shared_token_dataset() if case == "shared_tokens" else adam_dataset()
+        if case == "one_sentence":
+            data = data[-1:]
+        config = replace(ADAM_CFG, dropout=0.0) if case == "no_dropout" else ADAM_CFG
+        interval = sys.getswitchinterval()
+        if case == "short_switch_interval":
+            sys.setswitchinterval(1e-6)
+        try:
+            self.assert_dense_adam(data, dev, config)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @staticmethod
+    def assert_dense_adam(data, dev, config):
+        expect, expect_epoch, _ = reference_train(data, dev, config)
+        params = train(data, dev, config)
         assert params.best_epoch == expect_epoch
         assert sorted(params.arrays) == sorted(expect.arrays)
         for k in expect.arrays:
             assert np.array_equal(params.arrays[k], expect.arrays[k]), k
+
+    def test_no_thread_outlives_train(self):
+        data, dev = adam_dataset()
+        before = threading.enumerate()
+        train(data, dev, ADAM_CFG)
+        assert threading.enumerate() == before
+        with pytest.raises(NumericFailure, match="step 2"):
+            train(data, dev, replace(ADAM_CFG, lr=1e300))
+        assert threading.enumerate() == before
 
     def test_epoch_log_reports_loss_and_throughput(self, caplog):
         data, dev = adam_dataset()
