@@ -18,11 +18,10 @@ Run:  python3 demos/entity_typing_with_prototypes.py
 
 import numpy as np
 
-from conceptkit.corpus import FeatureGroupTable
 from conceptkit.fnet import (
     LabelEmbeddingMatrix,
-    MentionInstance,
     WarpConfig,
+    coarse_only,
     extract_mention_features,
     hle,
     proto_hle,
@@ -45,11 +44,8 @@ train, test = mentions[:200], mentions[1000:]
 print(f"{len(train)} training mentions, {len(test)} test mentions, "
       f"{len(hierarchy.labels)} labels")
 
-table = FeatureGroupTable()
-for m in train:
-    m.features, _ = extract_mention_features(m, table=table)
-for m in test:  # frozen: unseen features are dropped, not interned
-    m.features, _ = extract_mention_features(m, table=table, freeze=True)
+feats = extract_mention_features(train)
+extract_mention_features(test, feats)  # fixed: unseen features are dropped
 
 # ---------------------------------------------------------------------------
 # 2. Prototype selection runs over the whole unlabeled-selection pool and
@@ -106,31 +102,18 @@ print(f"random label matrix, same scale: strict_acc "
 #    then score fine labels through the hierarchy-combined matrix whose
 #    column for label l sums the prototype columns of l's ancestor path.
 # ---------------------------------------------------------------------------
-zs_train = [
-    MentionInstance(
-        tokens=m.tokens, start=m.start, end=m.end,
-        labels={l for l in m.labels if hierarchy.level[l] < 2},
-    )
-    for m in mentions[:400]
-]
-zs_table = FeatureGroupTable()
-for m in zs_train:
-    m.features, _ = extract_mention_features(m, table=zs_table)
-zs_test = [
-    MentionInstance(tokens=m.tokens, start=m.start, end=m.end, labels=m.labels)
-    for m in mentions[1000:]
-]
-for m in zs_test:
-    m.features, _ = extract_mention_features(m, table=zs_table, freeze=True)
+zs_train = coarse_only(mentions[:400], hierarchy)
+# the same test mentions, featurized on the zero-shot training vocabulary
+extract_mention_features(test, extract_mention_features(zs_train))
 
 b_combined = proto_hle(b_proto, hle(hierarchy))
 zs_model = warp_train(zs_train, hierarchy, "fixed", cfg, b_init=b_combined)
-fine = [l for l in hierarchy.labels if hierarchy.level[l] == 2]
+fine = hierarchy.at_level(2)
 hits = sum(
     max(fine, key=lambda l: score_all(m.features, zs_model)[hierarchy.index[l]])
     in m.labels
-    for m in zs_test
+    for m in test
 )
-print(f"\nzero-shot fine-label precision@1: {hits / len(zs_test):.3f} "
+print(f"\nzero-shot fine-label precision@1: {hits / len(test):.3f} "
       f"(uniform guess {1.0 / len(fine):.3f}); no fine label was ever "
       f"seen during training")

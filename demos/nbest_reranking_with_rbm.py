@@ -22,14 +22,14 @@ Run:  python3 demos/nbest_reranking_with_rbm.py
 
 import numpy as np
 
-from conceptkit.corpus import GAZETTEER_CLASSES
 from conceptkit.rerank import (
     DrbmConfig,
     DrbmParams,
     EntityPrior,
+    asr_scores,
     build_nbest_vocab,
     corpus_wer,
-    fuse,
+    fused_scorer,
     pretrain_generative,
     prior_activation,
     score_rbm,
@@ -38,11 +38,6 @@ from conceptkit.rerank import (
     train_slp,
 )
 from conceptkit.synth import synth_nbest
-
-
-def asr_scores(hyps):
-    """The recognizer's own score for each hypothesis of a list."""
-    return [h.asr_logp for h in hyps]
 
 
 # ---------------------------------------------------------------------------
@@ -82,9 +77,8 @@ print(f"reranked WER: {rbm_wer:.3f} "
 #    units.  The mean unit activation given the word's indicator vector
 #    rises over training, i.e. the units specialize as intended.
 # ---------------------------------------------------------------------------
-classes = {c: i for i, c in enumerate(GAZETTEER_CLASSES)}
-pairs = [(vocab.id_of(w), classes[c]) for w, c in sorted(gaz.items()) if w in vocab]
-prior = EntityPrior(pairs=pairs, lam=0.05)
+prior = EntityPrior.from_gazetteer(gaz, vocab, lam=0.05)
+pairs = prior.pairs
 blank = DrbmParams.zeros(len(vocab), cfg.hidden)
 before = float(np.mean([prior_activation(blank, prior, w, e) for w, e in pairs]))
 with_prior = train_drbm(train, blank, vocab, cfg, prior=prior)
@@ -96,11 +90,6 @@ print(f"entity-unit activation: {before:.3f} -> {after:.3f}")
 # ---------------------------------------------------------------------------
 slp = train_slp(train, vocab, cfg)
 slp_wer = corpus_wer(test, lambda hyps: slp_score(hyps, slp, vocab))
-fuse_wer = corpus_wer(
-    test,
-    lambda hyps: fuse(
-        score_rbm(hyps, trained, vocab), slp_score(hyps, slp, vocab), alpha=1.0
-    ),
-)
+fuse_wer = corpus_wer(test, fused_scorer(trained, slp, vocab, alpha=1.0))
 print(f"SLP WER {slp_wer:.3f}, fused WER {fuse_wer:.3f} "
       f"(<= min of the two single models)")

@@ -106,16 +106,6 @@ def cmd_embed_crf_feats(args):
 # fnet
 
 
-def _mention_features(instances, table=None, freeze=False):
-    if table is None:
-        table = corpus_mod.FeatureGroupTable()
-    for inst in instances:
-        inst.features, _ = fnet_mod.extract_mention_features(
-            inst, table=table, freeze=freeze
-        )
-    return table
-
-
 def cmd_fnet_proto(args):
     cfg = load_config(args.config, args.seed)
     mentions = fnet_mod.load_mentions(args.mentions)
@@ -145,28 +135,16 @@ def cmd_fnet_train(args):
     mentions = fnet_mod.load_mentions(args.mentions)
     hierarchy = fnet_mod.load_hierarchy(args.hierarchy)
     if args.zero_shot:
-        # hold every level-2 label out of training
-        kept = []
-        for inst in mentions:
-            labels = {l for l in inst.labels if hierarchy.level[l] < 2}
-            if labels:
-                kept.append(
-                    fnet_mod.MentionInstance(
-                        tokens=inst.tokens, start=inst.start, end=inst.end, labels=labels
-                    )
-                )
-        mentions = kept
-        if not mentions:
-            raise ValueError("zero-shot filter removed every training mention")
+        mentions = fnet_mod.coarse_only(mentions, hierarchy)
     b_init = None
     if args.mode in ("fixed", "adaptive") or args.label_emb:
         kind = args.label_emb or "proto"
         b_init = _build_label_embedding(kind, hierarchy, args, cfg)
-    table = _mention_features(mentions)
+    feats = fnet_mod.extract_mention_features(mentions)
     model = fnet_mod.warp_train(mentions, hierarchy, args.mode, cfg.fnet, b_init=b_init)
     _check_finite("typing model", model.A, model.B)
     fnet_mod.save_model(model, args.label_emb or "joint", args.output)
-    write_records(f"{args.output}.feats", table.groups.get("mention:0", {}))
+    write_records(f"{args.output}.feats", feats)
     return 0
 
 
@@ -184,10 +162,8 @@ def cmd_fnet_eval(args):
     if not args.model:
         raise ValueError("either --model or --oracle is required")
     model, _kind = fnet_mod.load_model(args.model)
-    table = corpus_mod.FeatureGroupTable()
-    for feat in _load_sidecar(args.model, ".feats", model.A.shape[1]):
-        table.intern("mention:0", feat)
-    _mention_features(mentions, table=table, freeze=True)
+    feats = _load_sidecar(args.model, ".feats", model.A.shape[1])
+    fnet_mod.extract_mention_features(mentions, feats)
     ranked = [
         sorted(zip(model.labels, fnet_mod.score_all(m.features, model).tolist()),
                key=lambda t: (-t[1], t[0]))
@@ -246,15 +222,10 @@ def cmd_rerank_train(args):
     prior = None
     if args.gazetteer:
         gaz = corpus_mod.load_gazetteer(args.gazetteer)
-        classes = {c: i for i, c in enumerate(corpus_mod.GAZETTEER_CLASSES)}
-        pairs = [
-            (vocab.id_of(word), classes[cls])
-            for word, cls in sorted(gaz.items())
-            if word in vocab
-        ]
-        if not pairs:
-            raise ValueError(f"{args.gazetteer}: no gazetteer word is in the vocabulary")
-        prior = rerank_mod.EntityPrior(pairs=pairs, lam=cfg.rerank.lam)
+        try:
+            prior = rerank_mod.EntityPrior.from_gazetteer(gaz, vocab, cfg.rerank.lam)
+        except ValueError as exc:
+            raise ValueError(f"{args.gazetteer}: {exc}") from None
     trained = rerank_mod.train_drbm(data, params, vocab, cfg.rerank, prior=prior)
     _check_finite("reranker training", trained.W, trained.b, trained.c)
     rerank_mod.save_drbm(trained, args.output)
@@ -267,34 +238,21 @@ def cmd_rerank_eval(args):
     data = rerank_mod.load_nbest(args.nbest)
     keywords = rerank_mod.load_keywords(args.keywords) if args.keywords else None
     if args.zero_model:
-        scorer = _asr_scores
+        scorer = rerank_mod.asr_scores
     else:
         if not args.model:
             raise ValueError("either --model or --zero-model is required")
         params, vocab = _load_drbm(args.model)
-        presence = cfg.rerank.presence
-
-        def rbm(hyps, feats=None):
-            return rerank_mod.score_rbm(hyps, params, vocab, presence, feats=feats)
-
-        if args.fuse_slp is None:
-            scorer = rbm
-        else:
+        slp = None
+        if args.fuse_slp is not None:
             slp_data = rerank_mod.load_nbest(args.slp_train) if args.slp_train else data
-            model = rerank_mod.train_slp(slp_data, vocab, cfg.rerank)
-            alpha = args.fuse_slp
-
-            def scorer(hyps):  # each list featurized once for both scores
-                feats = rerank_mod.phi_unigram(hyps, vocab)
-                return rerank_mod.fuse(
-                    rbm(hyps, feats), rerank_mod.slp_score(hyps, model, vocab, feats=feats),
-                    alpha=alpha,
-                )
+            slp = rerank_mod.train_slp(slp_data, vocab, cfg.rerank)
+        scorer = rerank_mod.fused_scorer(params, slp, vocab, args.fuse_slp, cfg.rerank.presence)
     # the plain WERs sum each list's cached errors: one edit distance per hypothesis
     picks = [rerank_mod.rerank_index(nb, scorer) for nb in data]
     report = {
         "wer": rerank_mod.picked_wer(data, picks),
-        "asr_wer": rerank_mod.corpus_wer(data, _asr_scores),
+        "asr_wer": rerank_mod.corpus_wer(data, rerank_mod.asr_scores),
         "oracle_wer": rerank_mod.picked_wer(data, [nb.oracle_index() for nb in data]),
     }
     if keywords is not None:
@@ -302,10 +260,6 @@ def cmd_rerank_eval(args):
         report["weighted_wer"] = metrics_mod.weighted_wer(chosen, keywords)
     _write_report(report, args.report)
     return 0
-
-
-def _asr_scores(hyps):
-    return [h.asr_logp for h in hyps]
 
 
 # ---------------------------------------------------------------------------

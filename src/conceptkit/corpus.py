@@ -238,9 +238,6 @@ class FeatureGroupTable:
             table[feature] = len(table)
         return table[feature]
 
-    def lookup(self, key, feature):
-        return self.groups[key].get(feature)
-
     def group_size(self, key):
         return len(self.groups.get(key, {}))
 
@@ -266,7 +263,6 @@ def extract_feature_events(
     window=2,
     groups=(WORD, POS, TAXO, SELF),
     taxonomy=None,
-    freeze=False,
 ):
     """Yield one FeatureEvent per (center word, feature) pair.
 
@@ -274,21 +270,14 @@ def extract_feature_events(
     t_{i+k} for -window <= k <= window (k != 0 for the word group, which is
     the plain skip-gram context), taxonomic membership indicators at every
     offset including 0, and NE tags from the NETAG column. The group key
-    encodes (type, k). When ``freeze`` is set unseen features are skipped
-    instead of being added to the table.
+    encodes (type, k).
     """
     groups = set(groups)
     if TAXO in groups and taxonomy is None:
         raise ValueError("taxonomic group enabled but no taxonomy given")
 
     def emit(key, feature, wid):
-        if freeze:
-            fid = table.lookup(key, feature)
-            if fid is None:
-                return None
-        else:
-            fid = table.intern(key, feature)
-        return FeatureEvent(wid, fid, key)
+        return FeatureEvent(wid, table.intern(key, feature), key)
 
     for si, sent in enumerate(corpus.sentences):
         n = len(sent)
@@ -300,32 +289,22 @@ def extract_feature_events(
                     continue
                 other = sent[j]
                 if WORD in groups and k != 0:
-                    ev = emit(
-                        table.group_key(WORD, k), other.surface, wid
-                    )
-                    if ev:
-                        yield ev
+                    yield emit(table.group_key(WORD, k), other.surface, wid)
                 if POS in groups:
                     if not other.pos:
                         raise ValueError(
                             f"sentence {si}: POS column required for pos group"
                         )
-                    ev = emit(table.group_key(POS, k), other.pos, wid)
-                    if ev:
-                        yield ev
+                    yield emit(table.group_key(POS, k), other.pos, wid)
                 if TAXO in groups:
                     for concept in taxonomy.concepts_of(other.surface):
-                        ev = emit(table.group_key(TAXO, k), concept, wid)
-                        if ev:
-                            yield ev
+                        yield emit(table.group_key(TAXO, k), concept, wid)
                 if SELF in groups:
                     if not other.ne_tag:
                         raise ValueError(
                             f"sentence {si}: NETAG column required for self group"
                         )
-                    ev = emit(table.group_key(SELF, k), other.ne_tag, wid)
-                    if ev:
-                        yield ev
+                    yield emit(table.group_key(SELF, k), other.ne_tag, wid)
 
 
 def _unigram_block(k, surface, pos):

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .artifact import load_arrays, read_records, save_arrays, write_records
-from .corpus import FeatureGroupTable
 from .numerics import NumericFailure, substream_rng
 
 log = logging.getLogger(__name__)
@@ -37,6 +36,7 @@ __all__ = [
     "warp_train",
     "type_infer",
     "extract_mention_features",
+    "coarse_only",
     "load_hierarchy",
     "load_mentions",
     "save_mentions",
@@ -485,47 +485,61 @@ def char_trigrams(word):
     return [w[i : i + 3] for i in range(len(w) - 2)]
 
 
-def extract_mention_features(inst, table=None, freeze=False):
-    """Feature ids and counts over the mention feature templates.
-
-    Returns ((ids, counts), table): ascending unique int64 feature ids and
-    their float64 counts, none of them zero.
-
-    Features: mention unigrams, head word, lower-cased head character
-    trigrams, per-token word shapes and context unigrams/bigrams. Feature
-    ids are interned through a FeatureGroupTable.
-    """
-    if table is None:
-        table = FeatureGroupTable()
-    key = table.group_key("mention", 0)
-    feats = []
+def _mention_feature_strings(inst):
+    """Mention unigrams, head word, lower-cased head character trigrams, the
+    word shapes of the mention's tokens, and context unigrams and bigrams."""
     head = inst.head_word
-    for tok in inst.mention_tokens:
-        feats.append(f"tok={tok.lower()}")
+    feats = [f"tok={tok.lower()}" for tok in inst.mention_tokens]
     feats.append(f"head={head}")
-    for tri in char_trigrams(head):
-        feats.append(f"tri={tri}")
+    feats.extend(f"tri={tri}" for tri in char_trigrams(head))
     feats.append("shape=" + " ".join(word_shape(t) for t in inst.mention_tokens))
     left = inst.tokens[max(0, inst.start - 2) : inst.start]
     right = inst.tokens[inst.end : inst.end + 2]
-    for tok in left + right:
-        feats.append(f"ctx={tok.lower()}")
-    for a, b in zip(left, left[1:]):
-        feats.append(f"ctx2={a.lower()}_{b.lower()}")
-    for a, b in zip(right, right[1:]):
-        feats.append(f"ctx2={a.lower()}_{b.lower()}")
-    counts = {}
-    for f in feats:
-        if freeze:
-            fid = table.lookup(key, f)
+    feats.extend(f"ctx={tok.lower()}" for tok in left + right)
+    for side in (left, right):
+        feats.extend(f"ctx2={a.lower()}_{b.lower()}" for a, b in zip(side, side[1:]))
+    return feats
+
+
+def extract_mention_features(mentions, vocab=None):
+    """Set each mention's ``features`` and return the feature vocabulary.
+
+    ``features`` is (ids, counts): ascending unique int64 feature ids and
+    their float64 counts, none of them zero. The vocabulary is the list of
+    feature strings in id order. Without ``vocab`` it is built here, ids
+    assigned in order of first appearance over the mentions; a given
+    ``vocab`` stays fixed, and features outside it are dropped.
+    """
+    fixed = vocab is not None
+    index = {f: i for i, f in enumerate(vocab)} if fixed else {}
+    for inst in mentions:
+        counts = {}
+        for f in _mention_feature_strings(inst):
+            fid = index.get(f)
             if fid is None:
-                continue
-        else:
-            fid = table.intern(key, f)
-        counts[fid] = counts.get(fid, 0) + 1
-    ids = sorted(counts)
-    values = np.array([counts[i] for i in ids], dtype=np.float64)
-    return (np.array(ids, dtype=np.int64), values), table
+                if fixed:
+                    continue
+                fid = index[f] = len(index)
+            counts[fid] = counts.get(fid, 0) + 1
+        ids = sorted(counts)
+        values = np.array([counts[i] for i in ids], dtype=np.float64)
+        inst.features = (np.array(ids, dtype=np.int64), values)
+    return vocab if fixed else list(index)
+
+
+def coarse_only(mentions, hierarchy):
+    """Copies of the mentions with every level-2 label held out, for
+    zero-shot training; a mention left with no label is dropped."""
+    kept = []
+    for inst in mentions:
+        labels = {lab for lab in inst.labels if hierarchy.level[lab] < 2}
+        if labels:
+            kept.append(
+                MentionInstance(tokens=inst.tokens, start=inst.start, end=inst.end, labels=labels)
+            )
+    if not kept:
+        raise ValueError("zero-shot filter removed every training mention")
+    return kept
 
 
 # ---------------------------------------------------------------------------

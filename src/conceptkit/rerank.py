@@ -21,6 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .artifact import load_arrays, read_records, save_arrays, write_records
+from .corpus import GAZETTEER_CLASSES, Vocabulary
 from .metrics import edit_distance
 from .numerics import NumericFailure, sigmoid, softplus, substream_rng
 
@@ -35,6 +36,7 @@ __all__ = [
     "SlpModel",
     "build_nbest_vocab",
     "phi_unigram",
+    "asr_scores",
     "free_energy",
     "score_rbm",
     "train_drbm",
@@ -43,6 +45,7 @@ __all__ = [
     "train_slp",
     "slp_score",
     "fuse",
+    "fused_scorer",
     "rerank_index",
     "rerank",
     "picked_wer",
@@ -139,8 +142,22 @@ class EntityPrior:
         if self.lam < 0:
             raise ValueError("lam must be non-negative")
         for w, e in self.pairs:
-            if e not in (0, 1, 2):
+            if e not in range(len(GAZETTEER_CLASSES)):
                 raise ValueError(f"hidden index {e} is not a reserved prior unit")
+
+    @classmethod
+    def from_gazetteer(cls, gazetteer, vocab, lam):
+        """The prior over the gazetteer's (word -> class) entries whose word is
+        in ``vocab``, in word order, each class tied to its reserved unit."""
+        units = {c: e for e, c in enumerate(GAZETTEER_CLASSES)}
+        pairs = [
+            (vocab.id_of(word), units[cls])
+            for word, cls in sorted(gazetteer.items())
+            if word in vocab
+        ]
+        if not pairs:
+            raise ValueError("no gazetteer word is in the vocabulary")
+        return cls(pairs=pairs, lam=lam)
 
 
 @dataclass
@@ -169,8 +186,6 @@ class SlpModel:
 
 def build_nbest_vocab(data):
     """Vocabulary over all training hypotheses and references."""
-    from .corpus import Vocabulary
-
     counts = {}
     for nb in data:
         for w in nb.reference:
@@ -195,7 +210,8 @@ def phi_unigram(hyps, vocab, presence=False):
     return cols, np.minimum(phi, 1.0) if presence else phi
 
 
-def _logp(hyps):
+def asr_scores(hyps):
+    """The recognizer's own score of each hypothesis: its asr_logp."""
     return np.array([h.asr_logp for h in hyps])
 
 
@@ -216,7 +232,7 @@ def score_rbm(hyps, params, vocab, presence=False, feats=None):
     else:
         cols, phi = feats
         phi = np.minimum(phi, 1.0) if presence else phi
-    return _neg_free_energy(cols, phi, _logp(hyps), params)[0]
+    return _neg_free_energy(cols, phi, asr_scores(hyps), params)[0]
 
 
 def free_energy(hyps, params, vocab, presence=False):
@@ -263,7 +279,7 @@ def train_drbm(data, params, vocab, config, prior=None):
     params = params.copy()
     rng = substream_rng(config.seed, "rerank.drbm")
     feats = [phi_unigram(nb.hyps, vocab, presence=config.presence) for nb in data]
-    lists = [(*f, _logp(nb.hyps), nb.oracle_index()) for f, nb in zip(feats, data)]
+    lists = [(*f, asr_scores(nb.hyps), nb.oracle_index()) for f, nb in zip(feats, data)]
     if prior is not None:
         pw, pe = np.array(prior.pairs, dtype=np.int64).reshape(-1, 2).T
     step = 0
@@ -355,7 +371,7 @@ def slp_score(hyps, model, vocab, feats=None):
     it already.
     """
     cols, phi = phi_unigram(hyps, vocab) if feats is None else feats
-    return _logp(hyps) + phi @ model.weights[cols]
+    return asr_scores(hyps) + phi @ model.weights[cols]
 
 
 def train_slp(data, vocab, config):
@@ -379,7 +395,7 @@ def train_slp(data, vocab, config):
         if len(nb.hyps) < 2:
             log.warning("%s: need >= 2 hypotheses for pair sampling", nb.utt_id)
             continue
-        lists.append((*phi_unigram(nb.hyps, vocab), _logp(nb.hyps), np.array(nb.errors)))
+        lists.append((*phi_unigram(nb.hyps, vocab), asr_scores(nb.hyps), np.array(nb.errors)))
     for _ in range(config.slp_iterations):
         for cols, phi, logp, errs in lists:
             i, j = rng.integers(len(errs), size=(config.slp_pairs, 2)).T
@@ -401,6 +417,20 @@ def train_slp(data, vocab, config):
 def fuse(s_rbm, s_slp, alpha=1.0):
     """Late fusion S = S_RBM + alpha * S_SLP."""
     return s_rbm + alpha * s_slp
+
+
+def fused_scorer(params, slp, vocab, alpha, presence=False):
+    """The list scorer ``fuse(score_rbm, slp_score, alpha)``, or the RBM's
+    score alone when ``slp`` is None; each list is featurized once for
+    both scores."""
+    def scorer(hyps):
+        feats = phi_unigram(hyps, vocab)
+        s_rbm = score_rbm(hyps, params, vocab, presence, feats=feats)
+        if slp is None:
+            return s_rbm
+        return fuse(s_rbm, slp_score(hyps, slp, vocab, feats=feats), alpha=alpha)
+
+    return scorer
 
 
 def rerank_index(nbest, scorer):

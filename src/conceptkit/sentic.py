@@ -30,7 +30,6 @@ __all__ = [
     "TsaInstance",
     "SenticConfig",
     "SenticParams",
-    "average_concepts",
     "lstm_step",
     "sentic_step",
     "encode_bilstm",
@@ -157,19 +156,6 @@ class SenticParams:
             self.concept_ids,
             {k: v.copy() for k, v in self.arrays.items()},
         )
-
-
-def average_concepts(vectors, max_concepts=4, dim=None):
-    """Mean of up to ``max_concepts`` concept vectors; empty input gives the
-    zero vector that stands for 'no concept found' (``dim`` required then)."""
-    vectors = list(vectors)
-    if len(vectors) > max_concepts:
-        raise ValueError(f"at most {max_concepts} concept vectors per token")
-    if not vectors:
-        if dim is None:
-            raise ValueError("dim is required for an empty concept list")
-        return np.zeros(dim)
-    return np.mean(np.asarray(vectors, dtype=np.float64), axis=0)
 
 
 # One direction's gate blocks in the order they are stacked into a single

@@ -381,13 +381,8 @@ def test_criterion_3_synthetic_fnet():
     train, test = mentions[:200], mentions[1000:]
 
     # features interned on the training subset, frozen for evaluation
-    table = corpus_mod.FeatureGroupTable()
-    for inst in train:
-        inst.features, _ = fnet_mod.extract_mention_features(inst, table=table)
-    for inst in test:
-        inst.features, _ = fnet_mod.extract_mention_features(
-            inst, table=table, freeze=True
-        )
+    feats = fnet_mod.extract_mention_features(train)
+    fnet_mod.extract_mention_features(test, feats)
 
     # prototypes are picked from the whole corpus (an unlabeled-selection
     # step), while the discriminative map A is trained on the 200-mention
@@ -410,37 +405,18 @@ def test_criterion_3_synthetic_fnet():
 
     # zero-shot: train on coarse labels only, score fine labels through the
     # hierarchy-combined label embedding
-    zs_train = [
-        fnet_mod.MentionInstance(
-            tokens=m.tokens,
-            start=m.start,
-            end=m.end,
-            labels={l for l in m.labels if hierarchy.level[l] < 2},
-        )
-        for m in mentions[:400]
-    ]
-    table_zs = corpus_mod.FeatureGroupTable()
-    for inst in zs_train:
-        inst.features, _ = fnet_mod.extract_mention_features(inst, table=table_zs)
-    zs_test = [
-        fnet_mod.MentionInstance(
-            tokens=m.tokens, start=m.start, end=m.end, labels=m.labels
-        )
-        for m in mentions[1000:]
-    ]
-    for inst in zs_test:
-        inst.features, _ = fnet_mod.extract_mention_features(
-            inst, table=table_zs, freeze=True
-        )
+    zs_train = fnet_mod.coarse_only(mentions[:400], hierarchy)
+    # the same test mentions, featurized on the zero-shot training vocabulary
+    fnet_mod.extract_mention_features(test, fnet_mod.extract_mention_features(zs_train))
     b_combined = fnet_mod.proto_hle(bp, fnet_mod.hle(hierarchy))
     zs_model = fnet_mod.warp_train(zs_train, hierarchy, "fixed", cfg, b_init=b_combined)
-    fine = [l for l in hierarchy.labels if hierarchy.level[l] == 2]
+    fine = hierarchy.at_level(2)
     hits = 0
-    for inst in zs_test:
+    for inst in test:
         scores = fnet_mod.score_all(inst.features, zs_model)
         best = max(fine, key=lambda l: scores[hierarchy.index[l]])
         hits += best in inst.labels
-    precision = hits / len(zs_test)
+    precision = hits / len(test)
     uniform = 1.0 / len(fine)
 
     elapsed = time.monotonic() - t0
@@ -469,7 +445,7 @@ def test_criterion_4_synthetic_reranking():
     lists, gaz = synth_nbest(n_utts=500, n_best=20, seed=7)
     vocab = rerank_mod.build_nbest_vocab(lists)
     train, test = lists[:400], lists[400:]
-    asr_wer = rerank_mod.corpus_wer(test, lambda hyps: [h.asr_logp for h in hyps])
+    asr_wer = rerank_mod.corpus_wer(test, rerank_mod.asr_scores)
 
     cfg = rerank_mod.DrbmConfig(epochs=3, lr=0.05, seed=7)
     trained = rerank_mod.train_drbm(
@@ -479,18 +455,14 @@ def test_criterion_4_synthetic_reranking():
         test, lambda hyps: rerank_mod.score_rbm(hyps, trained, vocab)
     )
 
-    classes = {c: i for i, c in enumerate(corpus_mod.GAZETTEER_CLASSES)}
-    pairs = [
-        (vocab.id_of(w), classes[c]) for w, c in sorted(gaz.items()) if w in vocab
-    ]
-    prior = rerank_mod.EntityPrior(pairs=pairs, lam=0.05)
+    prior = rerank_mod.EntityPrior.from_gazetteer(gaz, vocab, lam=0.05)
     init = rerank_mod.DrbmParams.zeros(len(vocab), 20)
     act_before = float(
-        np.mean([rerank_mod.prior_activation(init, prior, w, e) for w, e in pairs])
+        np.mean([rerank_mod.prior_activation(init, prior, w, e) for w, e in prior.pairs])
     )
     with_prior = rerank_mod.train_drbm(train, init, vocab, cfg, prior=prior)
     act_after = float(
-        np.mean([rerank_mod.prior_activation(with_prior, prior, w, e) for w, e in pairs])
+        np.mean([rerank_mod.prior_activation(with_prior, prior, w, e) for w, e in prior.pairs])
     )
 
     slp = rerank_mod.train_slp(
@@ -500,12 +472,7 @@ def test_criterion_4_synthetic_reranking():
         test, lambda hyps: rerank_mod.slp_score(hyps, slp, vocab)
     )
     fuse_wer = rerank_mod.corpus_wer(
-        test,
-        lambda hyps: rerank_mod.fuse(
-            rerank_mod.score_rbm(hyps, trained, vocab),
-            rerank_mod.slp_score(hyps, slp, vocab),
-            alpha=1.0,
-        ),
+        test, rerank_mod.fused_scorer(trained, slp, vocab, alpha=1.0)
     )
 
     elapsed = time.monotonic() - t0

@@ -67,6 +67,16 @@ def _read(path):
         return f.read()
 
 
+def _fails_writing_nothing(tmp_path, capsys, argv, output, code, message):
+    """``argv`` with ``--output`` in a fresh directory exits ``code``, names
+    ``message`` on stderr and leaves that directory empty."""
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(argv + ["--output", str(out / output)]) == code
+    assert message in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -159,14 +169,8 @@ def test_embed_train_nonfinite_exits_3(tmp_path, cfg_file, capsys):
     cfg = tmp_path / "blowup.cfg"
     with open(cfg_file) as f:
         cfg.write_text(f.read() + "embed.lr_initial = 1e308\n")
-    out = tmp_path / "out"
-    out.mkdir()
-    code = main(["embed-train", str(corpus), "--output", str(out / "emb.txt"),
-                 "--config", str(cfg), "--seed", "7"])
-    assert code == 3
-    err = capsys.readouterr().err
-    assert "epoch 0, step 14" in err
-    assert list(out.iterdir()) == []
+    argv = ["embed-train", str(corpus), "--config", str(cfg), "--seed", "7"]
+    _fails_writing_nothing(tmp_path, capsys, argv, "emb.txt", 3, "epoch 0, step 14")
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +248,15 @@ def test_fnet_zero_shot_flag(tmp_path, fnet_files, cfg_file):
     assert len(loaded.labels) == 12
 
 
+def test_fnet_zero_shot_without_coarse_labels_exits_2(tmp_path, cfg_file, capsys):
+    # the only mention has a fine label alone, so holding it out leaves nothing
+    mpath, hpath = str(tmp_path / "fine.jsonl"), tmp_path / "hier.txt"
+    fnet.save_mentions([fnet.MentionInstance(["a", "b"], 0, 1, {"/A/B"})], mpath)
+    hpath.write_text("/A\n/A/B\n")
+    argv = ["fnet-train", mpath, str(hpath), "--zero-shot", "--config", cfg_file]
+    _fails_writing_nothing(tmp_path, capsys, argv, "zs.model", 2, "zero-shot filter")
+
+
 def test_fnet_train_deterministic(tmp_path, fnet_files, cfg_file):
     mpath, hpath, _ = fnet_files
     blobs = []
@@ -262,14 +275,8 @@ def test_fnet_train_nonfinite_exits_3(tmp_path, fnet_files, cfg_file, capsys):
     cfg = tmp_path / "blowup.cfg"
     with open(cfg_file) as f:
         cfg.write_text(f.read() + "fnet.lr = 1e308\n")
-    out = tmp_path / "out"
-    out.mkdir()
-    code = main(["fnet-train", mpath, hpath, "--output", str(out / "fnet.model"),
-                 "--config", str(cfg), "--seed", "7"])
-    assert code == 3
-    err = capsys.readouterr().err
-    assert "epoch 0, step 1" in err
-    assert list(out.iterdir()) == []
+    argv = ["fnet-train", mpath, hpath, "--config", str(cfg), "--seed", "7"]
+    _fails_writing_nothing(tmp_path, capsys, argv, "fnet.model", 3, "epoch 0, step 1")
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +352,14 @@ def test_rerank_train_deterministic(tmp_path, nbest_files, cfg_file):
     assert blobs[0] == blobs[1]
 
 
+def test_rerank_train_gazetteer_outside_vocab_exits_2(tmp_path, nbest_files, cfg_file, capsys):
+    npath, _ = nbest_files
+    gpath = tmp_path / "unseen.tsv"
+    gpath.write_text("zzunseen\tPERSON\n")
+    argv = ["rerank-train", npath, "--gazetteer", str(gpath), "--config", cfg_file]
+    _fails_writing_nothing(tmp_path, capsys, argv, "drbm", 2, f"{gpath}: no gazetteer word")
+
+
 # ---------------------------------------------------------------------------
 # tsa pipeline
 
@@ -399,16 +414,10 @@ def test_tsa_train_nonfinite_loss_exits_3(tmp_path, tsa_files, cfg_file, capsys)
     cfg = tmp_path / "blowup.cfg"
     with open(cfg_file) as f:
         cfg.write_text(f.read().replace("tsa.lr = 0.01", "tsa.lr = 1e300"))
-    out = tmp_path / "out"
-    out.mkdir()
     threads = threading.enumerate()
-    code = main(["tsa-train", tr, dv, "--output", str(out / "tsa.ckpt"),
-                 "--config", str(cfg), "--seed", "7"])
-    assert code == 3
+    argv = ["tsa-train", tr, dv, "--config", str(cfg), "--seed", "7"]
+    _fails_writing_nothing(tmp_path, capsys, argv, "tsa.ckpt", 3, "epoch 0, step 2")
     assert threading.enumerate() == threads
-    err = capsys.readouterr().err
-    assert "epoch 0, step 2" in err
-    assert list(out.iterdir()) == []
 
 
 def test_tsa_train_zero_epochs_exits_2(tmp_path, tsa_files, cfg_file, capsys):
@@ -416,13 +425,8 @@ def test_tsa_train_zero_epochs_exits_2(tmp_path, tsa_files, cfg_file, capsys):
     cfg = tmp_path / "zero.cfg"
     with open(cfg_file) as f:
         cfg.write_text(f.read().replace("tsa.epochs = 1", "tsa.epochs = 0"))
-    out = tmp_path / "out"
-    out.mkdir()
-    code = main(["tsa-train", tr, dv, "--output", str(out / "tsa.ckpt"),
-                 "--config", str(cfg), "--seed", "7"])
-    assert code == 2
-    assert "tsa.epochs must be at least 1" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    argv = ["tsa-train", tr, dv, "--config", str(cfg), "--seed", "7"]
+    _fails_writing_nothing(tmp_path, capsys, argv, "tsa.ckpt", 2, "tsa.epochs must be at least 1")
 
 
 def test_tsa_train_deterministic(tmp_path, tsa_files, cfg_file):
@@ -445,14 +449,9 @@ def test_rerank_pretrain_nonfinite_exits_3(tmp_path, nbest_files, cfg_file, caps
     with open(cfg_file) as f:
         cfg.write_text(f.read().replace("rerank.pretrain_epochs = 1", "rerank.pretrain_epochs = 3")
                        + "rerank.pretrain_lr = inf\n")
-    out = tmp_path / "out"
-    out.mkdir()
-    code = main(["rerank-pretrain", npath, "--output", str(out / "init.drbm"),
-                 "--config", str(cfg), "--seed", "7"])
-    assert code == 3
-    err = capsys.readouterr().err
-    assert "generative pretraining went non-finite at epoch 0" in err
-    assert list(out.iterdir()) == []
+    argv = ["rerank-pretrain", npath, "--config", str(cfg), "--seed", "7"]
+    _fails_writing_nothing(tmp_path, capsys, argv, "init.drbm", 3,
+                           "generative pretraining went non-finite at epoch 0")
 
 
 def test_rerank_train_nonfinite_scores_exit_3(tmp_path, nbest_files, cfg_file, capsys):
@@ -462,14 +461,8 @@ def test_rerank_train_nonfinite_scores_exit_3(tmp_path, nbest_files, cfg_file, c
     cfg = tmp_path / "blowup.cfg"
     with open(cfg_file) as f:
         cfg.write_text(f.read().replace("rerank.lr = 0.05", "rerank.lr = 1e308"))
-    out = tmp_path / "out"
-    out.mkdir()
-    code = main(["rerank-train", npath, "--gazetteer", gpath, "--output", str(out / "drbm"),
-                 "--config", str(cfg), "--seed", "7"])
-    assert code == 3
-    err = capsys.readouterr().err
-    assert "epoch 0, step 2" in err
-    assert list(out.iterdir()) == []
+    argv = ["rerank-train", npath, "--gazetteer", gpath, "--config", str(cfg), "--seed", "7"]
+    _fails_writing_nothing(tmp_path, capsys, argv, "drbm", 3, "epoch 0, step 2")
 
 
 # ---------------------------------------------------------------------------

@@ -187,8 +187,6 @@ class TestTrainSkipner:
             [["a", "b"], ["a", "b"], ["c", "d"], ["c", "d"], ["a", "b"]] * 4
         )
         vocab = build_vocab(corpus)
-        table = FeatureGroupTable()
-        from conceptkit.corpus import extract_feature_events
 
         def exact_objective(emb, events):
             total = 0.0
@@ -200,8 +198,8 @@ class TestTrainSkipner:
 
         e1, t1 = train_skipner(corpus, vocab, SkipNerConfig(dims=6, epochs=1, seed=9))
         e6, t6 = train_skipner(corpus, vocab, SkipNerConfig(dims=6, epochs=6, seed=9))
-        events1 = list(extract_feature_events(corpus, vocab, t1, groups=("word",), freeze=True))
-        events6 = list(extract_feature_events(corpus, vocab, t6, groups=("word",), freeze=True))
+        events1 = list(extract_feature_events(corpus, vocab, t1, groups=("word",)))
+        events6 = list(extract_feature_events(corpus, vocab, t6, groups=("word",)))
         assert exact_objective(e6, events6) > exact_objective(e1, events1)
 
 

@@ -10,6 +10,7 @@ from conceptkit.fnet import (
     LabelHierarchy,
     MentionInstance,
     WarpConfig,
+    coarse_only,
     extract_mention_features,
     hle,
     load_mentions,
@@ -483,21 +484,46 @@ class TestMentionFeatures:
 
         assert char_trigrams("Obama") == ["oba", "bam", "ama"]
         assert word_shape("Barack") == "Aaaaaa"
-        vec, table = extract_mention_features(inst)
-        strings = set(table.groups["mention:0"])
+        strings = set(extract_mention_features([inst]))
         assert "head=obama" in strings
         assert "tri=oba" in strings and "tri=ama" in strings
         assert "shape=Aaaaaa Aaaaa" in strings
 
     def test_single_token_no_context(self):
         inst = MentionInstance(tokens=["solo"], start=0, end=1, labels={"/A"})
-        _, table = extract_mention_features(inst)
-        assert not any(s.startswith("ctx") for s in table.groups["mention:0"])
+        feats = extract_mention_features([inst])
+        assert not any(s.startswith("ctx") for s in feats)
 
     def test_missing_deps_ok(self):
         inst = MentionInstance(tokens=["a", "b"], start=0, end=1, labels={"/A"})
-        vec, table = extract_mention_features(inst)
-        assert not any(s.startswith("role") for s in table.groups["mention:0"])
+        feats = extract_mention_features([inst])
+        assert not any(s.startswith("role") for s in feats)
+
+    def test_fixed_vocab_keeps_ids_and_drops_unseen(self):
+        seen = MentionInstance(tokens=["Paris", "is"], start=0, end=1, labels={"/A"})
+        new = MentionInstance(tokens=["Rome", "is"], start=0, end=1, labels={"/A"})
+        vocab = extract_mention_features([seen])
+        assert vocab[:2] == ["tok=paris", "head=paris"]  # ids in order of appearance
+        assert extract_mention_features([new], vocab) is vocab
+        ids, counts = new.features
+        assert [vocab[i] for i in ids] == ["ctx=is"] and counts.tolist() == [1.0]
+
+
+class TestCoarseOnly:
+    HIER = LabelHierarchy(["/A", "/A/B", "/C", "/C/D"])
+
+    def test_holds_out_level_two(self):
+        data = [
+            MentionInstance(tokens=["x"], start=0, end=1, labels={"/A", "/A/B"}),
+            MentionInstance(tokens=["y"], start=0, end=1, labels={"/C/D"}),
+        ]
+        assert [m.labels for m in coarse_only(data, self.HIER)] == [{"/A"}]
+        assert data[0].labels == {"/A", "/A/B"}  # the input is left as it was
+
+    def test_nothing_left_raises(self):
+        data = [MentionInstance(tokens=["y"], start=0, end=1, labels={"/C/D"})]
+        with pytest.raises(ValueError, match="zero-shot"):
+            coarse_only(data, self.HIER)
 
 
 class TestPersistence:

@@ -11,10 +11,12 @@ from conceptkit.rerank import (
     Hypothesis,
     NBestList,
     SlpModel,
+    asr_scores,
     build_nbest_vocab,
     corpus_wer,
     free_energy,
     fuse,
+    fused_scorer,
     load_drbm,
     load_keywords,
     load_nbest,
@@ -47,10 +49,6 @@ def dense_phi(hyp, vocab, presence=False):
     out = np.zeros(len(vocab))
     out[cols] = phi[0]
     return out
-
-
-def asr_scores(hyps):
-    return [h.asr_logp for h in hyps]
 
 
 def brute_force_free_energy(hyp, params, vocab):
@@ -262,19 +260,25 @@ class TestPrior:
         rng = make_rng(13)
         lists = make_lists(rng, n_utts=20)
         vocab = build_nbest_vocab(lists)
-        pairs = [
-            (vocab.id_of("london"), 0),
-            (vocab.id_of("acme"), 1),
-            (vocab.id_of("alice"), 2),
-        ]
-        prior = EntityPrior(pairs=pairs, lam=0.05)
+        gaz = {"london": "LOCATION", "acme": "ORGANIZATION", "alice": "PERSON"}
+        prior = EntityPrior.from_gazetteer(gaz, vocab, lam=0.05)
         params = DrbmParams.zeros(len(vocab), 8)
-        before = np.mean([prior_activation(params, prior, w, e) for w, e in pairs])
+        before = np.mean([prior_activation(params, prior, w, e) for w, e in prior.pairs])
         trained = train_drbm(
             lists, params, vocab, DrbmConfig(epochs=3, lr=0.05, seed=4), prior=prior
         )
-        after = np.mean([prior_activation(trained, prior, w, e) for w, e in pairs])
+        after = np.mean([prior_activation(trained, prior, w, e) for w, e in prior.pairs])
         assert after > before
+
+    def test_from_gazetteer_pairs(self):
+        vocab = vocab_of(["paris", "acme", "zed"])
+        gaz = {"zed": "PERSON", "acme": "ORGANIZATION", "paris": "LOCATION", "oslo": "LOCATION"}
+        prior = EntityPrior.from_gazetteer(gaz, vocab, lam=0.3)
+        # in word order, each class on its reserved unit; oslo is not in the vocabulary
+        ids = [vocab.id_of(w) for w in ("acme", "paris", "zed")]
+        assert prior.pairs == list(zip(ids, [1, 0, 2])) and prior.lam == 0.3
+        with pytest.raises(ValueError, match="no gazetteer word"):
+            EntityPrior.from_gazetteer({"oslo": "LOCATION"}, vocab, lam=0.3)
 
     def test_literal_form_lowers_activation(self):
         # the literal variant penalizes certainty; activations drop instead
@@ -366,7 +370,7 @@ def scalar_draw_slp(data, vocab, config):
             if len(nb.hyps) < 2:
                 continue
             cols, phi = phi_unigram(nb.hyps, vocab)
-            logp = np.array(asr_scores(nb.hyps))
+            logp = asr_scores(nb.hyps)
             errs = [align(nb.reference, h.words).errors for h in nb.hyps]
             for _ in range(config.slp_pairs):
                 i, j = rng.integers(len(nb.hyps)), rng.integers(len(nb.hyps))
@@ -446,6 +450,22 @@ class TestFuseAndRerank:
         assert fuse(2.0, 3.0, alpha=0.5) == 3.5
         assert fuse(2.0, 3.0, alpha=0.0) == 2.0
         assert fuse(2.0, 0.0, alpha=1.0) == 2.0
+
+    def test_fused_scorer_matches_separate_scores(self):
+        rng = make_rng(21)
+        lists = make_lists(rng, n_utts=5)
+        vocab = build_nbest_vocab(lists)
+        params = DrbmParams(W=rng.normal(size=(len(vocab), 3)), b=rng.normal(size=len(vocab)),
+                            c=rng.normal(size=3))
+        slp = SlpModel(weights=rng.normal(size=len(vocab)))
+        for presence in (False, True):
+            rbm_alone = fused_scorer(params, None, vocab, None, presence)
+            fused = fused_scorer(params, slp, vocab, 0.5, presence)
+            for nb in lists:
+                s_rbm = score_rbm(nb.hyps, params, vocab, presence)
+                np.testing.assert_array_equal(rbm_alone(nb.hyps), s_rbm)
+                s_slp = slp_score(nb.hyps, slp, vocab)
+                np.testing.assert_array_equal(fused(nb.hyps), fuse(s_rbm, s_slp, alpha=0.5))
 
     def test_tie_lowest_index(self):
         nb = NBestList("u", ["a"], [Hypothesis(["x"], 0.0), Hypothesis(["y"], 0.0)])

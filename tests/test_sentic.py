@@ -12,7 +12,6 @@ from conceptkit.sentic import (
     SenticConfig,
     SenticParams,
     TsaInstance,
-    average_concepts,
     encode_bilstm,
     forward,
     load_checkpoint,
@@ -51,20 +50,35 @@ def manual_sentic_step(x, h_prev, c_prev, mu, arrays, dirn):
 
 
 class TestAverageConcepts:
-    def test_mean(self):
-        np.testing.assert_allclose(
-            average_concepts([[1.0, 0.0], [0.0, 1.0]]), [0.5, 0.5]
+    """A token's concept input as the encoder reads it: the mean of its known
+    concept rows, the first ``max_concepts`` of them, and zero for none."""
+
+    def assert_concept_input(self, concept_ids, mu):
+        params = tiny_params(seed=8, concepts=("k1", "k2", "k3", "k4", "k5"))
+        params.arrays["Ec"][:] = [[1.0, 0.0], [0.0, 1.0], [2.0, 2.0], [4.0, 0.0], [0.0, 8.0]]
+        inst = make_instance(["a"], [0], {}, [concept_ids])
+        # one token: its forward column is one step from the zero state
+        fwd = encode_bilstm(inst, params.arrays, params)[0][: CFG.d_h]
+        zero = np.zeros(CFG.d_h)
+        want, _ = manual_sentic_step(
+            params.arrays["E"][0], zero, zero, np.array(mu), params.arrays, "f"
         )
+        np.testing.assert_allclose(fwd, want, atol=1e-12)
+
+    def test_mean(self):
+        self.assert_concept_input(["k1", "unknown", "k2"], [0.5, 0.5])
 
     def test_empty_is_zero(self):
-        np.testing.assert_array_equal(average_concepts([], dim=2), [0.0, 0.0])
+        self.assert_concept_input([], [0.0, 0.0])
+        self.assert_concept_input(["unknown"], [0.0, 0.0])
 
     def test_single(self):
-        np.testing.assert_allclose(average_concepts([[2.0, 3.0]]), [2.0, 3.0])
+        self.assert_concept_input(["k3"], [2.0, 2.0])
 
     def test_limit(self):
-        with pytest.raises(ValueError):
-            average_concepts([[1.0]] * 5, max_concepts=4)
+        # CFG.max_concepts is 4: k5 is past the limit and left out
+        ids = ["unknown", "k1", "k2", "k3", "k4", "k5"]
+        self.assert_concept_input(ids, [7 / 4, 3 / 4])
 
 
 class TestSteps:
