@@ -19,13 +19,13 @@ Run:  python3 demos/entity_typing_with_prototypes.py
 import numpy as np
 
 from conceptkit.fnet import (
-    LabelEmbeddingMatrix,
     WarpConfig,
     coarse_only,
     extract_mention_features,
     hle,
     proto_hle,
     proto_le,
+    rank_labels,
     score_all,
     select_prototypes,
     type_infer,
@@ -53,24 +53,19 @@ extract_mention_features(test, feats)  # fixed: unseen features are dropped
 # ---------------------------------------------------------------------------
 protos = select_prototypes(mentions, hierarchy, k=3)
 for lab in ("/ORG/COMPANY", "/LOC/RIVER"):
-    words = ", ".join(w for w, _ in protos.prototypes[lab])
+    words = ", ".join(protos[lab])
     print(f"prototypes for {lab}: {words}")
 b_proto = proto_le(protos, hierarchy, emb)
 
 
 def evaluate(model, data):
-    preds = []
-    for m in data:
-        ranked = sorted(
-            zip(model.labels, score_all(m.features, model).tolist()),
-            key=lambda t: (-t[1], t[0]),
+    return [
+        LabelSetPrediction(
+            gold=m.labels,
+            predicted=type_infer(rank_labels(m.features, model), hierarchy, 1.0, 3),
         )
-        preds.append(
-            LabelSetPrediction(
-                gold=m.labels, predicted=type_infer(ranked, hierarchy, 1.0, 3)
-            )
-        )
-    return preds
+        for m in data
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -87,12 +82,8 @@ print(format_report({
 }))
 
 rng = substream_rng(7, "demo.baseline")
-scale = np.linalg.norm(b_proto.matrix) / np.sqrt(b_proto.matrix.size)
-b_rand = LabelEmbeddingMatrix(
-    kind="proto",
-    labels=list(hierarchy.labels),
-    matrix=rng.normal(scale=scale, size=b_proto.matrix.shape),
-)
+scale = np.linalg.norm(b_proto) / np.sqrt(b_proto.size)
+b_rand = rng.normal(scale=scale, size=b_proto.shape)
 preds_rand = evaluate(warp_train(train, hierarchy, "fixed", cfg, b_init=b_rand), test)
 print(f"random label matrix, same scale: strict_acc "
       f"{strict_accuracy(preds_rand):.3f}")

@@ -110,8 +110,8 @@ def cmd_fnet_proto(args):
     cfg = load_config(args.config, args.seed)
     mentions = fnet_mod.load_mentions(args.mentions)
     hierarchy = fnet_mod.load_hierarchy(args.hierarchy)
-    table = fnet_mod.select_prototypes(mentions, hierarchy, k=cfg.fnet.prototypes)
-    fnet_mod.save_prototypes(table, args.output)
+    prototypes = fnet_mod.select_prototypes(mentions, hierarchy, k=cfg.fnet.prototypes)
+    fnet_mod.save_prototypes(prototypes, args.output)
     return 0
 
 
@@ -152,23 +152,10 @@ def cmd_fnet_eval(args):
     cfg = load_config(args.config, args.seed)
     mentions = fnet_mod.load_mentions(args.mentions)
     hierarchy = fnet_mod.load_hierarchy(args.hierarchy)
-    if args.oracle:
-        preds = [
-            metrics_mod.LabelSetPrediction(gold=m.labels, predicted=m.labels)
-            for m in mentions
-        ]
-        _write_report(_set_metrics(preds), args.report)
-        return 0
-    if not args.model:
-        raise ValueError("either --model or --oracle is required")
     model, _kind = fnet_mod.load_model(args.model)
     feats = _load_sidecar(args.model, ".feats", model.A.shape[1])
     fnet_mod.extract_mention_features(mentions, feats)
-    ranked = [
-        sorted(zip(model.labels, fnet_mod.score_all(m.features, model).tolist()),
-               key=lambda t: (-t[1], t[0]))
-        for m in mentions
-    ]
+    ranked = [fnet_mod.rank_labels(m.features, model) for m in mentions]
     if args.threshold_sweep:
         thresholds = [0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0]
     else:
@@ -356,8 +343,7 @@ def build_parser():
     p = sub.add_parser("fnet-eval", help="evaluate mention typing")
     p.add_argument("mentions")
     p.add_argument("hierarchy")
-    p.add_argument("--model")
-    p.add_argument("--oracle", action="store_true", help="score gold against itself")
+    p.add_argument("--model", required=True)
     p.add_argument("--threshold-sweep", action="store_true")
     p.add_argument("--report")
     _add_common(p)

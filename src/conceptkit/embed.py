@@ -100,7 +100,7 @@ class SkipNerConfig:
             raise ValueError("negatives must be >= 1")
 
 
-def group_prob(emb, table, group_key, wid, fid):
+def group_prob(emb, group_key, wid, fid):
     """Exact grouped softmax p(f | w) = exp(v_f.v_w) / sum over the group."""
     feats = emb.feature_vectors.get(group_key)
     if feats is None or not (0 <= fid < feats.shape[0]):
@@ -211,7 +211,7 @@ def init_embeddings(vocab_size, dims, table, groups_present, rng):
     return wv, feats
 
 
-def train_skipner(corpus, vocab, config, taxonomy=None, table=None):
+def train_skipner(corpus, vocab, config, taxonomy=None):
     """Train the multi-task embedding over all enabled feature groups.
 
     Deterministic for a fixed seed (single-worker). Returns the EmbeddingSet
@@ -220,8 +220,7 @@ def train_skipner(corpus, vocab, config, taxonomy=None, table=None):
     """
     if not config.groups:
         raise ValueError("at least one feature group must be enabled")
-    if table is None:
-        table = corpus_mod.FeatureGroupTable()
+    table = corpus_mod.FeatureGroupTable()
     events = list(
         corpus_mod.extract_feature_events(
             corpus,

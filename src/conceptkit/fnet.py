@@ -8,7 +8,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,16 +21,14 @@ __all__ = [
     "LabelHierarchy",
     "MentionInstance",
     "JointEmbeddingModel",
-    "LabelEmbeddingMatrix",
-    "PrototypeTable",
     "CooccurrenceCounts",
     "npmi",
     "select_prototypes",
     "proto_le",
     "hle",
     "proto_hle",
-    "score",
     "score_all",
+    "rank_labels",
     "warp_loss_weight",
     "WarpConfig",
     "warp_train",
@@ -180,26 +178,11 @@ def npmi(counts, label, mention):
     return pmi / (-math.log(p_joint))
 
 
-@dataclass
-class PrototypeTable:
-    """label -> descending (head word, NPMI score) list, K entries at most."""
-
-    prototypes: dict
-    k: int
-
-    def words(self, label):
-        return [w for w, _ in self.prototypes[label]]
-
-
-def select_prototypes(dataset, hierarchy, k, manual=None):
-    """Top-k mention head words per label by NPMI, ties lexicographic.
-
-    ``manual`` maps labels (typically unseen ones) to hand-picked word lists
-    that bypass NPMI; such words get a score of 1.0.
-    """
+def select_prototypes(dataset, hierarchy, k):
+    """{label: [word, ...]}: each label's top-k mention head words by
+    descending NPMI, ties lexicographic."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    manual = manual or {}
     for inst in dataset:
         unknown = inst.labels - set(hierarchy.labels)
         if unknown:
@@ -210,19 +193,15 @@ def select_prototypes(dataset, hierarchy, k, manual=None):
         by_label.setdefault(lab, set()).add(m)
     prototypes = {}
     for lab in hierarchy.labels:
-        if lab in manual:
-            words = list(dict.fromkeys(manual[lab]))[:k]
-            prototypes[lab] = [(w, 1.0) for w in words]
-            continue
         mentions = by_label.get(lab)
         if not mentions:
-            raise ValueError(f"label {lab!r} has no mentions and no manual list")
+            raise ValueError(f"label {lab!r} has no mentions")
         scored = sorted(
             ((m, npmi(counts, lab, m)) for m in mentions),
             key=lambda t: (-t[1], t[0]),
         )
-        prototypes[lab] = scored[:k]
-    return PrototypeTable(prototypes=prototypes, k=k)
+        prototypes[lab] = [m for m, _ in scored[:k]]
+    return prototypes
 
 
 def load_prototypes(path, k):
@@ -232,29 +211,18 @@ def load_prototypes(path, k):
         if len(parts) != 2 or not parts[0]:
             raise ValueError("expected 'label<TAB>w1,w2,...'")
         words = [w for w in parts[1].split(",") if w]
-        return parts[0], [(w, 1.0) for w in words[:k]]
+        return parts[0], words[:k]
 
-    return PrototypeTable(prototypes=dict(read_records(path, parse)), k=k)
+    return dict(read_records(path, parse))
 
 
-def save_prototypes(table, path):
-    write_records(
-        path, (lab + "\t" + ",".join(table.words(lab)) for lab in sorted(table.prototypes))
-    )
+def save_prototypes(prototypes, path):
+    write_records(path, (lab + "\t" + ",".join(prototypes[lab]) for lab in sorted(prototypes)))
 
 
 # ---------------------------------------------------------------------------
-# Label embeddings
-
-
-@dataclass
-class LabelEmbeddingMatrix:
-    """kind in {proto, hle, proto-hle}; matrix has one column per label
-    (N x N binary for HLE)."""
-
-    kind: str
-    labels: list
-    matrix: np.ndarray
+# Label embeddings: D x N matrices, one column per label in hierarchy.labels
+# order (N x N binary for HLE)
 
 
 def proto_le(prototypes, hierarchy, emb):
@@ -266,7 +234,7 @@ def proto_le(prototypes, hierarchy, emb):
     for lab in hierarchy.labels:
         vecs = []
         seen = set()
-        for w in prototypes.words(lab):
+        for w in prototypes[lab]:
             if w in seen:
                 continue
             seen.add(w)
@@ -278,35 +246,28 @@ def proto_le(prototypes, hierarchy, emb):
         if not vecs:
             raise ValueError(f"all prototypes of {lab!r} are out of vocabulary")
         mat[:, hierarchy.index[lab]] = np.mean(vecs, axis=0)
-    return LabelEmbeddingMatrix(kind="proto", labels=list(hierarchy.labels), matrix=mat)
+    return mat
 
 
-def hle(hierarchy, transitive=False):
+def hle(hierarchy):
     """Binary N x N matrix: entry (i, j) is 1 iff j == i or label j is the
-    (immediate, or any ancestor when ``transitive``) parent of label i."""
+    parent of label i."""
     n = len(hierarchy)
     mat = np.zeros((n, n))
     for lab in hierarchy.labels:
         i = hierarchy.index[lab]
         mat[i, i] = 1.0
-        if transitive:
-            for anc in hierarchy.path(lab)[:-1]:
-                mat[i, hierarchy.index[anc]] = 1.0
-        else:
-            par = hierarchy.parent[lab]
-            if par is not None:
-                mat[i, hierarchy.index[par]] = 1.0
-    return LabelEmbeddingMatrix(kind="hle", labels=list(hierarchy.labels), matrix=mat)
+        par = hierarchy.parent[lab]
+        if par is not None:
+            mat[i, hierarchy.index[par]] = 1.0
+    return mat
 
 
 def proto_hle(b_proto, b_hier):
     """Proto-HLE = B_P @ B_H^T: each column adds the parent's ProtoLE column."""
-    if b_proto.matrix.shape[1] != b_hier.matrix.shape[0]:
-        raise ValueError(
-            f"shape mismatch: ProtoLE {b_proto.matrix.shape} vs HLE {b_hier.matrix.shape}"
-        )
-    mat = b_proto.matrix @ b_hier.matrix.T
-    return LabelEmbeddingMatrix(kind="proto-hle", labels=list(b_proto.labels), matrix=mat)
+    if b_proto.shape[1] != b_hier.shape[0]:
+        raise ValueError(f"shape mismatch: ProtoLE {b_proto.shape} vs HLE {b_hier.shape}")
+    return b_proto @ b_hier.T
 
 
 # ---------------------------------------------------------------------------
@@ -322,17 +283,17 @@ class JointEmbeddingModel:
     labels: list
 
 
-def score(features, label_id, model):
-    """f(x, y) for the mention features (ids, counts) and one label id."""
-    if not (0 <= label_id < model.B.shape[1]):
-        raise ValueError(f"label id {label_id} out of range")
-    ids, counts = features
-    return float(model.A[:, ids] @ counts @ model.B[:, label_id])
-
-
 def score_all(features, model):
+    """f(x, y) for the mention features (ids, counts) and every label y."""
     ids, counts = features
     return model.A[:, ids] @ counts @ model.B
+
+
+def rank_labels(features, model):
+    """(label, score) over every label, sorted by (-score, label): the input
+    of ``type_infer``."""
+    scores = score_all(features, model).tolist()
+    return sorted(zip(model.labels, scores), key=lambda t: (-t[1], t[0]))
 
 
 def warp_loss_weight(rank):
@@ -357,10 +318,10 @@ def warp_train(dataset, hierarchy, mode, config, b_init=None):
     """WARP-trained bilinear classifier.
 
     mode 'joint' learns B freely (the WSABIE baseline), 'fixed' keeps B at
-    the supplied label embedding, 'adaptive' learns B with the penalty
-    lam * ||B - B_init||_F^2 pulling toward the prior. Ranks are computed
-    exactly (label sets here are far below the sampling cut-over). AdaGrad
-    per-parameter steps; deterministic for a fixed seed. The first
+    the D x N label embedding ``b_init``, 'adaptive' learns B with the
+    penalty lam * ||B - b_init||_F^2 pulling toward the prior. Ranks are
+    computed exactly (label sets here are far below the sampling cut-over).
+    AdaGrad per-parameter steps; deterministic for a fixed seed. The first
     non-finite score raises NumericFailure naming its epoch and step.
     """
     if mode not in ("joint", "fixed", "adaptive"):
@@ -371,13 +332,12 @@ def warp_train(dataset, hierarchy, mode, config, b_init=None):
     m_feats = 1 + max((int(i) for inst in dataset for i in inst.features[0]), default=0)
     rng = substream_rng(config.seed, "fnet.warp")
     if b_init is not None:
-        B = b_init.matrix.copy()
+        B = b_init.copy()
         dims = B.shape[0]
     else:
         dims = config.dims
         B = rng.normal(scale=0.1, size=(dims, n_labels))
     A = rng.normal(scale=0.1, size=(dims, m_feats))
-    B_prior = b_init.matrix if b_init is not None else None
     ga = np.zeros_like(A)
     gb = np.zeros_like(B)
 
@@ -430,7 +390,7 @@ def warp_train(dataset, hierarchy, mode, config, b_init=None):
                 ax = A[:, ids] @ counts
                 scores = finite_scores(ax)
             if mode == "adaptive":
-                adagrad_update(B, 2.0 * config.lam * (B - B_prior), gb)
+                adagrad_update(B, 2.0 * config.lam * (B - b_init), gb)
     return JointEmbeddingModel(A=A, B=B, labels=list(hierarchy.labels))
 
 

@@ -12,7 +12,6 @@ __all__ = [
     "strict_accuracy",
     "macro_f1",
     "micro_f1",
-    "Alignment",
     "align",
     "edit_distance",
     "wer",
@@ -77,23 +76,10 @@ def micro_f1(preds):
     return 2 * mi_p * mi_r / (mi_p + mi_r)
 
 
-@dataclass
-class Alignment:
-    """Minimal-cost edit alignment between a reference and a hypothesis.
-
-    ``ops`` is a list of (op, ref_index, hyp_index) with op one of
-    'match', 'sub', 'del', 'ins'; absent indices are None.
-    """
-
-    ops: list
-
-    @property
-    def errors(self):
-        return sum(1 for op, _, _ in self.ops if op != "match")
-
-
 def align(ref, hyp):
-    """Levenshtein alignment with unit costs.
+    """Minimal-cost edit alignment with unit costs, as a list of
+    (op, ref_index, hyp_index) with op one of 'match', 'sub', 'del', 'ins';
+    absent indices are None.
 
     Tie-break during backtrace prefers match > substitution > deletion >
     insertion so alignments are deterministic.
@@ -128,11 +114,12 @@ def align(ref, hyp):
         ops.append(("ins", None, j - 1))
         j -= 1
     ops.reverse()
-    return Alignment(ops)
+    return ops
 
 
 def edit_distance(ref, hyp):
-    """Unit-cost Levenshtein distance, equal to ``align(ref, hyp).errors``.
+    """Unit-cost Levenshtein distance, the number of non-match ops in
+    ``align(ref, hyp)``.
 
     Keeps two rows of the table and no backtrace; a shared prefix and suffix
     are stripped first, which leaves the distance unchanged.
@@ -189,7 +176,7 @@ def weighted_wer(pairs, weights):
     err = 0.0
     denom = 0.0
     for ref, hyp in pairs:
-        for op, ri, hi in align(ref, hyp).ops:
+        for op, ri, hi in align(ref, hyp):
             if op in ("sub", "del"):
                 err += weights.get(ref[ri], 0.0)
             elif op == "ins":

@@ -33,7 +33,6 @@ __all__ = [
     "DrbmParams",
     "DrbmConfig",
     "EntityPrior",
-    "SlpModel",
     "build_nbest_vocab",
     "phi_unigram",
     "asr_scores",
@@ -166,7 +165,6 @@ class DrbmConfig:
     lr: float = 0.001
     seed: int = 1
     presence: bool = False  # indicator features instead of counts
-    literal_prior: bool = False  # the divergent textbook-literal variant
     hidden: int = 200
     w0: float = 1.0  # weight of the ASR log posterior in the score
     lam: float = 0.01  # entity-prior strength
@@ -175,13 +173,6 @@ class DrbmConfig:
     slp_pairs: int = 100  # perceptron pairs sampled per list
     slp_iterations: int = 10
     slp_lr: float = 1.0
-
-
-@dataclass
-class SlpModel:
-    """Perceptron weights over unigram features, scored on top of asr_logp."""
-
-    weights: np.ndarray
 
 
 def build_nbest_vocab(data):
@@ -251,17 +242,15 @@ def _hinge_grads(phi, z, coef):
     return -(coef @ phi), -(coef @ s), -(phi.T @ (coef[:, None] * s))
 
 
-def _prior_grads(params, w, e, lam, literal=False):
+def _prior_grads(params, w, e, lam):
     """Gradient of the activation regularizer added to the minimized loss
     over gazetteer pairs (w, e): dc, and dW at the W[w, e] entries.
 
-    Default form: -lam * sum ln sigma(z) over gazetteer pairs, which pulls
-    each designated hidden unit toward firing on its gazetteer word. The
-    literal flag instead uses -lam * ln (P-1)^2, kept only for study: it
-    diverges as P -> 1 and pushes activations away from certainty.
+    The regularizer is -lam * sum ln sigma(z) over gazetteer pairs, which
+    pulls each designated hidden unit toward firing on its gazetteer word.
     """
     z = params.c[e] + params.W[w, e]
-    g = 2.0 * lam * sigmoid(z) if literal else lam * (sigmoid(z) - 1.0)
+    g = lam * (sigmoid(z) - 1.0)
     return np.bincount(e, weights=g, minlength=len(params.c)), g
 
 
@@ -303,7 +292,7 @@ def train_drbm(data, params, vocab, config, prior=None):
             coef[best] = losers.sum()
             gb, gc, gW = _hinge_grads(phi, z, coef)
             if prior is not None:
-                pc, pW = _prior_grads(params, pw, pe, prior.lam, config.literal_prior)
+                pc, pW = _prior_grads(params, pw, pe, prior.lam)
                 gc += pc
                 np.subtract.at(params.W, (pw, pe), config.lr * pW)
             params.b[cols] -= config.lr * gb
@@ -364,21 +353,23 @@ def pretrain_generative(sentences, vocab, config, return_history=False):
     return W, b, c
 
 
-def slp_score(hyps, model, vocab, feats=None):
-    """asr_logp plus the perceptron's unigram correction, per hypothesis.
+def slp_score(hyps, weights, vocab, feats=None):
+    """asr_logp plus the perceptron's unigram correction, per hypothesis,
+    from ``train_slp``'s weight vector.
 
     ``feats`` is the list's ``phi_unigram(hyps, vocab)`` when the caller has
     it already.
     """
     cols, phi = phi_unigram(hyps, vocab) if feats is None else feats
-    return asr_scores(hyps) + phi @ model.weights[cols]
+    return asr_scores(hyps) + phi @ weights[cols]
 
 
 def train_slp(data, vocab, config):
-    """Sampled-pair perceptron: for ``config.slp_pairs`` random hypothesis
-    pairs per list and ``slp_iterations`` passes, if the lower-WER member
-    does not outscore the other, move the weights by ``slp_lr`` times the
-    feature difference. Equal-WER pairs are skipped.
+    """Sampled-pair perceptron: one weight per vocabulary id, scored on top
+    of asr_logp. For ``config.slp_pairs`` random hypothesis pairs per list
+    and ``slp_iterations`` passes, if the lower-WER member does not outscore
+    the other, move the weights by ``slp_lr`` times the feature difference.
+    Equal-WER pairs are skipped.
 
     Draw order: each iteration visits the lists in order and makes one
     ``rng.integers(n, size=(slp_pairs, 2))`` draw per list of n hypotheses,
@@ -411,7 +402,7 @@ def train_slp(data, vocab, config):
                     w += lr * phi[g]
                     w -= lr * phi[b]
             weights[cols] = w
-    return SlpModel(weights=weights)
+    return weights
 
 
 def fuse(s_rbm, s_slp, alpha=1.0):
@@ -420,9 +411,9 @@ def fuse(s_rbm, s_slp, alpha=1.0):
 
 
 def fused_scorer(params, slp, vocab, alpha, presence=False):
-    """The list scorer ``fuse(score_rbm, slp_score, alpha)``, or the RBM's
-    score alone when ``slp`` is None; each list is featurized once for
-    both scores."""
+    """The list scorer ``fuse(score_rbm, slp_score, alpha)`` with ``slp``
+    the perceptron's weights, or the RBM's score alone when ``slp`` is
+    None; each list is featurized once for both scores."""
     def scorer(hyps):
         feats = phi_unigram(hyps, vocab)
         s_rbm = score_rbm(hyps, params, vocab, presence, feats=feats)

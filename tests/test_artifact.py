@@ -60,10 +60,10 @@ ROUND_TRIPS = {
     "tsa": (lambda: synth_tsa(n=10, seed=1), sentic.save_tsa, sentic.load_tsa),
     "keywords": (lambda: {"b": 1.0, "a": 0.1 + 0.2},
                  rerank.save_keywords, rerank.load_keywords),
-    "prototypes": (lambda: fnet.PrototypeTable({"/A": [("x", 1.0), ("y", 1.0)]}, k=3),
+    "prototypes": (lambda: {"/A": ["x", "y"]},
                    fnet.save_prototypes, lambda p: fnet.load_prototypes(p, k=3)),
     # a label with no prototype words is saved as 'label<TAB>'
-    "prototypes-empty-list": (lambda: fnet.PrototypeTable({"/A": [("x", 1.0)], "/B": []}, k=3),
+    "prototypes-empty-list": (lambda: {"/A": ["x"], "/B": []},
                               fnet.save_prototypes, lambda p: fnet.load_prototypes(p, k=3)),
 }
 

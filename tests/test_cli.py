@@ -98,13 +98,16 @@ def test_malformed_mentions_exit_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_fnet_eval_requires_model_or_oracle(tmp_path):
+def test_fnet_eval_requires_model(tmp_path, capsys):
     mentions, hierarchy, _ = synth_fnet(n_mentions=5, seed=0)
     mpath = tmp_path / "mentions.jsonl"
     fnet.save_mentions(mentions, mpath)
     hpath = tmp_path / "hier.txt"
     hpath.write_text("\n".join(hierarchy.labels) + "\n")
-    assert main(["fnet-eval", str(mpath), str(hpath)]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["fnet-eval", str(mpath), str(hpath)])
+    assert exc.value.code == 2
+    assert "--model" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -211,13 +214,6 @@ def test_fnet_pipeline(tmp_path, fnet_files, cfg_file, capsys):
     rep = json.loads(_read(report))
     assert set(rep) == {"strict_acc", "macro_f1", "micro_f1"}
     assert all(0.0 <= v <= 1.0 for v in rep.values())
-
-
-def test_fnet_oracle_eval_is_perfect(tmp_path, fnet_files, capsys):
-    mpath, hpath, _ = fnet_files
-    assert main(["fnet-eval", mpath, hpath, "--oracle"]) == 0
-    rep = json.loads(capsys.readouterr().out)
-    assert rep == {"strict_acc": 1.0, "macro_f1": 1.0, "micro_f1": 1.0}
 
 
 def test_fnet_threshold_sweep(tmp_path, fnet_files, cfg_file, capsys):

@@ -35,7 +35,6 @@ DEFAULTS = {
     "rerank.lam": 0.01,
     "rerank.w0": 1.0,
     "rerank.presence": False,
-    "rerank.literal_prior": False,
     "rerank.pretrain_epochs": 5,
     "rerank.pretrain_lr": 0.01,
     "rerank.slp_pairs": 100,
@@ -78,7 +77,7 @@ def _text(value):
 
 def test_defaults_match_schema():
     values = flat(load_config())
-    assert len(DEFAULTS) == 40
+    assert len(DEFAULTS) == 39
     for key, default in DEFAULTS.items():
         for got in ([values[f"{s}.seed"] for s in ("embed", "fnet", "rerank", "tsa")]
                     if key == "seed" else [values[key]]):
@@ -89,7 +88,7 @@ def test_defaults_match_schema():
 def test_accepted_keys_are_the_schema_keys(tmp_path):
     # every dataclass field is a key unless it is set by seed or a flag
     fields = flat(load_config())
-    assert len(fields) == 45
+    assert len(fields) == 44
     for key in list(fields) + ["seed"]:
         if key in DEFAULTS:
             # the default's text round-trips

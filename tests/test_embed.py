@@ -15,7 +15,6 @@ from conceptkit.embed import (
     EmbeddingSet,
     SkipNerConfig,
     binarize,
-    build_group_samplers,
     cluster_words,
     group_prob,
     load_embeddings,
@@ -45,28 +44,28 @@ def make_emb(word_vectors, group_vectors=None):
 class TestGroupProb:
     def test_identical_vectors_symmetric(self):
         emb = make_emb([[1.0, 0.0]], {"g": [[0.3, 0.4], [0.3, 0.4]]})
-        assert abs(group_prob(emb, None, "g", 0, 0) - 0.5) < 1e-12
+        assert abs(group_prob(emb, "g", 0, 0) - 0.5) < 1e-12
 
     def test_direct_softmax(self):
         emb = make_emb([[1.0, 0.0]], {"g": [[1.0, 0.0], [0.0, 1.0]]})
         expect = math.e / (math.e + 1.0)
-        assert abs(group_prob(emb, None, "g", 0, 0) - expect) < 1e-9
+        assert abs(group_prob(emb, "g", 0, 0) - expect) < 1e-9
 
     def test_singleton_group(self):
         emb = make_emb([[0.2, 0.1]], {"g": [[5.0, -1.0]]})
-        assert group_prob(emb, None, "g", 0, 0) == 1.0
+        assert group_prob(emb, "g", 0, 0) == 1.0
 
     def test_unknown_ids(self):
         emb = make_emb([[1.0, 0.0]], {"g": [[1.0, 0.0]]})
         with pytest.raises(KeyError):
-            group_prob(emb, None, "g", 0, 3)
+            group_prob(emb, "g", 0, 3)
         with pytest.raises(KeyError):
-            group_prob(emb, None, "h", 0, 0)
+            group_prob(emb, "h", 0, 0)
 
     def test_sums_to_one(self):
         rng = make_rng(0)
         emb = make_emb(rng.normal(size=(3, 4)), {"g": rng.normal(size=(7, 4))})
-        total = sum(group_prob(emb, None, "g", 1, f) for f in range(7))
+        total = sum(group_prob(emb, "g", 1, f) for f in range(7))
         assert abs(total - 1.0) < 1e-9
 
 
@@ -192,7 +191,7 @@ class TestTrainSkipner:
             total = 0.0
             for ev in events:
                 total += math.log(
-                    group_prob(emb, None, ev.group_key, ev.center_word_id, ev.feature_id)
+                    group_prob(emb, ev.group_key, ev.center_word_id, ev.feature_id)
                 )
             return total
 

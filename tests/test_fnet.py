@@ -18,9 +18,9 @@ from conceptkit.fnet import (
     npmi,
     proto_hle,
     proto_le,
+    rank_labels,
     save_mentions,
     save_model,
-    score,
     score_all,
     select_prototypes,
     type_infer,
@@ -74,26 +74,26 @@ class TestPrototypes:
             mention(["x"], 0, 1, {"/C"}),
             mention(["y"], 0, 1, {"/A/B"}),
         ]
-        table = select_prototypes(data, HIER, k=5)
-        assert table.words("/A") == ["paris"]
+        assert select_prototypes(data, HIER, k=5)["/A"] == ["paris"]
 
     def test_clamp_to_distinct_mentions(self):
         data = [
             mention([w], 0, 1, {"/A"})
             for w in ["a", "b", "a"]
         ] + [mention(["z"], 0, 1, {"/A/B"}), mention(["q"], 0, 1, {"/C"})]
-        table = select_prototypes(data, HIER, k=60)
-        assert sorted(table.words("/A")) == ["a", "b"]
+        assert sorted(select_prototypes(data, HIER, k=60)["/A"]) == ["a", "b"]
+
+    def test_npmi_order_ties_lexicographic(self):
+        # "b" and "a" are /A-only and tie; "c" is shared with /C and ranks last
+        data = [mention([w], 0, 1, {"/A"}) for w in ["b", "a", "c", "b", "a"]]
+        data += [mention(["z"], 0, 1, {"/A/B"})]
+        data += [mention(["c"], 0, 1, {"/C"}), mention(["q"], 0, 1, {"/C"})]
+        assert select_prototypes(data, HIER, k=3)["/A"] == ["a", "b", "c"]
 
     def test_missing_label_errors(self):
         data = [mention(["x"], 0, 1, {"/A"}), mention(["y"], 0, 1, {"/A/B"})]
         with pytest.raises(ValueError, match="/C"):
             select_prototypes(data, HIER, k=3)
-
-    def test_manual_override(self):
-        data = [mention(["x"], 0, 1, {"/A"}), mention(["y"], 0, 1, {"/A/B"})]
-        table = select_prototypes(data, HIER, k=3, manual={"/C": ["alpha", "beta"]})
-        assert table.words("/C") == ["alpha", "beta"]
 
     def test_state_names_dominate(self):
         # labels whose mentions are state names should select them as
@@ -107,8 +107,7 @@ class TestPrototypes:
             data += [mention([c], 0, 1, {"/A/B"})] * 5
         data += [mention(["thing"], 0, 1, {"/A"}), mention(["thing"], 0, 1, {"/A/B"})]
         data += [mention(["misc"], 0, 1, {"/C"})]
-        table = select_prototypes(data, HIER, k=3)
-        assert set(table.words("/A")) == set(states)
+        assert set(select_prototypes(data, HIER, k=3)["/A"]) == set(states)
 
 
 def make_emb(mapping):
@@ -121,94 +120,68 @@ class TestLabelEmbeddings:
     def test_proto_le_average(self):
         emb = make_emb({"a": [1.0, 0.0], "b": [0.0, 1.0], "z": [9.0, 9.0]})
         hier = LabelHierarchy(["/X"])
-        from conceptkit.fnet import PrototypeTable
-
-        table = PrototypeTable({"/X": [("a", 1.0), ("b", 0.9)]}, k=2)
-        B = proto_le(table, hier, emb)
-        np.testing.assert_allclose(B.matrix[:, 0], [0.5, 0.5])
+        B = proto_le({"/X": ["a", "b"]}, hier, emb)
+        np.testing.assert_allclose(B[:, 0], [0.5, 0.5])
 
     def test_proto_le_dedup_and_oov(self):
         emb = make_emb({"a": [2.0, 0.0]})
         hier = LabelHierarchy(["/X"])
-        from conceptkit.fnet import PrototypeTable
-
-        table = PrototypeTable({"/X": [("a", 1.0), ("a", 0.9), ("zz", 0.5)]}, k=3)
-        B = proto_le(table, hier, emb)
-        np.testing.assert_allclose(B.matrix[:, 0], [2.0, 0.0])
+        B = proto_le({"/X": ["a", "a", "zz"]}, hier, emb)
+        np.testing.assert_allclose(B[:, 0], [2.0, 0.0])
 
     def test_proto_le_all_oov_errors(self):
         emb = make_emb({"a": [1.0]})
         hier = LabelHierarchy(["/X"])
-        from conceptkit.fnet import PrototypeTable
-
-        table = PrototypeTable({"/X": [("zz", 1.0)]}, k=1)
         with pytest.raises(ValueError):
-            proto_le(table, hier, emb)
+            proto_le({"/X": ["zz"]}, hier, emb)
 
     def test_hle_rule(self):
         hier = LabelHierarchy(["/A", "/A/B"])
         B = hle(hier)
         ia, ib = hier.index["/A"], hier.index["/A/B"]
-        np.testing.assert_array_equal(B.matrix[ia], np.eye(2)[ia])
+        np.testing.assert_array_equal(B[ia], np.eye(2)[ia])
         row_b = np.zeros(2)
         row_b[ia] = 1
         row_b[ib] = 1
-        np.testing.assert_array_equal(B.matrix[ib], row_b)
+        np.testing.assert_array_equal(B[ib], row_b)
 
     def test_hle_roots_only_identity(self):
         hier = LabelHierarchy(["/A", "/B", "/C"])
-        np.testing.assert_array_equal(hle(hier).matrix, np.eye(3))
+        np.testing.assert_array_equal(hle(hier), np.eye(3))
 
     def test_hle_immediate_parent_only(self):
         hier = LabelHierarchy(["/A", "/A/B", "/A/B/C"])
-        B = hle(hier).matrix
+        B = hle(hier)
         i = hier.index["/A/B/C"]
         assert B[i, hier.index["/A"]] == 0
         assert B[i, hier.index["/A/B"]] == 1
-        Bt = hle(hier, transitive=True).matrix
-        assert Bt[i, hier.index["/A"]] == 1
 
     def test_proto_hle_column_identity(self):
         rng = make_rng(0)
         hier = LabelHierarchy(["/A", "/A/B", "/A/C", "/D"])
-        from conceptkit.fnet import LabelEmbeddingMatrix
-
-        bp = LabelEmbeddingMatrix("proto", list(hier.labels), rng.normal(size=(5, 4)))
+        bp = rng.normal(size=(5, 4))
         bhp = proto_hle(bp, hle(hier))
         for lab in hier.labels:
             c = hier.index[lab]
-            expect = bp.matrix[:, c].copy()
+            expect = bp[:, c].copy()
             if hier.parent[lab]:
-                expect += bp.matrix[:, hier.index[hier.parent[lab]]]
-            np.testing.assert_allclose(bhp.matrix[:, c], expect)
+                expect += bp[:, hier.index[hier.parent[lab]]]
+            np.testing.assert_allclose(bhp[:, c], expect)
 
     def test_proto_hle_identity_bh(self):
-        rng = make_rng(1)
-        hier = LabelHierarchy(["/A", "/B"])
-        from conceptkit.fnet import LabelEmbeddingMatrix
-
-        bp = LabelEmbeddingMatrix("proto", list(hier.labels), rng.normal(size=(3, 2)))
-        bh = LabelEmbeddingMatrix("hle", list(hier.labels), np.eye(2))
-        np.testing.assert_allclose(proto_hle(bp, bh).matrix, bp.matrix)
+        bp = make_rng(1).normal(size=(3, 2))
+        np.testing.assert_allclose(proto_hle(bp, np.eye(2)), bp)
 
     def test_proto_hle_matches_dense_multiply(self):
         rng = make_rng(2)
         hier = LabelHierarchy(["/A", "/A/B", "/C", "/C/D"])
-        from conceptkit.fnet import LabelEmbeddingMatrix
-
-        bp = LabelEmbeddingMatrix("proto", list(hier.labels), rng.normal(size=(6, 4)))
+        bp = rng.normal(size=(6, 4))
         bh = hle(hier)
-        np.testing.assert_allclose(
-            proto_hle(bp, bh).matrix, bp.matrix @ bh.matrix.T
-        )
+        np.testing.assert_allclose(proto_hle(bp, bh), bp @ bh.T)
 
     def test_proto_hle_shape_mismatch(self):
-        from conceptkit.fnet import LabelEmbeddingMatrix
-
-        bp = LabelEmbeddingMatrix("proto", ["/A"], np.zeros((3, 1)))
-        bh = LabelEmbeddingMatrix("hle", ["/A", "/B"], np.eye(2))
         with pytest.raises(ValueError):
-            proto_hle(bp, bh)
+            proto_hle(np.zeros((3, 1)), np.eye(2))
 
 
 def feats(pairs):
@@ -225,11 +198,10 @@ class TestScore:
     def test_identity_matrices(self):
         model = JointEmbeddingModel(A=np.eye(3), B=np.eye(3), labels=["/A", "/B", "/C"])
         x = feats([(0, 1.0)])
-        assert score(x, 0, model) == 1.0
+        np.testing.assert_array_equal(score_all(x, model), [1.0, 0.0, 0.0])
 
     def test_zero_x(self):
         model = JointEmbeddingModel(A=np.eye(3), B=np.eye(3), labels=["a", "b", "c"])
-        assert all(score(NO_FEATURES, i, model) == 0.0 for i in range(3))
         np.testing.assert_array_equal(score_all(NO_FEATURES, model), np.zeros(3))
 
     def test_matches_explicit_w(self):
@@ -240,8 +212,7 @@ class TestScore:
         W = A.T @ B  # M x N
         x = feats([(0, 0.5), (2, -1.0)])
         xd = np.array([0.5, 0.0, -1.0, 0.0])
-        for y in range(3):
-            assert abs(score(x, y, model) - float(xd @ W[:, y])) < 1e-12
+        np.testing.assert_allclose(score_all(x, model), xd @ W, rtol=0, atol=1e-12)
 
     def test_entry_order_invariance(self):
         rng = make_rng(4)
@@ -250,12 +221,17 @@ class TestScore:
         )
         x1 = (np.array([0, 3]), np.array([1.0, 2.0]))
         x2 = (np.array([3, 0]), np.array([2.0, 1.0]))
-        assert score(x1, 0, model) == score(x2, 0, model)
+        np.testing.assert_array_equal(score_all(x1, model), score_all(x2, model))
 
-    def test_bad_label_id(self):
-        model = JointEmbeddingModel(A=np.eye(2), B=np.eye(2), labels=["a", "b"])
-        with pytest.raises(ValueError):
-            score(NO_FEATURES, 5, model)
+
+class TestRankLabels:
+    def test_descending_scores_ties_by_label(self):
+        # B's columns score "/b" 2.0, "/a" and "/c" a tied 1.0, "/d" -1.0
+        B = np.array([[1.0, 2.0, 1.0, -1.0]])
+        model = JointEmbeddingModel(A=np.ones((1, 1)), B=B, labels=["/c", "/b", "/a", "/d"])
+        assert rank_labels(feats([(0, 1.0)]), model) == [
+            ("/b", 2.0), ("/a", 1.0), ("/c", 1.0), ("/d", -1.0)
+        ]
 
 
 class TestWarp:
@@ -290,11 +266,7 @@ class TestWarp:
 
     def test_fixed_mode_keeps_b(self):
         hier = LabelHierarchy(["/A", "/B"])
-        from conceptkit.fnet import LabelEmbeddingMatrix
-
-        prior = LabelEmbeddingMatrix(
-            "proto", list(hier.labels), make_rng(7).normal(size=(4, 2))
-        )
+        prior = make_rng(7).normal(size=(4, 2))
         data = [
             MentionInstance(
                 tokens=["w"], start=0, end=1, labels={"/A"},
@@ -303,14 +275,12 @@ class TestWarp:
             for _ in range(10)
         ]
         model = warp_train(data, hier, "fixed", WarpConfig(epochs=3, seed=8), b_init=prior)
-        np.testing.assert_array_equal(model.B, prior.matrix)
+        np.testing.assert_array_equal(model.B, prior)
 
     def test_adaptive_pulls_toward_prior(self):
         hier = LabelHierarchy(["/A", "/B"])
-        from conceptkit.fnet import LabelEmbeddingMatrix
-
         rng = make_rng(9)
-        prior = LabelEmbeddingMatrix("proto", list(hier.labels), rng.normal(size=(4, 2)))
+        prior = rng.normal(size=(4, 2))
         data = []
         for _ in range(30):
             lab = "/A" if rng.random() < 0.5 else "/B"
@@ -322,8 +292,8 @@ class TestWarp:
         cfg_joint = WarpConfig(epochs=3, seed=10, dims=4)
         adapted = warp_train(data, hier, "adaptive", cfg_strong, b_init=prior)
         joint = warp_train(data, hier, "joint", cfg_joint, b_init=None)
-        d_adapt = np.linalg.norm(adapted.B - prior.matrix)
-        d_joint = np.linalg.norm(joint.B - prior.matrix)
+        d_adapt = np.linalg.norm(adapted.B - prior)
+        d_joint = np.linalg.norm(joint.B - prior)
         assert d_adapt < d_joint
 
     def test_all_label_instance_skipped(self, caplog):
@@ -369,7 +339,7 @@ def _frozen_warp_train(dataset, hierarchy, mode, config, b_init=None):
     m_feats = 1 + max(int(i) for inst in dataset for i in inst.features[0])
     rng = substream_rng(config.seed, "fnet.warp")
     if b_init is not None:
-        B = b_init.matrix.copy()
+        B = b_init.copy()
     else:
         B = rng.normal(scale=0.1, size=(config.dims, n_labels))
     A = rng.normal(scale=0.1, size=(B.shape[0], m_feats))
@@ -402,7 +372,7 @@ def _frozen_warp_train(dataset, hierarchy, mode, config, b_init=None):
                 ax = A[:, ids] @ counts
                 scores = ax @ B
             if mode == "adaptive":
-                grad = 2.0 * config.lam * (B - b_init.matrix)
+                grad = 2.0 * config.lam * (B - b_init)
                 gb += grad * grad
                 B -= config.lr * grad / (np.sqrt(gb) + 1e-8)
     return A, B
@@ -410,8 +380,6 @@ def _frozen_warp_train(dataset, hierarchy, mode, config, b_init=None):
 
 @pytest.mark.parametrize("mode", ["joint", "fixed", "adaptive"])
 def test_warp_train_matches_frozen_dense_update_bits(mode):
-    from conceptkit.fnet import LabelEmbeddingMatrix
-
     hier = LabelHierarchy(["/A", "/A/B", "/C", "/D"])
     rng = make_rng(15)
     # feature ids skip 0, 2, 3, 5, 6, 8 and 10 (columns no mention touches);
@@ -425,7 +393,7 @@ def test_warp_train_matches_frozen_dense_update_bits(mode):
         data.append(MentionInstance(tokens=["w"], start=0, end=1, labels=labels,
                                     features=feats([(i, 1.0) for i in chosen])))
     data[0].features = feats([(4, 2.0), (9, 1.0)])
-    prior = LabelEmbeddingMatrix("proto", list(hier.labels), rng.normal(size=(3, 4)))
+    prior = rng.normal(size=(3, 4))
     b_init = None if mode == "joint" else prior
     cfg = WarpConfig(dims=3, epochs=4, lr=0.2, lam=0.5, seed=16)
     model = warp_train(data, hier, mode, cfg, b_init=b_init)

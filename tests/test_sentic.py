@@ -18,7 +18,6 @@ from conceptkit.sentic import (
     load_tsa,
     loss_and_grads,
     lstm_step,
-    predict,
     predict_and_evaluate,
     save_checkpoint,
     save_tsa,
