@@ -100,11 +100,10 @@ extract_mention_features(test, extract_mention_features(zs_train))
 b_combined = proto_hle(b_proto, hle(hierarchy))
 zs_model = warp_train(zs_train, hierarchy, "fixed", cfg, b_init=b_combined)
 fine = hierarchy.at_level(2)
-hits = sum(
-    max(fine, key=lambda l: score_all(m.features, zs_model)[hierarchy.index[l]])
-    in m.labels
-    for m in test
-)
+hits = 0
+for m in test:
+    scores = score_all(m.features, zs_model)  # once per mention, read per fine label
+    hits += max(fine, key=lambda l: scores[hierarchy.index[l]]) in m.labels
 print(f"\nzero-shot fine-label precision@1: {hits / len(test):.3f} "
       f"(uniform guess {1.0 / len(fine):.3f}); no fine label was ever "
       f"seen during training")

@@ -136,14 +136,12 @@ def cmd_fnet_train(args):
     hierarchy = fnet_mod.load_hierarchy(args.hierarchy)
     if args.zero_shot:
         mentions = fnet_mod.coarse_only(mentions, hierarchy)
-    b_init = None
-    if args.mode in ("fixed", "adaptive") or args.label_emb:
-        kind = args.label_emb or "proto"
-        b_init = _build_label_embedding(kind, hierarchy, args, cfg)
+    kind = args.label_emb or ("joint" if args.mode == "joint" else "proto")
+    b_init = None if kind == "joint" else _build_label_embedding(kind, hierarchy, args, cfg)
     feats = fnet_mod.extract_mention_features(mentions)
     model = fnet_mod.warp_train(mentions, hierarchy, args.mode, cfg.fnet, b_init=b_init)
     _check_finite("typing model", model.A, model.B)
-    fnet_mod.save_model(model, args.label_emb or "joint", args.output)
+    fnet_mod.save_model(model, kind, args.output)
     write_records(f"{args.output}.feats", feats)
     return 0
 

@@ -216,6 +216,18 @@ def test_fnet_pipeline(tmp_path, fnet_files, cfg_file, capsys):
     assert all(0.0 <= v <= 1.0 for v in rep.values())
 
 
+@pytest.mark.parametrize("mode, kind", [("fixed", "proto"), ("joint", "joint")])
+def test_fnet_train_manifest_names_label_embedding(tmp_path, fnet_files, cfg_file, mode, kind):
+    # without --label-emb, fixed and adaptive modes train against ProtoLE
+    mpath, hpath, epath = fnet_files
+    proto = str(tmp_path / "protos.tsv")
+    assert main(["fnet-proto", mpath, hpath, "--output", proto, "--config", cfg_file]) == 0
+    model = str(tmp_path / "typing.model")
+    assert main(["fnet-train", mpath, hpath, "--mode", mode, "--prototypes", proto,
+                 "--embeddings", epath, "--output", model, "--config", cfg_file]) == 0
+    assert fnet.load_model(model)[1] == kind
+
+
 def test_fnet_threshold_sweep(tmp_path, fnet_files, cfg_file, capsys):
     mpath, hpath, epath = fnet_files
     model = str(tmp_path / "typing.model")

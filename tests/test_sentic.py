@@ -7,8 +7,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conceptkit import sentic as sentic_mod
+from conceptkit.metrics import LabelSetPrediction, macro_f1, micro_f1, strict_accuracy
 from conceptkit.numerics import NumericFailure, fd_gradcheck, make_rng, sigmoid, substream_rng
 from conceptkit.sentic import (
+    NONE_CLASS,
     SenticConfig,
     SenticParams,
     TsaInstance,
@@ -570,6 +573,112 @@ class TestEvaluate:
         report = predict_and_evaluate(data, params)
         assert report["macro_f1"] == report["micro_f1"] == 1.0
         assert report["sentiment_accuracy"] == 1.0
+
+
+GATE_ORDER = ("Wf", "Wi", "Wo", "Wco", "WC")  # the row order of _recur's gate matrix
+
+
+class TestStackedProducts:
+    """The encoder's premise: a product over a stack of sentences has, slice
+    for slice, the bits of the same product on one sentence."""
+
+    @pytest.mark.parametrize("d_w, d_h, d_c", [(3, 6, 2), (150, 50, 100)])
+    def test_stack_equals_per_sentence(self, d_w, d_h, d_c):
+        cfg = SenticConfig(d_w=d_w, d_h=d_h, d_c=d_c, d_m=4)
+        p = SenticParams.init(cfg, ["a"], ["k"], make_rng(30)).arrays
+        W = np.concatenate([p[f"{g}:f"] for g in GATE_ORDER])
+        Wh = W[:, d_w : d_w + d_h]  # the non-contiguous column view _recur takes
+        assert not Wh.flags.c_contiguous
+        rng = make_rng(31)
+        n, L = 5, 7
+        H = rng.normal(size=(n, L + 1, d_h))
+        X = rng.normal(size=(n, L, d_w))
+        MU = rng.normal(size=(n, L, d_c))
+        stacked = np.empty((n, 5 * d_h))
+        for t in range(L):  # as _recur writes it: into a buffer, through views
+            np.matmul(Wh, H[..., None][:, t], out=stacked[..., None])
+            for i in range(n):
+                assert np.array_equal(stacked[i], Wh @ H[i, t])
+            assert np.array_equal(stacked, np.matmul(Wh, H[:, t, :, None])[..., 0])
+        for A, B in [(X, W[:, :d_w].T), (MU, W[:, d_w + d_h :].T), (MU, p["Wc:f"].T)]:
+            for stack in (A, A[:, ::-1]):  # the backward direction reads reversed views
+                stacked = np.matmul(stack, B)
+                for i in range(n):
+                    assert np.array_equal(stacked[i], stack[i] @ B)
+
+
+def mixed_length_dataset(rng):
+    """Sentences of lengths 1, 3, 4 and 6 in interleaved order, 130 of them of
+    length 4 (more than one stack), with unknown tokens, unknown concept ids
+    and tokens without concepts."""
+    words = ["a", "b", "c", "cue", "unseen"]
+    concepts = [[], ["k1"], ["k2", "k1"], ["nope"], ["k2", "nope"]]
+    polarities = ["positive", "negative", "none"]
+    lengths = [4, 1, 4, 3, 4, 6, 4, 4] * 26
+    data = []
+    for L in lengths:
+        tokens = [words[int(rng.integers(len(words)))] for _ in range(L)]
+        ids = [concepts[int(rng.integers(len(concepts)))] for _ in range(L)]
+        positions = sorted({int(rng.integers(L)) for _ in range(2)})
+        aspects = {a: polarities[int(rng.integers(3))] for a in CFG.aspects if rng.random() < 0.7}
+        data.append(make_instance(tokens, positions, aspects, ids))
+    assert sum(len(i.tokens) == 4 for i in data) == 130
+    return data
+
+
+def reference_evaluate(dataset, params):
+    """``predict_and_evaluate`` written per sentence over ``forward``."""
+    classes = list(params.config.classes)
+    non_none = [i for i, c in enumerate(classes) if c != NONE_CLASS]
+    preds, correct, total = [], 0, 0
+    for inst in dataset:
+        probs = forward(inst, params)
+        gold = frozenset(a for a, pol in inst.aspects.items() if pol != NONE_CLASS)
+        found = frozenset(a for a, pv in probs.items() if classes[np.argmax(pv)] != NONE_CLASS)
+        preds.append(LabelSetPrediction(gold=gold, predicted=found))
+        for a, pol in inst.aspects.items():
+            if pol != NONE_CLASS:
+                total += 1
+                correct += classes[non_none[np.argmax(probs[a][non_none])]] == pol
+    return {
+        "strict_accuracy": strict_accuracy(preds),
+        "macro_f1": macro_f1(preds),
+        "micro_f1": micro_f1(preds),
+        "sentiment_accuracy": correct / total if total else 0.0,
+        "pairs": total,
+    }
+
+
+class TestStackedEvaluate:
+    @pytest.mark.parametrize("averaging", [False, True])
+    def test_equals_per_sentence_forward(self, averaging, monkeypatch):
+        cfg = SenticConfig(d_w=5, d_h=6, d_m=4, d_c=3, aspects=CFG.aspects,
+                           target_averaging=averaging)
+        params = SenticParams.init(cfg, ["a", "b", "c", "cue"], ["k1", "k2"], make_rng(32))
+        params.arrays["Wp"] *= 20.0  # spread the argmax over all classes
+        data = mixed_length_dataset(make_rng(33))
+        blocks, probs_of = [], sentic_mod._probs
+
+        def spy(group, params):
+            blocks.append((group, probs_of(group, params)))
+            return blocks[-1][1]
+
+        monkeypatch.setattr(sentic_mod, "_probs", spy)
+        report = predict_and_evaluate(data, params)
+        monkeypatch.undo()
+        for group, out in blocks:
+            columns = sentic_mod._encode(group, params.arrays, params, None)[0]
+            for inst, probs, cols in zip(group, out, columns):
+                assert np.array_equal(cols, encode_bilstm(inst, params.arrays, params))
+                expect = forward(inst, params)
+                for a in cfg.aspects:
+                    assert np.array_equal(probs[a], expect[a])
+        assert report == reference_evaluate(data, params)
+        lengths = [{len(inst.tokens) for inst in group} for group, _ in blocks]
+        assert all(len(ls) == 1 for ls in lengths)
+        assert sorted(len(g) for (g, _), ls in zip(blocks, lengths) if ls == {4}) == [2, 64, 64]
+        assert sorted(id(inst) for g, _ in blocks for inst in g) == sorted(map(id, data))
+        assert 0.0 < report["sentiment_accuracy"] < 1.0
 
 
 class TestPersistence:
