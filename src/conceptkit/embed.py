@@ -5,21 +5,39 @@ With only the word-context group enabled this is exactly skip-gram with
 negative sampling; the extra groups add POS, taxonomic and self-trained
 prediction tasks sharing the center-word vectors.
 
-Seeded training is bit-reproducible, and two orders are part of that
-contract. Draws: events are visited in one ``rng.permutation`` per epoch,
-and each event's negatives are drawn one ``DiscreteSampler.sample`` call at
-a time, a draw equal to the observed feature being rejected and redrawn.
-Accumulation: all gradients are taken at the pre-update point; the word
-gradient is summed sequentially from ``0.0``, the positive term first and
-then the negatives in draw order; a negative row's gradient starts as
-``0.0 + g * v_w`` and sums its repeated draws in order before the row is
-updated once.
+Seeded training is bit-reproducible: the trained vectors are those of
+applying the events' updates one at a time, in order. Three orders are
+part of that contract.
+
+- Draws: events are visited in one ``rng.permutation`` per epoch, and each
+  event's negatives are drawn one ``DiscreteSampler.sample`` call at a
+  time, a draw equal to the observed feature being rejected and redrawn.
+- Accumulation: all of an update's gradients are taken at the pre-update
+  point; the word gradient is summed sequentially from ``0.0``, the
+  positive term first and then the negatives in draw order; a negative
+  row's gradient starts as ``0.0 + g * v_w`` and sums its repeated draws
+  in order before the row is updated once.
+- Updates: an event's update reads and writes exactly its word row, its
+  observed feature row and its negative rows. Two updates that share no
+  row commute exactly, since neither reads what the other writes, so only
+  updates that share a row must keep their event order.
+
+Training uses this to batch. It takes each epoch's events in windows of
+``_WINDOW`` and draws every event's negatives in event order; draws never
+read the vectors, so the stream is unchanged. It gives each event a level
+one above the highest level of any earlier event in the window that shares
+a row with it, and applies the levels in order, each as one batched update
+(``_ns_update``). An event's rows are then written, before it reads them,
+by exactly the earlier events that share them, and by no later one: it
+reads what it would read one event at a time. The batched update keeps
+each event's arithmetic: ``np.vecdot`` scores with the bits of 1-D
+``ndarray.dot``, and the same elementwise steps and sums along the slot
+axis.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +56,11 @@ from .numerics import (
 )
 
 log = logging.getLogger(__name__)
+
+# Events drawn, levelled and applied together (not SkipNerConfig's context
+# window). It bounds the plan's memory; its levels are nearly as few as a
+# whole epoch's.
+_WINDOW = 2048
 
 __all__ = [
     "EmbeddingSet",
@@ -122,45 +145,114 @@ def ns_loss(emb, wid, fid, group_key, negatives):
     return float(loss)
 
 
-def _apply_ns_gradient(emb, wid, fid, group_key, negatives, lr):
-    """Apply one negative-sampling update, in the accumulation order the
-    module docstring gives, and return the pre-update loss.
+def _ns_update(W, F, wids, reads, lr, writes=None, pads=None, dups=None, out=None):
+    """Apply the negative-sampling updates of B events that share no row, in
+    the accumulation order the module docstring gives, and return their
+    (k, B) scores, the observed feature's first.
 
-    The positive and negative rows are gathered once and each is scored
-    with its own 1-D dot product; one ``sigmoid`` call covers all scores.
+    Event i updates word row ``W[wids[i]]`` with learning rate ``lr[i]``,
+    and the rows ``F[reads[:, i]]``: its observed feature, then its
+    negatives in draw order. The updated rows are stored to ``writes``
+    (default ``reads``), so that a padding slot can read a zero row and
+    write a spare one; ``pads`` marks those slots, whose scores are pinned
+    to 0.0 so that they add exactly 0.0 to the word gradient. ``dups``
+    holds flat slot positions ``(dst, src)`` over (k, B): each repeated
+    draw ``src`` is summed, in order, into the slot of its first draw
+    ``dst``, and both slots then hold the one updated row.
     """
-    vw = emb.word_vectors[wid]
-    feats = emb.feature_vectors[group_key]
-    ids = [fid, *negatives]
-    rows = feats[ids]
-    scores = np.array([row.dot(vw) for row in rows])
+    vw = W.take(wids, axis=0)
+    rows = F.take(reads, axis=0)
+    scores = np.vecdot(rows, vw, out=out)  # the bits of 1-D ndarray.dot
+    if pads is not None:
+        np.copyto(scores, 0.0, where=pads)
     # d/ds of -log σ(s) is σ(s) - 1 for the positive, σ(s) for a negative
     g = sigmoid(scores)
     g[0] -= 1.0
-    # loss = -log σ(s_pos) - Σ log σ(-s_neg) = softplus(-s_pos) + Σ softplus(s_neg)
-    scores[0] = -scores[0]
-    loss = float(softplus(scores).sum())
-    # accumulate is sequential: ((0.0 + g_0 f_0) + g_1 f_1) + ...
-    terms_w = g[:, None] * rows
-    terms_w[0] += 0.0
-    grad_w = np.add.accumulate(terms_w)[-1]
-    grad_f = np.multiply.outer(g, vw)
+    # summed in slot order from 0.0: ((0.0 + g_0 f_0) + g_1 f_1) + ...
+    terms_w = g[..., None] * rows
+    grad_w = terms_w[0]
+    grad_w += 0.0
+    for term in terms_w[1:]:
+        grad_w += term
+    grad_f = g[..., None] * vw
     grad_f[1:] += 0.0
-    if len(set(ids)) < len(ids):
-        # sum each repeated negative into the row of its first draw
-        first = {}
-        for k, i in enumerate(ids):
-            j = first.setdefault(i, k)
-            if j != k:
-                grad_f[j] += grad_f[k]
-        keep = list(first.values())
-        ids, rows, grad_f = list(first), rows[keep], grad_f[keep]
+    if dups is not None:
+        dst, src = dups
+        flat = grad_f.reshape(-1, grad_f.shape[-1])
+        np.add.at(flat, dst, flat[src])  # pair by pair, in order
+    lr = lr[:, None]
     grad_f *= lr
     rows -= grad_f
-    feats[ids] = rows
+    if dups is not None:
+        flat = rows.reshape(-1, rows.shape[-1])
+        flat[src] = flat[dst]
+    F[reads if writes is None else writes] = rows
     grad_w *= lr
     vw -= grad_w
-    return loss
+    W[wids] = vw
+    return scores
+
+
+def _repeats(R, counts, pad=-1):
+    """The ``dups`` argument of each level's ``_ns_update`` call.
+
+    ``R`` (m, k) holds m events' rows of F, level by level, ``counts[l]``
+    events in level l. Within each event, every id equal to an earlier one
+    (other than ``pad``) is paired with the slot of its first occurrence,
+    in draw order. Returns one ``(dst, src)`` per level, None where no id
+    repeats.
+    """
+    m, k = R.shape
+    srt = np.argsort(R, axis=1, kind="stable")
+    ids = np.take_along_axis(R, srt, axis=1)
+    new = np.ones((m, k), dtype=bool)
+    new[:, 1:] = (ids[:, 1:] != ids[:, :-1]) | (ids[:, 1:] == pad)
+    first = np.maximum.accumulate(np.where(new, np.arange(k), 0), axis=1)
+    e, j = np.nonzero(~new)
+    # slot s of the event of rank r in a level of b events is s * b + r
+    level = np.repeat(np.arange(len(counts)), counts)[e]
+    b = counts[level]
+    r = e - (np.cumsum(counts) - counts)[level]
+    dst = srt[e, first[e, j]] * b + r
+    src = srt[e, j] * b + r
+    cut = np.searchsorted(level, np.arange(len(counts) + 1)).tolist()
+    return [(dst[lo:hi], src[lo:hi]) if hi > lo else None for lo, hi in zip(cut, cut[1:])]
+
+
+def _losses(scores):
+    """Each event's negated objective from its (k, B) scores, whose first
+    row is negated in place: softplus(-s_pos) + Σ softplus(s_neg)."""
+    scores[0] = -scores[0]
+    return softplus(scores).sum(axis=0)
+
+
+def _apply_ns_gradient(emb, wid, fid, group_key, negatives, lr):
+    """Apply one negative-sampling update, in the accumulation order the
+    module docstring gives, and return the pre-update loss: the batch of
+    one of ``_ns_update``."""
+    R = np.array([[fid, *negatives]])
+    scores = _ns_update(
+        emb.word_vectors,
+        emb.feature_vectors[group_key],
+        np.array([wid]),
+        R.T,
+        np.array([lr]),
+        dups=_repeats(R, np.array([1]))[0],
+    )
+    return float(_losses(scores)[0])
+
+
+def _draw_negatives(sampler, fid, n, rng):
+    """``n`` negatives for observed feature ``fid``, in draw order. A draw
+    equal to ``fid`` is rejected and redrawn, unless no other feature can
+    be drawn, in which case there are no negatives."""
+    negatives = []
+    if sampler.can_reject(fid):
+        while len(negatives) < n:
+            draw = sampler.sample(rng)
+            if draw != fid:  # never use the observed feature as its own negative
+                negatives.append(draw)
+    return negatives
 
 
 def sgd_step(emb, event, sampler, lr, n, rng):
@@ -171,15 +263,9 @@ def sgd_step(emb, event, sampler, lr, n, rng):
     feature is rejected and redrawn, unless no other feature can be drawn,
     in which case the event has no negatives.
     """
-    fid = event.feature_id
-    negatives = []
-    if sampler.can_reject(fid):
-        while len(negatives) < n:
-            draw = sampler.sample(rng)
-            if draw != fid:  # never use the observed feature as its own negative
-                negatives.append(draw)
+    negatives = _draw_negatives(sampler, event.feature_id, n, rng)
     return _apply_ns_gradient(
-        emb, event.center_word_id, fid, event.group_key, negatives, lr
+        emb, event.center_word_id, event.feature_id, event.group_key, negatives, lr
     )
 
 
@@ -201,22 +287,79 @@ def build_group_samplers(events, table, exponent=1.0):
 
 
 def init_embeddings(vocab_size, dims, table, groups_present, rng):
-    """Word vectors uniform in [-0.5/d, 0.5/d]; feature vectors zero."""
+    """Word vectors uniform in [-0.5/d, 0.5/d]; feature vectors zero.
+
+    Every group's feature vectors are a view of one matrix ``F``, from row
+    ``offsets[key]``; ``F`` has two rows more, a zero row that padding reads
+    and a spare row that padding writes. Returns ``(wv, F, feats, offsets)``.
+    """
     wv = (rng.random((vocab_size, dims)) - 0.5) / dims
-    feats = {
-        key: np.zeros((table.group_size(key), dims))
-        for key in table.group_keys()
-        if key.split(":")[0] in groups_present
-    }
-    return wv, feats
+    keys = [k for k in table.group_keys() if k.split(":")[0] in groups_present]
+    sizes = [table.group_size(k) for k in keys]
+    F = np.zeros((sum(sizes) + 2, dims))
+    offsets = dict(zip(keys, np.cumsum([0] + sizes[:-1]).tolist()))
+    feats = {k: F[offsets[k]:offsets[k] + size] for k, size in zip(keys, sizes)}
+    return wv, F, feats, offsets
+
+
+def _train_window(wv, F, events, window, lr, rng, n, groups):
+    """Train one window of events: draw every event's negatives in event
+    order, give each event a level, and apply the levels in order.
+
+    ``groups`` maps a group key to its first row of ``F`` and its sampler.
+    Returns the window position of the first event whose loss is not
+    finite, or None.
+    """
+    zero, spare = F.shape[0] - 2, F.shape[0] - 1
+    padding = [zero] * n  # so that every level is one kernel call
+    # the highest level so far that touched each word row and row of F
+    last_w, last_f = [-1] * wv.shape[0], [-1] * F.shape[0]
+    levels, reads, wids = [], [], []
+    for idx in window:
+        ev = events[idx]
+        wid, fid = ev.center_word_id, ev.feature_id
+        offset, sampler = groups[ev.group_key]
+        negatives = _draw_negatives(sampler, fid, n, rng)
+        ids = [offset + fid, *[offset + draw for draw in negatives]]
+        # one above every earlier event of the window that shares a row
+        lvl = max(last_w[wid], *[last_f[r] for r in ids]) + 1
+        last_w[wid] = lvl
+        for r in ids:
+            last_f[r] = lvl
+        levels.append(lvl)
+        reads.append(ids if negatives else ids + padding)
+        wids.append(wid)
+    order = np.argsort(levels, kind="stable")
+    counts = np.bincount(levels)
+    R = np.array(reads)[order]
+    reads = np.ascontiguousarray(R.T)  # (k, m): slot-major, as _ns_update takes it
+    pads = reads == zero
+    writes = np.where(pads, spare, reads)
+    wids = np.array(wids)[order]
+    lr = lr[order]
+    scores = np.empty(reads.shape)
+    hi = 0
+    for count, dups in zip(counts.tolist(), _repeats(R, counts, zero)):
+        lo, hi = hi, hi + count
+        _ns_update(
+            wv, F, wids[lo:hi], reads[:, lo:hi], lr[lo:hi],
+            writes[:, lo:hi], pads[:, lo:hi], dups, out=scores[:, lo:hi],
+        )
+    # a padding slot adds softplus(0.0) to its event's loss: finite either way
+    bad = order[~np.isfinite(_losses(scores))]
+    return int(bad.min()) if bad.size else None
 
 
 def train_skipner(corpus, vocab, config, taxonomy=None):
     """Train the multi-task embedding over all enabled feature groups.
 
-    Deterministic for a fixed seed (single-worker). Returns the EmbeddingSet
-    and the FeatureGroupTable used to intern features. The first event whose
-    loss is not finite raises NumericFailure naming its epoch and step.
+    Deterministic for a fixed seed (single-worker), with the bits of
+    applying the events one at a time in ``rng.permutation`` order: each
+    window of ``_WINDOW`` events is drawn in that order and applied in
+    levels of events that share no row (see the module docstring). Returns
+    the EmbeddingSet and the FeatureGroupTable used to intern features. The
+    first event whose loss is not finite raises NumericFailure naming its
+    epoch and step, once its window has been applied.
     """
     if not config.groups:
         raise ValueError("at least one feature group must be enabled")
@@ -235,25 +378,28 @@ def train_skipner(corpus, vocab, config, taxonomy=None):
         raise ValueError("no feature events extracted")
     samplers = build_group_samplers(events, table, config.unigram_exponent)
     rng = substream_rng(config.seed, "embed.train")
-    wv, feats = init_embeddings(
+    wv, F, feats, offsets = init_embeddings(
         len(vocab), config.dims, table, set(config.groups), rng
     )
     emb = EmbeddingSet(
         tokens=list(vocab.id_to_token), word_vectors=wv, feature_vectors=feats
     )
+    groups = {key: (offsets[key], sampler) for key, sampler in samplers.items()}
     total = config.epochs * len(events)
     step = 0
     for epoch in range(config.epochs):
-        for idx in rng.permutation(len(events)):
-            ev = events[idx]
-            frac = step / max(1, total)
+        perm = rng.permutation(len(events))
+        for lo in range(0, len(perm), _WINDOW):
+            window = perm[lo:lo + _WINDOW].tolist()
+            frac = np.arange(step, step + len(window)) / max(1, total)
             lr = config.lr_initial + (config.lr_final - config.lr_initial) * frac
-            loss = sgd_step(emb, ev, samplers[ev.group_key], lr, config.negatives, rng)
-            step += 1
-            if not math.isfinite(loss):
+            bad = _train_window(wv, F, events, window, lr, rng, config.negatives, groups)
+            if bad is not None:
                 raise NumericFailure(
-                    f"embedding training loss is not finite at epoch {epoch}, step {step}"
+                    "embedding training loss is not finite at "
+                    f"epoch {epoch}, step {step + bad + 1}"
                 )
+            step += len(window)
     return emb, table
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conceptkit import embed as embed_mod
 from conceptkit.corpus import (
     ConceptLexicon,
     FeatureEvent,
@@ -26,8 +27,10 @@ from conceptkit.embed import (
 )
 from conceptkit.numerics import (
     DiscreteSampler,
+    NumericFailure,
     fd_gradcheck,
     make_rng,
+    softplus,
     substream_rng,
 )
 
@@ -204,7 +207,8 @@ class TestTrainSkipner:
 
 # A frozen longhand copy of the first SGNS update: per-negative scalar
 # sigmoids, a dict of row gradients, np.searchsorted on a numpy CDF.
-# train_skipner must reproduce its bits and its RNG stream.
+# train_skipner must reproduce its bits, its RNG stream and the step at
+# which its loss first stops being finite.
 
 
 def _frozen_sigmoid(x):
@@ -229,6 +233,7 @@ class _FrozenSampler:
 
 
 def _frozen_sgd_step(emb, event, sampler, lr, n, rng):
+    """Returns the pre-update loss."""
     negatives = []
     support = np.count_nonzero(sampler.weights)
     if support > 1 or sampler.weights[event.feature_id] == 0:
@@ -242,15 +247,18 @@ def _frozen_sgd_step(emb, event, sampler, lr, n, rng):
     grad_w = np.zeros_like(vw)
     grad_f = {}
     g = _frozen_sigmoid(feats[fid] @ vw) - 1.0
+    loss = softplus(-(feats[fid] @ vw))
     grad_w += g * feats[fid]
     grad_f[fid] = g * vw
     for nid in negatives:
         g = _frozen_sigmoid(feats[nid] @ vw)
+        loss += softplus(feats[nid] @ vw)
         grad_w += g * feats[nid]
         grad_f[nid] = grad_f.get(nid, 0.0) + g * vw
     for i, gf in grad_f.items():
         feats[i] -= lr * gf
     emb.word_vectors[event.center_word_id] -= lr * grad_w
+    return loss
 
 
 def _frozen_train(corpus, vocab, config, taxonomy):
@@ -274,13 +282,15 @@ def _frozen_train(corpus, vocab, config, taxonomy):
     emb = EmbeddingSet(tokens=list(vocab.id_to_token), word_vectors=wv, feature_vectors=feats)
     total = config.epochs * len(events)
     step = 0
-    for _ in range(config.epochs):
+    for epoch in range(config.epochs):
         for idx in rng.permutation(len(events)):
             ev = events[idx]
             frac = step / max(1, total)
             lr = config.lr_initial + (config.lr_final - config.lr_initial) * frac
-            _frozen_sgd_step(emb, ev, samplers[ev.group_key], lr, config.negatives, rng)
+            loss = _frozen_sgd_step(emb, ev, samplers[ev.group_key], lr, config.negatives, rng)
             step += 1
+            if not math.isfinite(loss):
+                raise NumericFailure(f"epoch {epoch}, step {step}")
     return emb, samplers
 
 
@@ -326,6 +336,63 @@ def test_train_matches_frozen_update_bits_alias_group():
     want, samplers = _frozen_train(corpus, vocab, cfg, None)
     assert samplers["word:1"].n > 1024
     _assert_same_bits(emb, want)
+
+
+@pytest.mark.parametrize("window", [1, 7])
+def test_frozen_update_bits_across_windows(monkeypatch, window):
+    # levels never span a window, so small windows cut the level schedule
+    # at many more places: every cut must leave the bits alone
+    monkeypatch.setattr(embed_mod, "_WINDOW", window)
+    test_train_matches_frozen_update_bits()
+    test_train_matches_frozen_update_bits_alias_group()
+
+
+@pytest.mark.parametrize("window", [1, 7, embed_mod._WINDOW])
+def test_nonfinite_loss_names_sequential_step(monkeypatch, window):
+    # a window is checked after it is applied; the error names the first
+    # event in event order whose loss is not finite, as the one-at-a-time
+    # longhand does. Here a later event of a lower level is not finite too.
+    rng = make_rng(11)
+    words = ["acme", "board", "paris", "alice", "met", "the", "in", "rome"]
+    lines = []
+    for _ in range(30):
+        for _ in range(int(rng.integers(3, 7))):
+            ne = "B-LOC" if rng.random() < 0.2 else "O"
+            lines.append(f"{words[int(rng.integers(8))]}\tNN\t{ne}\n")
+        lines.append("\n")
+    corpus = parse_corpus(lines)
+    vocab = build_vocab(corpus)
+    taxonomy = ConceptLexicon({"city": {"paris", "rome"}})
+    cfg = SkipNerConfig(dims=6, epochs=2, seed=4, lr_initial=1e30,
+                        groups=("word", "pos", "taxo", "self"))
+    with pytest.raises(NumericFailure) as want:
+        _frozen_train(corpus, vocab, cfg, taxonomy)
+    step = int(str(want.value).rsplit(" ", 1)[1])
+    assert step > 7 and step % 7  # inside a window of 7, after the first
+    monkeypatch.setattr(embed_mod, "_WINDOW", window)
+    with pytest.raises(NumericFailure, match=f"{want.value}$"):
+        train_skipner(corpus, vocab, cfg, taxonomy=taxonomy)
+
+
+class TestBatchedProducts:
+    """The level kernel's premise: ``np.vecdot`` over gathered (k, B, d) rows
+    against (B, d) word rows has, entry for entry, the bits of the 1-D
+    ``ndarray.dot`` of one feature row and one word row."""
+
+    @pytest.mark.parametrize("d", [5, 6, 50])
+    @pytest.mark.parametrize("k", [1, 6])
+    def test_vecdot_equals_row_dot(self, k, d):
+        rng = make_rng(40 + d)
+        F = rng.normal(size=(40, d))
+        W = rng.normal(size=(30, d))
+        for b in (1, 3, 17):
+            reads = rng.integers(0, 40, size=(k, b))
+            wids = rng.choice(30, size=b, replace=False)
+            out = np.empty((k, 2 * b))
+            got = np.vecdot(F.take(reads, axis=0), W.take(wids, axis=0), out=out[:, ::2])
+            for j in range(k):
+                for i in range(b):
+                    assert got[j, i] == F[reads[j, i]].dot(W[wids[i]])
 
 
 class TestQueriesAndFeatures:
