@@ -9,9 +9,11 @@ Seeded training is bit-reproducible: the trained vectors are those of
 applying the events' updates one at a time, in order. Three orders are
 part of that contract.
 
-- Draws: events are visited in one ``rng.permutation`` per epoch, and each
-  event's negatives are drawn one ``DiscreteSampler.sample`` call at a
-  time, a draw equal to the observed feature being rejected and redrawn.
+- Draws: events are visited in one ``rng.permutation`` per epoch. Each
+  event's negatives are drawn in order, each one a function of the next
+  double of the generator's ``rng.random()`` stream, ``sampler.index(u)``;
+  a draw equal to the observed feature is rejected and redrawn. After a
+  pass the generator is where one ``rng.random()`` call per draw leaves it.
 - Accumulation: all of an update's gradients are taken at the pre-update
   point; the word gradient is summed sequentially from ``0.0``, the
   positive term first and then the negatives in draw order; a negative
@@ -24,20 +26,23 @@ part of that contract.
 
 Training uses this to batch. It takes each epoch's events in windows of
 ``_WINDOW`` and draws every event's negatives in event order; draws never
-read the vectors, so the stream is unchanged. It gives each event a level
-one above the highest level of any earlier event in the window that shares
-a row with it, and applies the levels in order, each as one batched update
-(``_ns_update``). An event's rows are then written, before it reads them,
-by exactly the earlier events that share them, and by no later one: it
-reads what it would read one event at a time. The batched update keeps
-each event's arithmetic: ``np.vecdot`` scores with the bits of 1-D
-``ndarray.dot``, and the same elementwise steps and sums along the slot
-axis.
+read the vectors, so the stream is unchanged. A window reads its doubles
+ahead in blocks of ``negatives`` times its length (``_read_ahead``): for
+PCG64, ``rng.random(k)`` gives the doubles of ``k`` scalar calls. It gives
+each event a level one above the highest level of any earlier event in the
+window that shares a row with it, and applies the levels in order, each
+as one batched update (``_ns_update``). An event's rows are then written,
+before it reads them, by exactly the earlier events that share them, and
+by no later one: it reads what it would read one event at a time. The
+batched update keeps each event's arithmetic: ``np.vecdot`` scores with
+the bits of 1-D ``ndarray.dot``, and the same elementwise steps and sums
+along the slot axis.
 """
 
 from __future__ import annotations
 
 import logging
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -242,28 +247,57 @@ def _apply_ns_gradient(emb, wid, fid, group_key, negatives, lr):
     return float(_losses(scores)[0])
 
 
-def _draw_negatives(sampler, fid, n, rng):
-    """``n`` negatives for observed feature ``fid``, in draw order. A draw
-    equal to ``fid`` is rejected and redrawn, unless no other feature can
-    be drawn, in which case there are no negatives."""
+def _draw_negatives(sampler, fid, n, doubles):
+    """``n`` negatives for observed feature ``fid``, in draw order: each
+    draw is ``sampler.index`` of the next double taken from the iterator
+    ``doubles``. A draw equal to ``fid`` is rejected and redrawn, unless no
+    other feature can be drawn, in which case there are no negatives and no
+    double is taken."""
     negatives = []
-    if sampler.can_reject(fid):
-        while len(negatives) < n:
-            draw = sampler.sample(rng)
+    if n > 0 and sampler.can_reject(fid):
+        index = sampler.index
+        for u in doubles:
+            draw = index(u)
             if draw != fid:  # never use the observed feature as its own negative
                 negatives.append(draw)
+                if len(negatives) == n:
+                    break
     return negatives
+
+
+@contextmanager
+def _read_ahead(rng, k):
+    """Yield an iterator over ``rng``'s doubles, read ``k`` at a time with
+    ``rng.random(k)``. On exit ``rng`` is where one ``rng.random()`` call
+    per double taken would leave it: its state is restored and exactly the
+    doubles taken are drawn again. ``PCG64.advance`` would not do: it drops
+    the buffered 32-bit half that ``rng.permutation`` leaves."""
+    state = rng.bit_generator.state
+    read, block = 0, iter(())
+
+    def doubles():
+        nonlocal read, block
+        while True:
+            block = iter(rng.random(k).tolist())
+            read += k
+            yield from block
+
+    yield doubles()
+    taken = read - len(list(block))  # the rest of the last block was not taken
+    rng.bit_generator.state = state
+    rng.random(taken)
 
 
 def sgd_step(emb, event, sampler, lr, n, rng):
     """One negative-sampling update; returns the negated objective term.
 
-    Negatives are drawn from the event's group sampler before the update so
-    the returned loss is the pre-update value. A draw equal to the observed
-    feature is rejected and redrawn, unless no other feature can be drawn,
-    in which case the event has no negatives.
+    Negatives are drawn from the event's group sampler, one ``rng.random()``
+    per draw, before the update so the returned loss is the pre-update
+    value. A draw equal to the observed feature is rejected and redrawn,
+    unless no other feature can be drawn, in which case the event has no
+    negatives.
     """
-    negatives = _draw_negatives(sampler, event.feature_id, n, rng)
+    negatives = _draw_negatives(sampler, event.feature_id, n, iter(rng.random, None))
     return _apply_ns_gradient(
         emb, event.center_word_id, event.feature_id, event.group_key, negatives, lr
     )
@@ -315,20 +349,21 @@ def _train_window(wv, F, events, window, lr, rng, n, groups):
     # the highest level so far that touched each word row and row of F
     last_w, last_f = [-1] * wv.shape[0], [-1] * F.shape[0]
     levels, reads, wids = [], [], []
-    for idx in window:
-        ev = events[idx]
-        wid, fid = ev.center_word_id, ev.feature_id
-        offset, sampler = groups[ev.group_key]
-        negatives = _draw_negatives(sampler, fid, n, rng)
-        ids = [offset + fid, *[offset + draw for draw in negatives]]
-        # one above every earlier event of the window that shares a row
-        lvl = max(last_w[wid], *[last_f[r] for r in ids]) + 1
-        last_w[wid] = lvl
-        for r in ids:
-            last_f[r] = lvl
-        levels.append(lvl)
-        reads.append(ids if negatives else ids + padding)
-        wids.append(wid)
+    with _read_ahead(rng, n * len(window)) as doubles:
+        for idx in window:
+            ev = events[idx]
+            wid, fid = ev.center_word_id, ev.feature_id
+            offset, sampler = groups[ev.group_key]
+            negatives = _draw_negatives(sampler, fid, n, doubles)
+            ids = [offset + fid, *[offset + draw for draw in negatives]]
+            # one above every earlier event of the window that shares a row
+            lvl = max(last_w[wid], *[last_f[r] for r in ids]) + 1
+            last_w[wid] = lvl
+            for r in ids:
+                last_f[r] = lvl
+            levels.append(lvl)
+            reads.append(ids if negatives else ids + padding)
+            wids.append(wid)
     order = np.argsort(levels, kind="stable")
     counts = np.bincount(levels)
     R = np.array(reads)[order]
@@ -354,12 +389,14 @@ def train_skipner(corpus, vocab, config, taxonomy=None):
     """Train the multi-task embedding over all enabled feature groups.
 
     Deterministic for a fixed seed (single-worker), with the bits of
-    applying the events one at a time in ``rng.permutation`` order: each
-    window of ``_WINDOW`` events is drawn in that order and applied in
-    levels of events that share no row (see the module docstring). Returns
-    the EmbeddingSet and the FeatureGroupTable used to intern features. The
-    first event whose loss is not finite raises NumericFailure naming its
-    epoch and step, once its window has been applied.
+    applying the events one at a time in ``rng.permutation`` order, each
+    event's negatives drawn from the next doubles of ``rng.random()``: each
+    window of ``_WINDOW`` events is drawn in that order, from doubles read
+    ahead in blocks, and applied in levels of events that share no row (see
+    the module docstring). Returns the EmbeddingSet and the
+    FeatureGroupTable used to intern features. The first event whose loss
+    is not finite raises NumericFailure naming its epoch and step, once its
+    window has been applied.
     """
     if not config.groups:
         raise ValueError("at least one feature group must be enabled")

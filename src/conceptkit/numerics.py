@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right
+from functools import partial
 
 import numpy as np
 
@@ -89,10 +90,12 @@ def log_sigmoid(x):
 class DiscreteSampler:
     """Sample indices proportionally to a fixed non-negative weight vector.
 
-    The draw order is part of the contract, since seeded training replays
-    it: each ``sample`` call consumes exactly one ``rng.random()``, at every
-    size, and returns the index of the first CDF entry above it, so the
-    same generator state gives the same draws.
+    A draw is a function of one double ``u`` in [0, 1): ``index(u)`` is the
+    index of the first CDF entry above ``u``, and ``sample(rng)`` is
+    ``index(rng.random())``, consuming exactly one double at every size.
+    Seeded training relies on this: it may read a generator's doubles ahead,
+    map each one with ``index`` and get the draws that ``sample`` calls
+    would give.
     """
 
     def __init__(self, weights):
@@ -108,9 +111,10 @@ class DiscreteSampler:
         self._multi_support = np.count_nonzero(w) > 1
         cdf = np.cumsum(w / total)
         cdf[-1] = 1.0
-        # The draw path searches a Python list: per-draw numpy calls on
-        # scalars cost more than the draw itself.
-        self._cdf = cdf.tolist()
+        # index(u): a search of a Python list with no Python frame per call,
+        # since per-draw numpy calls on scalars, or a method call, cost more
+        # than the search itself
+        self.index = partial(bisect_right, cdf.tolist())
 
     def can_reject(self, observed):
         """Whether some draw other than ``observed`` has positive weight, so
@@ -119,7 +123,7 @@ class DiscreteSampler:
 
     def sample(self, rng):
         """Draw one index with probability weights[i] / sum(weights)."""
-        return bisect_right(self._cdf, rng.random())
+        return self.index(rng.random())
 
 
 def _kmeans_pp_init(points, k, rng):

@@ -376,7 +376,9 @@ def train_slp(data, vocab, config):
     row p being pair p's (i, j). It yields the same numbers, and leaves the
     stream in the same place, as drawing i then j one scalar at a time in
     pair order. A list with fewer than two hypotheses is warned about once
-    and consumes no draws. The updates stay sequential, pair by pair.
+    and consumes no draws. The updates stay sequential, pair by pair; a
+    list's scores are taken once per weight change, with ``np.vecdot``,
+    whose rows have the bits of ``phi[g] @ w``.
     """
     weights = np.zeros(len(vocab))
     lr = config.slp_lr
@@ -397,10 +399,14 @@ def train_slp(data, vocab, config):
             # cols holds distinct ids, so updating the gathered weights and
             # scattering them back once equals updating weights[cols] in place
             w = weights[cols]
+            score = None
             for g, b in zip(good, bad):
-                if logp[g] + phi[g] @ w <= logp[b] + phi[b] @ w:
+                if score is None:  # the first pair, or w changed since
+                    score = (logp + np.vecdot(phi, w)).tolist()
+                if score[g] <= score[b]:
                     w += lr * phi[g]
                     w -= lr * phi[b]
+                    score = None
             weights[cols] = w
     return weights
 

@@ -374,6 +374,98 @@ def test_nonfinite_loss_names_sequential_step(monkeypatch, window):
         train_skipner(corpus, vocab, cfg, taxonomy=taxonomy)
 
 
+def _sequential_draw_state(corpus, vocab, config, taxonomy):
+    """The generator's state after the one-draw-at-a-time schedule: the
+    initial word vectors, then per epoch one permutation and each event's
+    rejection loop of ``DiscreteSampler.sample`` calls."""
+    table = FeatureGroupTable()
+    events = list(extract_feature_events(
+        corpus, vocab, table, window=config.window, groups=config.groups, taxonomy=taxonomy
+    ))
+    samplers = embed_mod.build_group_samplers(events, table, config.unigram_exponent)
+    rng = substream_rng(config.seed, "embed.train")
+    rng.random((len(vocab), config.dims))
+    for _ in range(config.epochs):
+        for idx in rng.permutation(len(events)):
+            ev = events[idx]
+            sampler = samplers[ev.group_key]
+            taken = 0
+            if sampler.can_reject(ev.feature_id):
+                while taken < config.negatives:
+                    taken += sampler.sample(rng) != ev.feature_id
+    return rng.bit_generator.state
+
+
+@pytest.mark.parametrize("window", [1, 7, embed_mod._WINDOW])
+def test_generator_state_after_training(monkeypatch, window):
+    # draws are read ahead in blocks; the generator must end where one
+    # rng.random() per draw leaves it, down to the buffered 32-bit half
+    # (has_uint32, uinteger) that each epoch's permutation leaves behind
+    rng = make_rng(21)
+    words = ["acme", "board", "paris", "alice", "met", "the", "in", "rome"]
+    lines = []
+    for _ in range(40):
+        for _ in range(int(rng.integers(3, 7))):
+            ne = "B-LOC" if rng.random() < 0.2 else "O"
+            lines.append(f"{words[int(rng.integers(8))]}\tNN\t{ne}\n")
+        lines.append("\n")
+    corpus = parse_corpus(lines)
+    vocab = build_vocab(corpus)
+    taxonomy = ConceptLexicon({"city": {"paris", "rome"}})
+    cfg = SkipNerConfig(dims=6, epochs=2, seed=4, groups=("word", "pos", "taxo", "self"))
+    made = []
+
+    def recording(seed, name):
+        made.append(substream_rng(seed, name))
+        return made[-1]
+
+    monkeypatch.setattr(embed_mod, "substream_rng", recording)
+    monkeypatch.setattr(embed_mod, "_WINDOW", window)
+    train_skipner(corpus, vocab, cfg, taxonomy=taxonomy)
+    want = _sequential_draw_state(corpus, vocab, cfg, taxonomy)
+    assert want["has_uint32"] == 1
+    assert made[0].bit_generator.state == want
+
+
+@pytest.mark.parametrize("size", [1, 3, 7, 48])
+def test_window_draws_match_sample_loop(size):
+    # _train_window against sgd_step, one event at a time, over windows of
+    # ``size`` events: group "a" never draws its observed feature (weight
+    # 0), so its negatives repeat; "b" has one outcome, so its events draw
+    # nothing; "c" rejects about 15 of 16 draws of its feature 0, so small
+    # windows refill the look-ahead in the middle of an event
+    n, d = 2, 4
+    weights = {"a": [0.0, 2.0, 1.0], "b": [5.0, 0.0], "c": [30.0, 1.0, 1.0]}
+    samplers = {k: DiscreteSampler(w) for k, w in weights.items()}
+    offsets = {"a": 0, "b": 3, "c": 5}
+    rng = make_rng(30)
+    F = np.zeros((8 + 2, d))  # two more rows: the zero row and the spare row
+    F[:8] = rng.normal(size=(8, d))
+    wv = rng.normal(size=(5, d))
+    events = [FeatureEvent(int(rng.integers(5)), fid, key)
+              for key, fid in [("a", 0), ("b", 0), ("c", 0), ("c", 1), ("a", 2)] * 10]
+    events = [events[i] for i in rng.permutation(len(events))]
+    lr = 0.05 + 0.01 * np.arange(len(events))
+    want_wv, want_F = wv.copy(), F.copy()
+    want = EmbeddingSet(
+        tokens=[f"w{i}" for i in range(5)], word_vectors=want_wv,
+        feature_vectors={k: want_F[o:o + len(weights[k])] for k, o in offsets.items()},
+    )
+    got_rng, want_rng = make_rng(31), make_rng(31)
+    got_rng.permutation(47), want_rng.permutation(47)
+    assert want_rng.bit_generator.state["has_uint32"] == 1
+    for i, ev in enumerate(events):
+        sgd_step(want, ev, samplers[ev.group_key], lr[i], n, want_rng)
+    groups = {k: (offsets[k], samplers[k]) for k in weights}
+    for lo in range(0, len(events), size):
+        window = list(range(lo, min(lo + size, len(events))))
+        bad = embed_mod._train_window(wv, F, events, window, lr[window], got_rng, n, groups)
+        assert bad is None
+    assert np.array_equal(wv, want_wv)
+    assert np.array_equal(F[:-1], want_F[:-1])  # padding writes the spare row
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 class TestBatchedProducts:
     """The level kernel's premise: ``np.vecdot`` over gathered (k, B, d) rows
     against (B, d) word rows has, entry for entry, the bits of the 1-D

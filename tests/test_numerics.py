@@ -154,6 +154,7 @@ class TestDiscreteSampler:
         ties = [u for u in [0.0, *cdf.tolist(), *np.nextafter(cdf, 0).tolist()] if u < 1.0]
         got = [s.sample(Fixed([u])) for u in ties]
         assert got == np.searchsorted(cdf, ties, side="right").tolist()
+        assert [s.index(u) for u in ties] == got
         assert all(w[i] > 0 for i in got)
 
     @pytest.mark.parametrize(

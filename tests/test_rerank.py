@@ -397,6 +397,19 @@ class TestSlp:
         warned = [r for r in caplog.records if "pair sampling" in r.message]
         assert len(warned) == 1 and "lone" in warned[0].getMessage()
 
+    def test_several_updates_in_one_list_visit(self):
+        # the wrong hypothesis outscores the right one by 1.0, and each update
+        # narrows that by 2 * 0.1: one visit updates until the order flips,
+        # which only scores taken afresh after every update can see
+        vocab = vocab_of(["a", "b", "c"])
+        nb = NBestList("u", ["a"], [
+            Hypothesis(["b"], 0.0), Hypothesis(["a"], -1.0), Hypothesis(["c", "b"], -3.0),
+        ])
+        cfg = DrbmConfig(slp_pairs=60, slp_iterations=1, slp_lr=0.1, seed=6)
+        weights = train_slp([nb], vocab, cfg)
+        assert np.array_equal(weights, scalar_draw_slp([nb], vocab, cfg))
+        assert 2 <= round(weights[vocab.id_of("a")] / 0.1) < 10
+
     def test_single_word_update(self):
         vocab = vocab_of(["good", "bad"])
         nb = NBestList(
