@@ -31,7 +31,7 @@ from conceptkit.fnet import (
     type_infer,
     warp_train,
 )
-from conceptkit.metrics import LabelSetPrediction, format_report, macro_f1, micro_f1, strict_accuracy
+from conceptkit.metrics import LabelSetPrediction, macro_f1, micro_f1, strict_accuracy
 from conceptkit.numerics import substream_rng
 from conceptkit.synth import synth_fnet
 
@@ -75,11 +75,9 @@ cfg = WarpConfig(epochs=2, seed=7)
 model = warp_train(train, hierarchy, "fixed", cfg, b_init=b_proto)
 preds = evaluate(model, test)
 print("\nprototype label matrix:")
-print(format_report({
-    "strict_acc": strict_accuracy(preds),
-    "macro_f1": macro_f1(preds),
-    "micro_f1": micro_f1(preds),
-}))
+for name, value in [("macro_f1", macro_f1(preds)), ("micro_f1", micro_f1(preds)),
+                    ("strict_acc", strict_accuracy(preds))]:
+    print(f"{name.ljust(10)}  {value:.4f}")
 
 rng = substream_rng(7, "demo.baseline")
 scale = np.linalg.norm(b_proto) / np.sqrt(b_proto.size)

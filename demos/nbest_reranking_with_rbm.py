@@ -80,9 +80,9 @@ print(f"reranked WER: {rbm_wer:.3f} "
 prior = EntityPrior.from_gazetteer(gaz, vocab, lam=0.05)
 pairs = prior.pairs
 blank = DrbmParams.zeros(len(vocab), cfg.hidden)
-before = float(np.mean([prior_activation(blank, prior, w, e) for w, e in pairs]))
+before = float(np.mean([prior_activation(blank, w, e) for w, e in pairs]))
 with_prior = train_drbm(train, blank, vocab, cfg, prior=prior)
-after = float(np.mean([prior_activation(with_prior, prior, w, e) for w, e in pairs]))
+after = float(np.mean([prior_activation(with_prior, w, e) for w, e in pairs]))
 print(f"entity-unit activation: {before:.3f} -> {after:.3f}")
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@
 Exit codes: 0 success, 2 input error (missing/malformed files, a sidecar
 whose length disagrees with its model, bad flags, unknown config keys),
 3 numeric failure (non-finite values produced).
+``main`` loads ``--config`` once, before any subcommand runs, so every
+subcommand checks it, including those that read no key.
 Every output file is written through ``artifact.atomic_write``, so a failing
 invocation leaves no partial file behind; a model and its sidecar are
 replaced one after the other, not together.
@@ -37,7 +39,7 @@ def _check_finite(name, *arrays):
 
 
 def _write_report(values, path):
-    text = metrics_mod.format_report(values, as_json=True) + "\n"
+    text = json.dumps(values, indent=2, sort_keys=True) + "\n"
     if path:
         with atomic_write(path) as f:
             f.write(text)
@@ -66,11 +68,11 @@ def _load_drbm(path):
 
 
 def cmd_embed_train(args):
-    cfg = load_config(args.config, args.seed)
+    cfg = args.cfg.embed
     corpus = corpus_mod.load_corpus(args.corpus)
     taxonomy = corpus_mod.load_taxonomy(args.taxonomy) if args.taxonomy else None
-    vocab = corpus_mod.build_vocab(corpus, min_count=cfg.embed.min_count)
-    emb, _ = embed_mod.train_skipner(corpus, vocab, cfg.embed, taxonomy=taxonomy)
+    vocab = corpus_mod.build_vocab(corpus, min_count=cfg.min_count)
+    emb, _ = embed_mod.train_skipner(corpus, vocab, cfg, taxonomy=taxonomy)
     _check_finite("embedding training", emb.word_vectors)
     embed_mod.save_embeddings(emb, args.output)
     print(f"wrote {emb.word_vectors.shape[0]} vectors to {args.output}", file=sys.stderr)
@@ -87,15 +89,15 @@ def cmd_embed_query(args):
 
 
 def cmd_embed_crf_feats(args):
-    cfg = load_config(args.config, args.seed)
+    cfg = args.cfg.embed
     corpus = corpus_mod.load_corpus(args.corpus)
     emb = embed_mod.load_embeddings(args.embeddings)
     vocab = corpus_mod.Vocabulary.from_tokens(emb.tokens, args.embeddings)
     binarized = embed_mod.binarize(emb)
-    ks = [k for k in cfg.embed.clusters if k <= len(emb.tokens)]
-    clusterings = embed_mod.cluster_words(emb, ks, seed=cfg.embed.seed)
+    ks = [k for k in cfg.clusters if k <= len(emb.tokens)]
+    clusterings = embed_mod.cluster_words(emb, ks, seed=cfg.seed)
     text = corpus_mod.emit_crf_features(
-        corpus, vocab, binarized, clusterings, window=cfg.embed.window
+        corpus, vocab, binarized, clusterings, window=cfg.window
     )
     with atomic_write(args.output) as f:
         f.write(text)
@@ -107,19 +109,18 @@ def cmd_embed_crf_feats(args):
 
 
 def cmd_fnet_proto(args):
-    cfg = load_config(args.config, args.seed)
     mentions = fnet_mod.load_mentions(args.mentions)
     hierarchy = fnet_mod.load_hierarchy(args.hierarchy)
-    prototypes = fnet_mod.select_prototypes(mentions, hierarchy, k=cfg.fnet.prototypes)
+    prototypes = fnet_mod.select_prototypes(mentions, hierarchy, k=args.cfg.fnet.prototypes)
     fnet_mod.save_prototypes(prototypes, args.output)
     return 0
 
 
-def _build_label_embedding(kind, hierarchy, args, cfg):
+def _build_label_embedding(kind, hierarchy, args):
     if kind in ("proto", "proto-hle"):
         if not args.prototypes or not args.embeddings:
             raise ValueError(f"label embedding {kind!r} needs --prototypes and --embeddings")
-        protos = fnet_mod.load_prototypes(args.prototypes, k=cfg.fnet.prototypes)
+        protos = fnet_mod.load_prototypes(args.prototypes, k=args.cfg.fnet.prototypes)
         emb = embed_mod.load_embeddings(args.embeddings)
         b_proto = fnet_mod.proto_le(protos, hierarchy, emb)
         if kind == "proto":
@@ -131,15 +132,14 @@ def _build_label_embedding(kind, hierarchy, args, cfg):
 
 
 def cmd_fnet_train(args):
-    cfg = load_config(args.config, args.seed)
     mentions = fnet_mod.load_mentions(args.mentions)
     hierarchy = fnet_mod.load_hierarchy(args.hierarchy)
     if args.zero_shot:
         mentions = fnet_mod.coarse_only(mentions, hierarchy)
     kind = args.label_emb or ("joint" if args.mode == "joint" else "proto")
-    b_init = None if kind == "joint" else _build_label_embedding(kind, hierarchy, args, cfg)
+    b_init = None if kind == "joint" else _build_label_embedding(kind, hierarchy, args)
     feats = fnet_mod.extract_mention_features(mentions)
-    model = fnet_mod.warp_train(mentions, hierarchy, args.mode, cfg.fnet, b_init=b_init)
+    model = fnet_mod.warp_train(mentions, hierarchy, args.mode, args.cfg.fnet, b_init=b_init)
     _check_finite("typing model", model.A, model.B)
     fnet_mod.save_model(model, kind, args.output)
     write_records(f"{args.output}.feats", feats)
@@ -147,7 +147,7 @@ def cmd_fnet_train(args):
 
 
 def cmd_fnet_eval(args):
-    cfg = load_config(args.config, args.seed)
+    cfg = args.cfg.fnet
     mentions = fnet_mod.load_mentions(args.mentions)
     hierarchy = fnet_mod.load_hierarchy(args.hierarchy)
     model, _kind = fnet_mod.load_model(args.model)
@@ -157,13 +157,13 @@ def cmd_fnet_eval(args):
     if args.threshold_sweep:
         thresholds = [0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0]
     else:
-        thresholds = [cfg.fnet.threshold]
+        thresholds = [cfg.threshold]
     report = {}
     for t in thresholds:
         preds = [
             metrics_mod.LabelSetPrediction(
                 gold=m.labels,
-                predicted=fnet_mod.type_infer(r, hierarchy, t, cfg.fnet.top_k),
+                predicted=fnet_mod.type_infer(r, hierarchy, t, cfg.top_k),
             )
             for m, r in zip(mentions, ranked)
         ]
@@ -186,32 +186,32 @@ def _set_metrics(preds):
 
 
 def cmd_rerank_pretrain(args):
-    cfg = load_config(args.config, args.seed)
+    cfg = args.cfg.rerank
     data = rerank_mod.load_nbest(args.nbest)
     vocab = rerank_mod.build_nbest_vocab(data)
-    W, b, c = rerank_mod.pretrain_generative([nb.reference for nb in data], vocab, cfg.rerank)
-    params = rerank_mod.DrbmParams(W=W, b=b, c=c, w0=cfg.rerank.w0)
+    W, b, c = rerank_mod.pretrain_generative([nb.reference for nb in data], vocab, cfg)
+    params = rerank_mod.DrbmParams(W=W, b=b, c=c, w0=cfg.w0)
     rerank_mod.save_drbm(params, args.output)
     write_records(f"{args.output}.vocab", vocab.id_to_token)
     return 0
 
 
 def cmd_rerank_train(args):
-    cfg = load_config(args.config, args.seed)
+    cfg = args.cfg.rerank
     data = rerank_mod.load_nbest(args.nbest)
     if args.init:
         params, vocab = _load_drbm(args.init)
     else:
         vocab = rerank_mod.build_nbest_vocab(data)
-        params = rerank_mod.DrbmParams.zeros(len(vocab), cfg.rerank.hidden, w0=cfg.rerank.w0)
+        params = rerank_mod.DrbmParams.zeros(len(vocab), cfg.hidden, w0=cfg.w0)
     prior = None
     if args.gazetteer:
         gaz = corpus_mod.load_gazetteer(args.gazetteer)
         try:
-            prior = rerank_mod.EntityPrior.from_gazetteer(gaz, vocab, cfg.rerank.lam)
+            prior = rerank_mod.EntityPrior.from_gazetteer(gaz, vocab, cfg.lam)
         except ValueError as exc:
             raise ValueError(f"{args.gazetteer}: {exc}") from None
-    trained = rerank_mod.train_drbm(data, params, vocab, cfg.rerank, prior=prior)
+    trained = rerank_mod.train_drbm(data, params, vocab, cfg, prior=prior)
     _check_finite("reranker training", trained.W, trained.b, trained.c)
     rerank_mod.save_drbm(trained, args.output)
     write_records(f"{args.output}.vocab", vocab.id_to_token)
@@ -219,7 +219,6 @@ def cmd_rerank_train(args):
 
 
 def cmd_rerank_eval(args):
-    cfg = load_config(args.config, args.seed)
     data = rerank_mod.load_nbest(args.nbest)
     keywords = rerank_mod.load_keywords(args.keywords) if args.keywords else None
     if args.zero_model:
@@ -231,8 +230,8 @@ def cmd_rerank_eval(args):
         slp = None
         if args.fuse_slp is not None:
             slp_data = rerank_mod.load_nbest(args.slp_train) if args.slp_train else data
-            slp = rerank_mod.train_slp(slp_data, vocab, cfg.rerank)
-        scorer = rerank_mod.fused_scorer(params, slp, vocab, args.fuse_slp, cfg.rerank.presence)
+            slp = rerank_mod.train_slp(slp_data, vocab, args.cfg.rerank)
+        scorer = rerank_mod.fused_scorer(params, slp, vocab, args.fuse_slp)
     # the plain WERs sum each list's cached errors: one edit distance per hypothesis
     picks = [rerank_mod.rerank_index(nb, scorer) for nb in data]
     report = {
@@ -252,11 +251,10 @@ def cmd_rerank_eval(args):
 
 
 def cmd_tsa_train(args):
-    cfg = load_config(args.config, args.seed)
     train_set = sentic_mod.load_tsa(args.train)
     dev_set = sentic_mod.load_tsa(args.dev)
     model_cfg = dataclasses.replace(
-        cfg.tsa, four_class=args.classes == 4, target_averaging=args.target_averaging
+        args.cfg.tsa, four_class=args.classes == 4, target_averaging=args.target_averaging
     )
     params = sentic_mod.train(train_set, dev_set, model_cfg)
     _check_finite("sentiment training", *params.arrays.values())
@@ -395,6 +393,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args.cfg = load_config(args.config, args.seed)
         return args.func(args)
     except NumericFailure as exc:
         print(f"error: {exc}", file=sys.stderr)

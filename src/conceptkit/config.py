@@ -33,24 +33,13 @@ _DEFAULTS["seed"] = SkipNerConfig.seed  # its type; each dataclass keeps its own
 
 Configs = namedtuple("Configs", list(_SECTIONS))
 
-_TRUE = {"true", "1", "yes", "on"}
-_FALSE = {"false", "0", "no", "off"}
-
 
 def _coerce(key, raw):
     """``raw`` as the type of the key's default; a tuple default takes a
-    comma-separated list of its element type. Booleans accept
-    true/false/1/0/yes/no/on/off."""
+    comma-separated list of its element type."""
     default = _DEFAULTS[key]
     raw = raw.strip()
     try:
-        if isinstance(default, bool):
-            low = raw.lower()
-            if low in _TRUE:
-                return True
-            if low in _FALSE:
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
         if isinstance(default, tuple):
             return tuple(type(default[0])(x) for x in raw.split(",") if x)
         return type(default)(raw)

@@ -73,6 +73,8 @@ def parse_corpus(lines):
         cols = line.split("\t")
         if len(cols) < 1 or not cols[0]:
             raise ValueError(f"line {lineno}: missing token column")
+        if " " in cols[0]:  # the field separator of the embedding text format
+            raise ValueError(f"line {lineno}: token {cols[0]!r} contains a space")
         concepts = ()
         if len(cols) >= 4 and cols[3]:
             concepts = tuple(c for c in cols[3].split(",") if c)

@@ -72,7 +72,6 @@ __all__ = [
     "SkipNerConfig",
     "group_prob",
     "ns_loss",
-    "sgd_step",
     "build_group_samplers",
     "train_skipner",
     "nearest_neighbors",
@@ -99,12 +98,6 @@ class EmbeddingSet:
         if not hasattr(self, "_index"):
             self._index = {t: i for i, t in enumerate(self.tokens)}
         return self._index.get(token)
-
-    def vector(self, token):
-        idx = self.id_of(token)
-        if idx is None:
-            raise KeyError(f"token {token!r} not in embedding vocabulary")
-        return self.word_vectors[idx]
 
 
 @dataclass
@@ -286,21 +279,6 @@ def _read_ahead(rng, k):
     taken = read - len(list(block))  # the rest of the last block was not taken
     rng.bit_generator.state = state
     rng.random(taken)
-
-
-def sgd_step(emb, event, sampler, lr, n, rng):
-    """One negative-sampling update; returns the negated objective term.
-
-    Negatives are drawn from the event's group sampler, one ``rng.random()``
-    per draw, before the update so the returned loss is the pre-update
-    value. A draw equal to the observed feature is rejected and redrawn,
-    unless no other feature can be drawn, in which case the event has no
-    negatives.
-    """
-    negatives = _draw_negatives(sampler, event.feature_id, n, iter(rng.random, None))
-    return _apply_ns_gradient(
-        emb, event.center_word_id, event.feature_id, event.group_key, negatives, lr
-    )
 
 
 def build_group_samplers(events, table, exponent=1.0):

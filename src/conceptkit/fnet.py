@@ -105,6 +105,10 @@ class MentionInstance:
             raise ValueError(
                 f"invalid span [{self.start},{self.end}) for {len(self.tokens)} tokens"
             )
+        for token in self.tokens:
+            # the line breaks that split the .feats sidecar's records
+            if "\n" in token or "\r" in token:
+                raise ValueError(f"token {token!r} contains a line break")
         self.labels = frozenset(self.labels)
 
     @property

@@ -4,7 +4,6 @@ over predicted label sets, and (weighted) word error rate via edit alignment.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 __all__ = [
@@ -17,7 +16,6 @@ __all__ = [
     "wer",
     "corpus_wer",
     "weighted_wer",
-    "format_report",
 ]
 
 
@@ -183,12 +181,3 @@ def weighted_wer(pairs, weights):
                 err += weights.get(hyp[hi], 0.0)
         denom += sum(weights.get(w, 0.0) for w in ref)
     return err / max(1.0, denom)
-
-
-def format_report(values, as_json=False):
-    """Render a {metric: value} mapping as JSON or an aligned table."""
-    if as_json:
-        return json.dumps(values, indent=2, sort_keys=True)
-    width = max(len(k) for k in values)
-    lines = [f"{k.ljust(width)}  {v:.4f}" for k, v in sorted(values.items())]
-    return "\n".join(lines)

@@ -43,10 +43,8 @@ __all__ = [
     "pretrain_generative",
     "train_slp",
     "slp_score",
-    "fuse",
     "fused_scorer",
     "rerank_index",
-    "rerank",
     "picked_wer",
     "corpus_wer",
     "tfidf_keywords",
@@ -164,7 +162,6 @@ class DrbmConfig:
     epochs: int = 3
     lr: float = 0.001
     seed: int = 1
-    presence: bool = False  # indicator features instead of counts
     hidden: int = 200
     w0: float = 1.0  # weight of the ASR log posterior in the score
     lam: float = 0.01  # entity-prior strength
@@ -187,18 +184,18 @@ def build_nbest_vocab(data):
     return Vocabulary.from_counts(counts, min_count=1)
 
 
-def phi_unigram(hyps, vocab, presence=False):
+def phi_unigram(hyps, vocab):
     """Unigram features of a list's hypotheses; OOV folds into <unk>.
 
     Returns (cols, phi): the sorted vocabulary ids the hypotheses use and the
-    len(hyps) x len(cols) count matrix (0/1 indicators with presence).
+    len(hyps) x len(cols) count matrix.
     """
     ids = [vocab.id_of(w) for h in hyps for w in h.words]
     rows = np.repeat(np.arange(len(hyps)), [len(h.words) for h in hyps])
     cols, inverse = np.unique(np.array(ids, dtype=np.int64), return_inverse=True)
     phi = np.zeros((len(hyps), len(cols)))
     np.add.at(phi, (rows, inverse), 1.0)
-    return cols, np.minimum(phi, 1.0) if presence else phi
+    return cols, phi
 
 
 def asr_scores(hyps):
@@ -212,27 +209,23 @@ def _neg_free_energy(cols, phi, logp, params):
     return params.w0 * logp + phi @ params.b[cols] + softplus(z).sum(1), z
 
 
-def score_rbm(hyps, params, vocab, presence=False, feats=None):
+def score_rbm(hyps, params, vocab, feats=None):
     """Negative free energy of every hypothesis in the list.
 
-    ``feats`` is the list's ``phi_unigram(hyps, vocab)`` (counts) when the
-    caller has it already; presence indicators are taken from it.
+    ``feats`` is the list's ``phi_unigram(hyps, vocab)`` when the caller has
+    it already.
     """
-    if feats is None:
-        cols, phi = phi_unigram(hyps, vocab, presence=presence)
-    else:
-        cols, phi = feats
-        phi = np.minimum(phi, 1.0) if presence else phi
+    cols, phi = phi_unigram(hyps, vocab) if feats is None else feats
     return _neg_free_energy(cols, phi, asr_scores(hyps), params)[0]
 
 
-def free_energy(hyps, params, vocab, presence=False):
+def free_energy(hyps, params, vocab):
     """F(t) = -w0 asr_logp - b.phi - sum_j softplus(c_j + (W^T phi)_j).
 
     Equal to -ln sum_h exp(-E(t, h)) with the hidden sum carried out
     analytically; the 2^d enumeration agrees to float precision.
     """
-    return -score_rbm(hyps, params, vocab, presence=presence)
+    return -score_rbm(hyps, params, vocab)
 
 
 def _hinge_grads(phi, z, coef):
@@ -267,7 +260,7 @@ def train_drbm(data, params, vocab, config, prior=None):
     """
     params = params.copy()
     rng = substream_rng(config.seed, "rerank.drbm")
-    feats = [phi_unigram(nb.hyps, vocab, presence=config.presence) for nb in data]
+    feats = [phi_unigram(nb.hyps, vocab) for nb in data]
     lists = [(*f, asr_scores(nb.hyps), nb.oracle_index()) for f, nb in zip(feats, data)]
     if prior is not None:
         pw, pe = np.array(prior.pairs, dtype=np.int64).reshape(-1, 2).T
@@ -301,7 +294,7 @@ def train_drbm(data, params, vocab, config, prior=None):
     return params
 
 
-def prior_activation(params, prior, w, e):
+def prior_activation(params, w, e):
     """P(h_e = 1 | phi_w) = sigma(c_e + W[w, e]) with phi_w = 1."""
     if not (0 <= w < params.W.shape[0]) or not (0 <= e < params.W.shape[1]):
         raise ValueError("feature or hidden index out of range")
@@ -411,21 +404,16 @@ def train_slp(data, vocab, config):
     return weights
 
 
-def fuse(s_rbm, s_slp, alpha=1.0):
-    """Late fusion S = S_RBM + alpha * S_SLP."""
-    return s_rbm + alpha * s_slp
-
-
-def fused_scorer(params, slp, vocab, alpha, presence=False):
-    """The list scorer ``fuse(score_rbm, slp_score, alpha)`` with ``slp``
-    the perceptron's weights, or the RBM's score alone when ``slp`` is
-    None; each list is featurized once for both scores."""
+def fused_scorer(params, slp, vocab, alpha):
+    """The list scorer of late fusion, ``score_rbm + alpha * slp_score``,
+    with ``slp`` the perceptron's weights, or the RBM's score alone when
+    ``slp`` is None; each list is featurized once for both scores."""
     def scorer(hyps):
         feats = phi_unigram(hyps, vocab)
-        s_rbm = score_rbm(hyps, params, vocab, presence, feats=feats)
+        s_rbm = score_rbm(hyps, params, vocab, feats=feats)
         if slp is None:
             return s_rbm
-        return fuse(s_rbm, slp_score(hyps, slp, vocab, feats=feats), alpha=alpha)
+        return s_rbm + alpha * slp_score(hyps, slp, vocab, feats=feats)
 
     return scorer
 
@@ -434,11 +422,6 @@ def rerank_index(nbest, scorer):
     """Index of the hypothesis whose score, from a scorer that maps the list's
     hypotheses to one score each, is highest; ties go to the lowest index."""
     return int(np.argmax(scorer(nbest.hyps)))
-
-
-def rerank(nbest, scorer):
-    """The hypothesis at ``rerank_index(nbest, scorer)``."""
-    return nbest.hyps[rerank_index(nbest, scorer)]
 
 
 def picked_wer(data, picks):

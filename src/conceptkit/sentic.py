@@ -275,11 +275,11 @@ def _encode(group, p, params, dropout_mask):
     return columns, (tids, known, at, cid, share, X, MU, fwd, bwd)
 
 
-def encode_bilstm(inst, p, params, dropout_mask=None):
+def encode_bilstm(inst, p, params):
     """Columns [h_fwd_i ; h_bwd_i] (one row per position), both directions
-    running the sentic recurrence over [word row * dropout mask; averaged
-    concept rows]; unknown tokens read a zero word row."""
-    return _encode([inst], p, params, dropout_mask)[0][0]
+    running the sentic recurrence over [word row; averaged concept rows];
+    unknown tokens read a zero word row."""
+    return _encode([inst], p, params, None)[0][0]
 
 
 def _attend(pre, w, values):
@@ -297,7 +297,13 @@ def _attend_back(d_out, values, weights, act, w):
     return np.outer(weights, d_out), np.outer(d_e, w) * (1.0 - act * act), act.T @ d_e
 
 
-def _target(columns, positions, p, uniform):
+def target_attention(columns, positions, p, uniform=False):
+    """Attention over the target positions' hidden columns.
+
+    alpha = softmax(Wa2 . tanh(Wa1 h_t)); the ablation flag forces a uniform
+    alpha, reproducing plain target averaging. Returns ``(v_t, alpha,
+    act)``, ``act`` being tanh(Wa1 h_t), or None under averaging.
+    """
     if not positions:
         raise ValueError("empty target")
     cols = np.asarray(columns)[positions]
@@ -307,17 +313,9 @@ def _target(columns, positions, p, uniform):
     return _attend(cols @ p["Wa1"].T, p["Wa2"], cols)
 
 
-def target_attention(columns, positions, p, uniform=False):
-    """Attention over the target positions' hidden columns.
-
-    alpha = softmax(Wa2 . tanh(Wa1 h_t)); the ablation flag forces a uniform
-    alpha, reproducing plain target averaging.
-    """
-    v_t, alpha, _ = _target(columns, positions, p, uniform)
-    return v_t, alpha
-
-
-def _sentence(columns, v_t, aspect, p):
+def sentence_attention(columns, v_t, aspect, p):
+    """beta = softmax(v_a . tanh(Wm [h_i ; v_t])) over the whole sentence.
+    Returns ``(v_s, beta, act)``, ``act`` being tanh(Wm [h_i ; v_t])."""
     key = f"va:{aspect}"
     if key not in p:
         raise ValueError(f"unknown aspect {aspect!r}")
@@ -326,18 +324,12 @@ def _sentence(columns, v_t, aspect, p):
     return _attend(columns @ p["Wm"][:, :d2].T + p["Wm"][:, d2:] @ v_t, p[key], columns)
 
 
-def sentence_attention(columns, v_t, aspect, p):
-    """beta = softmax(v_a . tanh(Wm [h_i ; v_t])) over the whole sentence."""
-    v_s, beta, _ = _sentence(columns, v_t, aspect, p)
-    return v_s, beta
-
-
 def _heads(columns, inst, params):
     """Target attention, sentence attention and the softmax heads of one
     sentence, keeping what ``loss_and_grads`` reads on the way back."""
     cfg, p = params.config, params.arrays
-    target = _target(columns, inst.target_positions, p, cfg.target_averaging)
-    heads = {a: _sentence(columns, target[0], a, p) for a in cfg.aspects}
+    target = target_attention(columns, inst.target_positions, p, cfg.target_averaging)
+    heads = {a: sentence_attention(columns, target[0], a, p) for a in cfg.aspects}
     probs = {a: softmax(p["Wp"] @ v_s + p[f"bp:{a}"]) for a, (v_s, _, _) in heads.items()}
     return target, heads, probs
 
@@ -463,7 +455,7 @@ def _adam_apply(p, m, v, s1, s2, step, lr):
     p -= s1
 
 
-def train(train_set, dev_set, config, rng=None):
+def train(train_set, dev_set, config):
     """Adam over per-instance gradients; keeps the epoch whose dev sentiment
     accuracy (ties: strict aspect accuracy, then the earlier epoch) is best.
 
@@ -513,7 +505,7 @@ def train(train_set, dev_set, config, rng=None):
     concept_ids = sorted(
         {c for inst in train_set for per_tok in inst.concepts for c in per_tok}
     )
-    rng = rng or substream_rng(config.seed, "sentic.train")
+    rng = substream_rng(config.seed, "sentic.train")
     params = SenticParams.init(config, tokens, concept_ids, rng)
     shapes = {k: params.arrays[k].shape for k in ["E", *params.arrays]}  # E first
     theta = np.concatenate([params.arrays[k].ravel() for k in shapes])

@@ -445,11 +445,11 @@ def test_criterion_4_synthetic_reranking():
     prior = rerank_mod.EntityPrior.from_gazetteer(gaz, vocab, lam=0.05)
     init = rerank_mod.DrbmParams.zeros(len(vocab), 20)
     act_before = float(
-        np.mean([rerank_mod.prior_activation(init, prior, w, e) for w, e in prior.pairs])
+        np.mean([rerank_mod.prior_activation(init, w, e) for w, e in prior.pairs])
     )
     with_prior = rerank_mod.train_drbm(train, init, vocab, cfg, prior=prior)
     act_after = float(
-        np.mean([rerank_mod.prior_activation(with_prior, prior, w, e) for w, e in prior.pairs])
+        np.mean([rerank_mod.prior_activation(with_prior, w, e) for w, e in prior.pairs])
     )
 
     slp = rerank_mod.train_slp(

@@ -15,7 +15,7 @@ import pytest
 from conceptkit import fnet, rerank, sentic
 from conceptkit.artifact import atomic_write
 from conceptkit.cli import main
-from conceptkit.embed import load_embeddings, save_embeddings
+from conceptkit.embed import EmbeddingSet, load_embeddings, save_embeddings
 from conceptkit.synth import synth_fnet, synth_nbest, synth_tsa
 
 
@@ -110,6 +110,30 @@ def test_fnet_eval_requires_model(tmp_path, capsys):
     assert "--model" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["embed-query", "tsa-eval"])
+def test_config_checked_where_no_key_is_read(tmp_path, capsys, tsa_files, command):
+    # neither subcommand reads a config key, and both still check --config
+    if command == "embed-query":
+        emb = str(tmp_path / "emb.txt")
+        save_embeddings(EmbeddingSet(["a", "b"], np.eye(2)), emb)
+        argv = ["embed-query", emb, "a"]
+    else:
+        config = sentic.SenticConfig(d_w=6, d_h=4, d_m=3, d_c=3)
+        params = sentic.SenticParams.init(config, ["a"], [], np.random.default_rng(0))
+        ckpt = str(tmp_path / "tsa.ckpt")
+        sentic.save_checkpoint(params, ckpt)
+        argv = ["tsa-eval", ckpt, tsa_files[1]]
+    assert main(argv) == 0
+    capsys.readouterr()
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("rerank.presence = true\n")
+    assert main(argv + ["--config", str(bad)]) == 2
+    assert "unknown config key 'rerank.presence'" in capsys.readouterr().err
+    missing = str(tmp_path / "nonexistent.cfg")
+    assert main(argv + ["--config", missing]) == 2
+    assert "nonexistent.cfg" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # embed pipeline
 
@@ -174,6 +198,14 @@ def test_embed_train_nonfinite_exits_3(tmp_path, cfg_file, capsys):
         cfg.write_text(f.read() + "embed.lr_initial = 1e308\n")
     argv = ["embed-train", str(corpus), "--config", str(cfg), "--seed", "7"]
     _fails_writing_nothing(tmp_path, capsys, argv, "emb.txt", 3, "epoch 0, step 14")
+
+
+def test_embed_train_spaced_token_exits_2(tmp_path, capsys):
+    # the token would make an emb.txt line with one field too many
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text("visited\tVBD\tO\nNew York\tNNP\tB-LOC\n\n")
+    argv = ["embed-train", str(corpus)]
+    _fails_writing_nothing(tmp_path, capsys, argv, "emb.txt", 2, "line 2: token 'New York'")
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +295,21 @@ def test_fnet_zero_shot_without_coarse_labels_exits_2(tmp_path, cfg_file, capsys
     hpath.write_text("/A\n/A/B\n")
     argv = ["fnet-train", mpath, str(hpath), "--zero-shot", "--config", cfg_file]
     _fails_writing_nothing(tmp_path, capsys, argv, "zs.model", 2, "zero-shot filter")
+
+
+@pytest.mark.parametrize("brk", ["\n", "\r"], ids=["lf", "cr"])
+def test_fnet_train_line_break_token_exits_2(tmp_path, capsys, brk):
+    # the token would split a record of the .feats sidecar in two
+    mentions = tmp_path / "mentions.jsonl"
+    mentions.write_text(
+        json.dumps({"tokens": ["in", "Rome"], "start": 1, "end": 2, "labels": ["/LOC"]}) + "\n"
+        + json.dumps({"tokens": ["in", f"Par{brk}is"], "start": 1, "end": 2, "labels": ["/LOC"]})
+        + "\n"
+    )
+    hier = tmp_path / "hier.txt"
+    hier.write_text("/LOC\n")
+    argv = ["fnet-train", str(mentions), str(hier)]
+    _fails_writing_nothing(tmp_path, capsys, argv, "fnet.model", 2, f"{mentions}:2: token")
 
 
 def test_fnet_train_deterministic(tmp_path, fnet_files, cfg_file):

@@ -34,7 +34,6 @@ DEFAULTS = {
     "rerank.lr": 0.001,
     "rerank.lam": 0.01,
     "rerank.w0": 1.0,
-    "rerank.presence": False,
     "rerank.pretrain_epochs": 5,
     "rerank.pretrain_lr": 0.01,
     "rerank.slp_pairs": 100,
@@ -68,8 +67,6 @@ def flat(cfg):
 
 
 def _text(value):
-    if isinstance(value, bool):
-        return str(value).lower()
     if isinstance(value, tuple):
         return ",".join(str(v) for v in value)
     return repr(value)
@@ -77,7 +74,9 @@ def _text(value):
 
 def test_defaults_match_schema():
     values = flat(load_config())
-    assert len(DEFAULTS) == 39
+    assert len(DEFAULTS) == 38
+    # values are coerced by their default's type, and bool("false") is True
+    assert not any(isinstance(v, bool) for v in DEFAULTS.values())
     for key, default in DEFAULTS.items():
         for got in ([values[f"{s}.seed"] for s in ("embed", "fnet", "rerank", "tsa")]
                     if key == "seed" else [values[key]]):
@@ -88,7 +87,7 @@ def test_defaults_match_schema():
 def test_accepted_keys_are_the_schema_keys(tmp_path):
     # every dataclass field is a key unless it is set by seed or a flag
     fields = flat(load_config())
-    assert len(fields) == 44
+    assert len(fields) == 43
     for key in list(fields) + ["seed"]:
         if key in DEFAULTS:
             # the default's text round-trips
@@ -100,11 +99,9 @@ def test_accepted_keys_are_the_schema_keys(tmp_path):
 
 
 def test_set_coerces_strings(tmp_path):
-    cfg = load(tmp_path, "fnet.dims = 32\nfnet.lr = 0.5\nrerank.presence = yes\n")
+    cfg = load(tmp_path, "fnet.dims = 32\nfnet.lr = 0.5\n")
     assert cfg.fnet.dims == 32
     assert cfg.fnet.lr == 0.5
-    assert cfg.rerank.presence is True
-    assert load(tmp_path, "rerank.presence = 0\n").rerank.presence is False
 
 
 def test_int_accepted_for_float_key(tmp_path):
@@ -115,7 +112,7 @@ def test_int_accepted_for_float_key(tmp_path):
 
 def test_unknown_key_rejected(tmp_path):
     for key in ("fnet.bogus", "no.such.key", "whatever", "embed.seed",
-                "tsa.four_class", "tsa.target_averaging"):
+                "tsa.four_class", "tsa.target_averaging", "rerank.presence"):
         with pytest.raises(ValueError, match="unknown config key"):
             load(tmp_path, f"{key} = 1\n")
 
@@ -125,8 +122,6 @@ def test_mistyped_value_rejected(tmp_path):
         load(tmp_path, "fnet.dims = not-a-number\n")
     with pytest.raises(ValueError):
         load(tmp_path, "fnet.dims = 2.5\n")
-    with pytest.raises(ValueError, match="boolean"):
-        load(tmp_path, "rerank.presence = maybe\n")
     with pytest.raises(ValueError, match="embed.clusters"):
         load(tmp_path, "embed.clusters = 50,many\n")
 
@@ -145,11 +140,11 @@ def test_load_config_file(tmp_path):
         "seed = 9\n"
         "fnet.dims = 17  # small\n"
         "\n"
-        "rerank.presence = true\n",
+        "rerank.hidden = 8\n",
     )
     assert {cfg.embed.seed, cfg.fnet.seed, cfg.rerank.seed, cfg.tsa.seed} == {9}
     assert cfg.fnet.dims == 17
-    assert cfg.rerank.presence is True
+    assert cfg.rerank.hidden == 8
     # untouched keys keep defaults
     assert cfg.tsa.epochs == DEFAULTS["tsa.epochs"]
 

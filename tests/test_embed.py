@@ -15,6 +15,7 @@ from conceptkit.corpus import (
 from conceptkit.embed import (
     EmbeddingSet,
     SkipNerConfig,
+    _apply_ns_gradient,
     binarize,
     cluster_words,
     group_prob,
@@ -22,7 +23,6 @@ from conceptkit.embed import (
     nearest_neighbors,
     ns_loss,
     save_embeddings,
-    sgd_step,
     train_skipner,
 )
 from conceptkit.numerics import (
@@ -73,23 +73,22 @@ class TestGroupProb:
 
 
 class TestSgdStep:
+    """One negative-sampling SGD step, ``_apply_ns_gradient``, with fixed
+    negatives."""
+
     def test_zero_vector_loss(self):
-        n = 5
+        negatives = [0, 2, 2, 0, 2]
         emb = make_emb(np.zeros((2, 4)), {"g": np.zeros((3, 4))})
-        ev = FeatureEvent(0, 1, "g")
-        sampler = DiscreteSampler([1.0, 1.0, 1.0])
-        loss = sgd_step(emb, ev, sampler, lr=0.1, n=n, rng=make_rng(0))
-        assert abs(loss - (-(n + 1) * math.log(0.5))) < 1e-12
+        loss = _apply_ns_gradient(emb, 0, 1, "g", negatives, lr=0.1)
+        assert abs(loss - (-(len(negatives) + 1) * math.log(0.5))) < 1e-12
 
     def test_positive_pair_score_increases(self):
         rng = make_rng(1)
         emb = make_emb(rng.normal(size=(2, 4)) * 0.1, {"g": rng.normal(size=(3, 4)) * 0.1})
-        ev = FeatureEvent(0, 1, "g")
-        sampler = DiscreteSampler([1.0, 1.0, 1.0])
         scores = []
-        for _ in range(100):
+        for i in range(100):
             scores.append(float(emb.feature_vectors["g"][1] @ emb.word_vectors[0]))
-            sgd_step(emb, ev, sampler, lr=0.05, n=2, rng=rng)
+            _apply_ns_gradient(emb, 0, 1, "g", [[0, 2], [2, 2], [0, 0]][i % 3], lr=0.05)
         assert all(b > a for a, b in zip(scores, scores[1:]))
 
     def test_gradient_matches_finite_differences(self):
@@ -106,8 +105,6 @@ class TestSgdStep:
 
         # analytic gradient by a tiny lr step probe: recompute directly
         emb = make_emb(wv.copy(), {"g1": g1.copy(), "g2": g2.copy()})
-        from conceptkit.embed import _apply_ns_gradient
-
         lr = 1.0
         before = [wv.copy(), g1.copy(), g2.copy()]
         _apply_ns_gradient(emb, wid, fid, key, negs, lr)
@@ -146,7 +143,7 @@ class TestTrainSkipner:
         emb, _ = train_skipner(corpus, vocab, cfg)
 
         def cos(x, y):
-            a, b = emb.vector(x), emb.vector(y)
+            a, b = emb.word_vectors[emb.id_of(x)], emb.word_vectors[emb.id_of(y)]
             return a @ b / (np.linalg.norm(a) * np.linalg.norm(b))
 
         assert cos("a", "b") > cos("a", "c")
@@ -429,11 +426,12 @@ def test_generator_state_after_training(monkeypatch, window):
 
 @pytest.mark.parametrize("size", [1, 3, 7, 48])
 def test_window_draws_match_sample_loop(size):
-    # _train_window against sgd_step, one event at a time, over windows of
-    # ``size`` events: group "a" never draws its observed feature (weight
-    # 0), so its negatives repeat; "b" has one outcome, so its events draw
-    # nothing; "c" rejects about 15 of 16 draws of its feature 0, so small
-    # windows refill the look-ahead in the middle of an event
+    # _train_window against _frozen_sgd_step, one event at a time with one
+    # DiscreteSampler.sample per draw, over windows of ``size`` events:
+    # group "a" never draws its observed feature (weight 0), so its
+    # negatives repeat; "b" has one outcome, so its events draw nothing; "c"
+    # rejects about 15 of 16 draws of its feature 0, so small windows refill
+    # the look-ahead in the middle of an event
     n, d = 2, 4
     weights = {"a": [0.0, 2.0, 1.0], "b": [5.0, 0.0], "c": [30.0, 1.0, 1.0]}
     samplers = {k: DiscreteSampler(w) for k, w in weights.items()}
@@ -455,7 +453,7 @@ def test_window_draws_match_sample_loop(size):
     got_rng.permutation(47), want_rng.permutation(47)
     assert want_rng.bit_generator.state["has_uint32"] == 1
     for i, ev in enumerate(events):
-        sgd_step(want, ev, samplers[ev.group_key], lr[i], n, want_rng)
+        _frozen_sgd_step(want, ev, samplers[ev.group_key], lr[i], n, want_rng)
     groups = {k: (offsets[k], samplers[k]) for k in weights}
     for lo in range(0, len(events), size):
         window = list(range(lo, min(lo + size, len(events))))

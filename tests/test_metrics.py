@@ -1,4 +1,3 @@
-import json
 import random
 
 import pytest
@@ -8,7 +7,6 @@ from conceptkit.metrics import (
     align,
     corpus_wer,
     edit_distance,
-    format_report,
     macro_f1,
     micro_f1,
     strict_accuracy,
@@ -166,10 +164,3 @@ class TestWer:
             hyp = [rnd.choice("abcd") for _ in range(rnd.randint(0, 9))]
             assert edit_distance(ref, hyp) == align_errors(ref, hyp), (ref, hyp)
 
-
-def test_format_report():
-    values = {"wer": 0.5, "strict_acc": 1.0}
-    parsed = json.loads(format_report(values, as_json=True))
-    assert parsed == values
-    table = format_report(values)
-    assert "wer" in table and "strict_acc" in table

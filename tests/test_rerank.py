@@ -14,7 +14,6 @@ from conceptkit.rerank import (
     build_nbest_vocab,
     corpus_wer,
     free_energy,
-    fuse,
     fused_scorer,
     load_drbm,
     load_keywords,
@@ -23,7 +22,7 @@ from conceptkit.rerank import (
     picked_wer,
     pretrain_generative,
     prior_activation,
-    rerank,
+    rerank_index,
     save_drbm,
     save_keywords,
     save_nbest,
@@ -48,8 +47,8 @@ def vocab_of(words):
     return build_nbest_vocab(data)
 
 
-def dense_phi(hyp, vocab, presence=False):
-    cols, phi = phi_unigram([hyp], vocab, presence=presence)
+def dense_phi(hyp, vocab):
+    cols, phi = phi_unigram([hyp], vocab)
     out = np.zeros(len(vocab))
     out[cols] = phi[0]
     return out
@@ -88,11 +87,6 @@ class TestPhi:
         vocab = vocab_of(["a"])
         phi = dense_phi(Hypothesis(["x", "y", "z"], 0.0), vocab)
         assert phi[0] == 3  # <unk> is id 0
-
-    def test_presence(self):
-        vocab = vocab_of(["a"])
-        phi = dense_phi(Hypothesis(["a", "a", "a"], 0.0), vocab, presence=True)
-        assert phi[vocab.id_of("a")] == 1
 
 
 class TestFreeEnergy:
@@ -141,9 +135,8 @@ class TestFreeEnergy:
         nb = NBestList(
             "u", ["a"], [Hypothesis(["b"], -3.0), Hypothesis(["a"], -1.0), Hypothesis(["b", "b"], -2.0)]
         )
-        by_rbm = rerank(nb, lambda hyps: score_rbm(hyps, params, vocab))
-        by_logp = rerank(nb, asr_scores)
-        assert by_rbm is by_logp
+        by_rbm = rerank_index(nb, lambda hyps: score_rbm(hyps, params, vocab))
+        assert by_rbm == rerank_index(nb, asr_scores)
 
     def test_bias_linearity(self):
         vocab = vocab_of(["a", "b"])
@@ -188,12 +181,12 @@ class TestTrainDrbm:
 
     # the oracle (["a", "b"]) against one loser, or against two losers, one
     # with an OOV word and one empty, with the oracle in the middle
-    @pytest.mark.parametrize("presence", [False, True], ids=["counts", "presence"])
+    # unigram count features: "c" and "zz" occur twice in a hypothesis
     @pytest.mark.parametrize("hyps", [
         [(["a", "b"], -2.0), (["c", "c"], -1.0)],
         [(["c", "zz", "zz"], -1.0), (["a", "b"], -2.0), ([], -1.5)],
-    ], ids=["pair", "list"])
-    def test_hinge_gradient_matches_fd(self, hyps, presence):
+    ], ids=["pair-counts", "list-counts"])
+    def test_hinge_gradient_matches_fd(self, hyps):
         rng = make_rng(7)
         vocab = vocab_of(["a", "b", "c"])
         n, d = len(vocab), 4
@@ -206,16 +199,16 @@ class TestTrainDrbm:
         def loss(params_list):
             W, b, c = params_list
             p = DrbmParams(W=W, b=b, c=c, w0=1.0)
-            f = free_energy(nb.hyps, p, vocab, presence=presence)
+            f = free_energy(nb.hyps, p, vocab)
             # hinge 1 + F(best) - F(bad) per loser; margins active at this point
             return sum(1.0 + f[best] - f[j] for j in range(len(f)) if j != best)
 
         p0 = DrbmParams(W=W0.copy(), b=b0.copy(), c=c0.copy(), w0=1.0)
-        s = score_rbm(nb.hyps, p0, vocab, presence=presence)
+        s = score_rbm(nb.hyps, p0, vocab)
         assert all(1.0 + s[j] - s[best] > 0.1 for j in range(len(s)) if j != best)
         # one step of size 1 on the single list moves the parameters by
         # minus the analytic gradient
-        out = train_drbm([nb], p0, vocab, DrbmConfig(epochs=1, lr=1.0, presence=presence))
+        out = train_drbm([nb], p0, vocab, DrbmConfig(epochs=1, lr=1.0))
         err = fd_gradcheck(
             loss, [W0.copy(), b0.copy(), c0.copy()], [W0 - out.W, b0 - out.b, c0 - out.c]
         )
@@ -247,14 +240,14 @@ class TestPrior:
     def test_zero_params_half(self):
         params = DrbmParams.zeros(3, 4)
         prior = EntityPrior(pairs=[(1, 0)])
-        assert prior_activation(params, prior, 1, 0) == 0.5
+        assert prior_activation(params, 1, 0) == 0.5
 
     def test_direct_value(self):
         params = DrbmParams.zeros(3, 4)
         params.c[1] = 2.0
         prior = EntityPrior(pairs=[(0, 1)])
         expect = 1.0 / (1.0 + math.exp(-2.0))
-        assert abs(prior_activation(params, prior, 0, 1) - expect) < 1e-12
+        assert abs(prior_activation(params, 0, 1) - expect) < 1e-12
 
     def test_reserved_index_enforced(self):
         with pytest.raises(ValueError):
@@ -267,11 +260,11 @@ class TestPrior:
         gaz = {"london": "LOCATION", "acme": "ORGANIZATION", "alice": "PERSON"}
         prior = EntityPrior.from_gazetteer(gaz, vocab, lam=0.05)
         params = DrbmParams.zeros(len(vocab), 8)
-        before = np.mean([prior_activation(params, prior, w, e) for w, e in prior.pairs])
+        before = np.mean([prior_activation(params, w, e) for w, e in prior.pairs])
         trained = train_drbm(
             lists, params, vocab, DrbmConfig(epochs=3, lr=0.05, seed=4), prior=prior
         )
-        after = np.mean([prior_activation(trained, prior, w, e) for w, e in prior.pairs])
+        after = np.mean([prior_activation(trained, w, e) for w, e in prior.pairs])
         assert after > before
 
     def test_from_gazetteer_pairs(self):
@@ -448,11 +441,6 @@ class TestSlp:
 
 
 class TestFuseAndRerank:
-    def test_fuse_arithmetic(self):
-        assert fuse(2.0, 3.0, alpha=0.5) == 3.5
-        assert fuse(2.0, 3.0, alpha=0.0) == 2.0
-        assert fuse(2.0, 0.0, alpha=1.0) == 2.0
-
     def test_fused_scorer_matches_separate_scores(self):
         rng = make_rng(21)
         lists = make_lists(rng, n_utts=5)
@@ -460,22 +448,21 @@ class TestFuseAndRerank:
         params = DrbmParams(W=rng.normal(size=(len(vocab), 3)), b=rng.normal(size=len(vocab)),
                             c=rng.normal(size=3))
         slp = rng.normal(size=len(vocab))
-        for presence in (False, True):
-            rbm_alone = fused_scorer(params, None, vocab, None, presence)
-            fused = fused_scorer(params, slp, vocab, 0.5, presence)
-            for nb in lists:
-                s_rbm = score_rbm(nb.hyps, params, vocab, presence)
-                np.testing.assert_array_equal(rbm_alone(nb.hyps), s_rbm)
-                s_slp = slp_score(nb.hyps, slp, vocab)
-                np.testing.assert_array_equal(fused(nb.hyps), fuse(s_rbm, s_slp, alpha=0.5))
+        rbm_alone = fused_scorer(params, None, vocab, None)
+        fused = fused_scorer(params, slp, vocab, 0.5)
+        for nb in lists:
+            s_rbm = score_rbm(nb.hyps, params, vocab)
+            np.testing.assert_array_equal(rbm_alone(nb.hyps), s_rbm)
+            s_slp = slp_score(nb.hyps, slp, vocab)
+            np.testing.assert_array_equal(fused(nb.hyps), s_rbm + 0.5 * s_slp)
 
     def test_tie_lowest_index(self):
         nb = NBestList("u", ["a"], [Hypothesis(["x"], 0.0), Hypothesis(["y"], 0.0)])
-        assert rerank(nb, lambda hyps: [1.0] * len(hyps)) is nb.hyps[0]
+        assert rerank_index(nb, lambda hyps: [1.0] * len(hyps)) == 0
 
     def test_singleton(self):
         nb = NBestList("u", ["a"], [Hypothesis(["x"], -1.0)])
-        assert rerank(nb, asr_scores) is nb.hyps[0]
+        assert rerank_index(nb, asr_scores) == 0
 
     def test_logp_shift_invariance(self):
         nb = NBestList(
@@ -484,9 +471,7 @@ class TestFuseAndRerank:
         shifted = NBestList(
             "u", ["a"], [Hypothesis(["a"], -3.0 + 5.0), Hypothesis(["b"], -1.0 + 5.0)]
         )
-        a = rerank(nb, asr_scores)
-        b = rerank(shifted, asr_scores)
-        assert nb.hyps.index(a) == shifted.hyps.index(b)
+        assert rerank_index(nb, asr_scores) == rerank_index(shifted, asr_scores)
 
     def test_oracle_sandwich(self):
         rng = make_rng(15)
@@ -527,8 +512,7 @@ class TestNBestErrors:
         pairs = [(nb.reference, nb.hyps[k].words) for nb, k in zip(lists, picks)]
         assert picked_wer(lists, picks) == metrics_corpus_wer(pairs)
 
-    @pytest.mark.parametrize("presence", [False, True], ids=["counts", "presence"])
-    def test_shared_features_score_the_same(self, presence):
+    def test_shared_features_score_the_same(self):
         lists = edited_lists(make_rng(26), n_utts=3)
         vocab = vocab_of(["w0", "w1", "w2"])  # the other words fold into <unk>
         rng = make_rng(27)
@@ -537,8 +521,8 @@ class TestNBestErrors:
         weights = rng.normal(size=len(vocab))
         for nb in lists:
             feats = phi_unigram(nb.hyps, vocab)
-            assert np.array_equal(score_rbm(nb.hyps, params, vocab, presence, feats=feats),
-                                  score_rbm(nb.hyps, params, vocab, presence))
+            assert np.array_equal(score_rbm(nb.hyps, params, vocab, feats=feats),
+                                  score_rbm(nb.hyps, params, vocab))
             assert np.array_equal(slp_score(nb.hyps, weights, vocab, feats=feats),
                                   slp_score(nb.hyps, weights, vocab))
 

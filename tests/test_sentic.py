@@ -210,7 +210,7 @@ class TestAttention:
         params = tiny_params()
         inst = make_instance(["a", "b"], [1], {})
         cols = encode_bilstm(inst, params.arrays, params)
-        v_t, alpha = target_attention(cols, [1], params.arrays)
+        v_t, alpha, _ = target_attention(cols, [1], params.arrays)
         np.testing.assert_allclose(alpha, [1.0])
         np.testing.assert_allclose(v_t, cols[1])
 
@@ -220,22 +220,23 @@ class TestAttention:
         inst = make_instance(["a", "b", "c"], [0, 2], {})
         p = params.arrays
         cols = encode_bilstm(inst, p, params)
-        _, alpha = target_attention(cols, [0, 2], p)
+        _, alpha, _ = target_attention(cols, [0, 2], p)
         np.testing.assert_allclose(alpha, [0.5, 0.5])
 
     def test_identical_columns_uniform(self):
         params = tiny_params(seed=10)
         p = params.arrays
         col = make_rng(1).normal(size=2 * CFG.d_h)
-        _, alpha = target_attention([col, col, col], [0, 1, 2], p)
+        _, alpha, _ = target_attention([col, col, col], [0, 1, 2], p)
         np.testing.assert_allclose(alpha, np.full(3, 1 / 3), atol=1e-12)
 
     def test_uniform_flag_matches_averaging(self):
         params = tiny_params(seed=11)
         p = params.arrays
         cols = [make_rng(i).normal(size=2 * CFG.d_h) for i in range(3)]
-        v_t, alpha = target_attention(cols, [0, 1, 2], p, uniform=True)
+        v_t, alpha, act = target_attention(cols, [0, 1, 2], p, uniform=True)
         np.testing.assert_allclose(alpha, np.full(3, 1 / 3))
+        assert act is None
         expect = np.mean(cols, axis=0)
         np.testing.assert_allclose(v_t, expect, atol=1e-12)
 
@@ -244,8 +245,8 @@ class TestAttention:
         p = params.arrays
         inst = make_instance(["a", "b", "c"], [1], {})
         cols = encode_bilstm(inst, p, params)
-        v_t, _ = target_attention(cols, [1], p)
-        _, beta = sentence_attention(cols, v_t, "price", p)
+        v_t, _, _ = target_attention(cols, [1], p)
+        _, beta, _ = sentence_attention(cols, v_t, "price", p)
         assert abs(beta.sum() - 1.0) < 1e-9
         assert (beta >= 0).all()
 
@@ -254,8 +255,8 @@ class TestAttention:
         p = params.arrays
         inst = make_instance(["a"], [0], {})
         cols = encode_bilstm(inst, p, params)
-        v_t, _ = target_attention(cols, [0], p)
-        _, beta = sentence_attention(cols, v_t, "service", p)
+        v_t, _, _ = target_attention(cols, [0], p)
+        _, beta, _ = sentence_attention(cols, v_t, "service", p)
         np.testing.assert_allclose(beta, [1.0])
 
     def test_unknown_aspect(self):
