@@ -20,6 +20,9 @@ keeps a gazetteer word that higher-posterior competitors corrupt:
 Run:  python3 demos/nbest_reranking_with_rbm.py
 """
 
+import logging
+import sys
+
 import numpy as np
 
 from conceptkit.rerank import (
@@ -58,10 +61,10 @@ print(f"recognizer 1-best WER: {asr_wer:.3f}")
 cfg = DrbmConfig(epochs=3, lr=0.05, seed=7, hidden=20, pretrain_epochs=2,
                  slp_pairs=50, slp_iterations=5)
 sentences = [nb.reference for nb in train]
-W, b, c, history = pretrain_generative(sentences, vocab, cfg, return_history=True)
+# pretraining logs each epoch's reconstruction cross-entropy at INFO
+logging.basicConfig(level=logging.INFO, format="%(message)s", stream=sys.stdout)
+W, b, c = pretrain_generative(sentences, vocab, cfg)
 init = DrbmParams(W=W, b=b, c=c, w0=1.0)
-print(f"CD-1 pretraining reconstruction cross-entropy: "
-      f"{history[0]:.3f} -> {history[-1]:.3f}")
 
 # ---------------------------------------------------------------------------
 # 3. Discriminative training: a hinge on -free_energy between each list's

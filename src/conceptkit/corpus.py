@@ -94,8 +94,12 @@ def parse_corpus(lines):
 
 
 def load_corpus(path):
+    """``parse_corpus`` of the file ``path``; its errors name ``path``."""
     with open(path, encoding="utf-8") as f:
-        return parse_corpus(f)
+        try:
+            return parse_corpus(f)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 def serialize_corpus(corpus):

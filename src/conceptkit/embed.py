@@ -143,17 +143,17 @@ def ns_loss(emb, wid, fid, group_key, negatives):
     return float(loss)
 
 
-def _ns_update(W, F, wids, reads, lr, writes=None, pads=None, dups=None, out=None):
+def _ns_update(W, F, wids, reads, lr, pads=None, dups=None, out=None):
     """Apply the negative-sampling updates of B events that share no row, in
     the accumulation order the module docstring gives, and return their
     (k, B) scores, the observed feature's first.
 
     Event i updates word row ``W[wids[i]]`` with learning rate ``lr[i]``,
     and the rows ``F[reads[:, i]]``: its observed feature, then its
-    negatives in draw order. The updated rows are stored to ``writes``
-    (default ``reads``), so that a padding slot can read a zero row and
-    write a spare one; ``pads`` marks those slots, whose scores are pinned
-    to 0.0 so that they add exactly 0.0 to the word gradient. ``dups``
+    negatives in draw order, and the updated rows are stored back there.
+    ``pads`` marks padding slots, which read a zero row: their scores are
+    pinned to -inf, and σ(-inf) is exactly +0.0, so a pad adds +0.0 to the
+    word gradient and writes the zero row back unchanged. ``dups``
     holds flat slot positions ``(dst, src)`` over (k, B): each repeated
     draw ``src`` is summed, in order, into the slot of its first draw
     ``dst``, and both slots then hold the one updated row.
@@ -162,7 +162,7 @@ def _ns_update(W, F, wids, reads, lr, writes=None, pads=None, dups=None, out=Non
     rows = F.take(reads, axis=0)
     scores = np.vecdot(rows, vw, out=out)  # the bits of 1-D ndarray.dot
     if pads is not None:
-        np.copyto(scores, 0.0, where=pads)
+        np.copyto(scores, -np.inf, where=pads)
     # d/ds of -log σ(s) is σ(s) - 1 for the positive, σ(s) for a negative
     g = sigmoid(scores)
     g[0] -= 1.0
@@ -184,7 +184,7 @@ def _ns_update(W, F, wids, reads, lr, writes=None, pads=None, dups=None, out=Non
     if dups is not None:
         flat = rows.reshape(-1, rows.shape[-1])
         flat[src] = flat[dst]
-    F[reads if writes is None else writes] = rows
+    F[reads] = rows
     grad_w *= lr
     vw -= grad_w
     W[wids] = vw
@@ -298,17 +298,17 @@ def build_group_samplers(events, table, exponent=1.0):
     return samplers
 
 
-def init_embeddings(vocab_size, dims, table, groups_present, rng):
+def init_embeddings(vocab_size, dims, table, rng):
     """Word vectors uniform in [-0.5/d, 0.5/d]; feature vectors zero.
 
     Every group's feature vectors are a view of one matrix ``F``, from row
-    ``offsets[key]``; ``F`` has two rows more, a zero row that padding reads
-    and a spare row that padding writes. Returns ``(wv, F, feats, offsets)``.
+    ``offsets[key]``; ``F`` has one row more, the zero row that padding
+    reads and writes. Returns ``(wv, F, feats, offsets)``.
     """
     wv = (rng.random((vocab_size, dims)) - 0.5) / dims
-    keys = [k for k in table.group_keys() if k.split(":")[0] in groups_present]
+    keys = table.group_keys()
     sizes = [table.group_size(k) for k in keys]
-    F = np.zeros((sum(sizes) + 2, dims))
+    F = np.zeros((sum(sizes) + 1, dims))
     offsets = dict(zip(keys, np.cumsum([0] + sizes[:-1]).tolist()))
     feats = {k: F[offsets[k]:offsets[k] + size] for k, size in zip(keys, sizes)}
     return wv, F, feats, offsets
@@ -322,7 +322,7 @@ def _train_window(wv, F, events, window, lr, rng, n, groups):
     Returns the window position of the first event whose loss is not
     finite, or None.
     """
-    zero, spare = F.shape[0] - 2, F.shape[0] - 1
+    zero = F.shape[0] - 1
     padding = [zero] * n  # so that every level is one kernel call
     # the highest level so far that touched each word row and row of F
     last_w, last_f = [-1] * wv.shape[0], [-1] * F.shape[0]
@@ -347,7 +347,6 @@ def _train_window(wv, F, events, window, lr, rng, n, groups):
     R = np.array(reads)[order]
     reads = np.ascontiguousarray(R.T)  # (k, m): slot-major, as _ns_update takes it
     pads = reads == zero
-    writes = np.where(pads, spare, reads)
     wids = np.array(wids)[order]
     lr = lr[order]
     scores = np.empty(reads.shape)
@@ -355,10 +354,10 @@ def _train_window(wv, F, events, window, lr, rng, n, groups):
     for count, dups in zip(counts.tolist(), _repeats(R, counts, zero)):
         lo, hi = hi, hi + count
         _ns_update(
-            wv, F, wids[lo:hi], reads[:, lo:hi], lr[lo:hi],
-            writes[:, lo:hi], pads[:, lo:hi], dups, out=scores[:, lo:hi],
+            wv, F, wids[lo:hi], reads[:, lo:hi], lr[lo:hi], pads[:, lo:hi], dups,
+            out=scores[:, lo:hi],
         )
-    # a padding slot adds softplus(0.0) to its event's loss: finite either way
+    # a padding slot adds softplus(-inf) = 0.0 to its event's loss
     bad = order[~np.isfinite(_losses(scores))]
     return int(bad.min()) if bad.size else None
 
@@ -393,9 +392,7 @@ def train_skipner(corpus, vocab, config, taxonomy=None):
         raise ValueError("no feature events extracted")
     samplers = build_group_samplers(events, table, config.unigram_exponent)
     rng = substream_rng(config.seed, "embed.train")
-    wv, F, feats, offsets = init_embeddings(
-        len(vocab), config.dims, table, set(config.groups), rng
-    )
+    wv, F, feats, offsets = init_embeddings(len(vocab), config.dims, table, rng)
     emb = EmbeddingSet(
         tokens=list(vocab.id_to_token), word_vectors=wv, feature_vectors=feats
     )
@@ -484,10 +481,12 @@ def load_embeddings(path):
         v, d = int(header[0]), int(header[1])
         tokens = []
         rows = []
-        for line in f:
+        for lineno, line in enumerate(f, start=2):
             parts = line.rstrip("\n").split(" ")
             if len(parts) != d + 1:
-                raise ValueError(f"{path}: line has {len(parts)-1} values, expected {d}")
+                raise ValueError(
+                    f"{path}:{lineno}: line has {len(parts)-1} values, expected {d}"
+                )
             tokens.append(parts[0])
             rows.append([float(x) for x in parts[1:]])
         if len(tokens) != v:

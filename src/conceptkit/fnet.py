@@ -345,13 +345,10 @@ def warp_train(dataset, hierarchy, mode, config, b_init=None):
     ga = np.zeros_like(A)
     gb = np.zeros_like(B)
 
-    def adagrad_update(param, grad, accum, sub=None):
-        if sub is None:
-            accum += grad * grad
-            param -= config.lr * grad / (np.sqrt(accum) + 1e-8)
-        else:
-            accum[:, sub] += grad * grad
-            param[:, sub] -= config.lr * grad / (np.sqrt(accum[:, sub]) + 1e-8)
+    def adagrad_update(param, grad, accum, sub):
+        # AdaGrad on the columns ``sub``; slice(None) updates every column
+        accum[:, sub] += grad * grad
+        param[:, sub] -= config.lr * grad / (np.sqrt(accum[:, sub]) + 1e-8)
 
     def finite_scores(ax):
         scores = ax @ B
@@ -387,14 +384,14 @@ def warp_train(dataset, hierarchy, mode, config, b_init=None):
                 # hinge term w * (margin - f(y) + f(y')); only A's columns
                 # at the mention's feature ids have a gradient
                 grad_a = np.outer(w * (B[:, y_neg] - B[:, y]), counts)
-                adagrad_update(A, grad_a, ga, sub=ids)
+                adagrad_update(A, grad_a, ga, ids)
                 if mode != "fixed":
                     grad_b_cols = np.stack([-w * ax, w * ax], axis=1)
-                    adagrad_update(B, grad_b_cols, gb, sub=[y, y_neg])
+                    adagrad_update(B, grad_b_cols, gb, [y, y_neg])
                 ax = A[:, ids] @ counts
                 scores = finite_scores(ax)
             if mode == "adaptive":
-                adagrad_update(B, 2.0 * config.lam * (B - b_init), gb)
+                adagrad_update(B, 2.0 * config.lam * (B - b_init), gb, slice(None))
     return JointEmbeddingModel(A=A, B=B, labels=list(hierarchy.labels))
 
 

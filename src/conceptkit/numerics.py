@@ -178,11 +178,11 @@ def _nearest(points, sq_norms, centroids):
     return assign, closest
 
 
-def kmeans(points, k, max_iters, rng, return_objective=False):
+def kmeans(points, k, max_iters, rng):
     """Lloyd's algorithm with k-means++ seeding.
 
-    Returns the final assignment (and per-iteration objectives if asked).
-    Empty clusters are reseeded with the point farthest from its centroid.
+    Returns the final assignment. Empty clusters are reseeded with the
+    point farthest from its centroid.
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
@@ -194,11 +194,9 @@ def kmeans(points, k, max_iters, rng, return_objective=False):
         raise ValueError("max_iters must be >= 1")
     centroids = _kmeans_pp_init(points, k, rng)
     sq_norms = (points ** 2).sum(axis=1)
-    objectives = []
     assign = None
     for _ in range(max_iters):
         new_assign, closest = _nearest(points, sq_norms, centroids)
-        objectives.append(float(closest.sum()))
         # a stable sort keeps each cluster's members in index order, so each
         # mean sums the same rows in the same order as a boolean mask would
         order = np.argsort(new_assign, kind="stable")
@@ -214,10 +212,7 @@ def kmeans(points, k, max_iters, rng, return_objective=False):
             break
         assign = new_assign
     # Final assignment against the final centroids.
-    assign, closest = _nearest(points, sq_norms, centroids)
-    objectives.append(float(closest.sum()))
-    if return_objective:
-        return assign, objectives
+    assign, _ = _nearest(points, sq_norms, centroids)
     return assign
 
 

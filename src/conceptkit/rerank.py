@@ -301,13 +301,14 @@ def prior_activation(params, w, e):
     return float(sigmoid(params.c[e] + params.W[w, e]))
 
 
-def pretrain_generative(sentences, vocab, config, return_history=False):
+def pretrain_generative(sentences, vocab, config):
     """One-step contrastive divergence over binary presence vectors, with
     ``config.hidden`` units, ``pretrain_epochs`` passes at ``pretrain_lr``.
 
     Returns W, b, c suited as a train_drbm initialization (w0 untouched).
-    With zero epochs the random initialization is returned unchanged. An
-    epoch whose summed cross-entropy or final weights are non-finite raises
+    With zero epochs the random initialization is returned unchanged. Each
+    epoch logs its mean reconstruction cross-entropy at INFO. An epoch
+    whose summed cross-entropy or final weights are non-finite raises
     ``NumericFailure`` naming it.
     """
     n, d, lr = len(vocab), config.hidden, config.pretrain_lr
@@ -321,7 +322,6 @@ def pretrain_generative(sentences, vocab, config, return_history=False):
         for w in sent:
             v[vocab.id_of(w)] = 1.0
         visibles.append(v)
-    history = []
     for epoch in range(config.pretrain_epochs):
         xent = 0.0
         for v0 in visibles:
@@ -340,9 +340,11 @@ def pretrain_generative(sentences, vocab, config, return_history=False):
             raise NumericFailure(
                 f"generative pretraining went non-finite at epoch {epoch} (cross-entropy {xent})"
             )
-        history.append(xent / max(1, len(visibles)))
-    if return_history:
-        return W, b, c, history
+        log.info(
+            "pretraining epoch %d reconstruction cross-entropy %.4f",
+            epoch,
+            xent / max(1, len(visibles)),
+        )
     return W, b, c
 
 

@@ -422,30 +422,14 @@ _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 def _adam_rows(p, m, v, s1, s2, rows, g_rows, step, lr):
     """Adam step ``step`` in place on ``p`` and its moments ``m`` and ``v``,
     whose gradient is ``g_rows`` at ``rows`` and zero elsewhere: the moments
-    decay everywhere and only ``rows`` get the gradient term. ``s1`` and
-    ``s2`` are scratch of ``p``'s shape."""
+    decay everywhere, only ``rows`` get the gradient term, and then
+    ``p -= (lr*mhat) / (sqrt(vhat) + eps)``. ``rows=slice(None)`` with a
+    gradient of ``p``'s shape is the dense step. ``s1`` and ``s2`` are
+    scratch of ``p``'s shape."""
     m *= _BETA1
     m[rows] += (1 - _BETA1) * g_rows
     v *= _BETA2
     v[rows] += ((1 - _BETA2) * g_rows) * g_rows
-    _adam_apply(p, m, v, s1, s2, step, lr)
-
-
-def _adam_dense(p, m, v, s1, s2, g, step, lr):
-    """``_adam_rows`` for a gradient ``g`` of ``p``'s shape."""
-    m *= _BETA1
-    np.multiply(g, 1 - _BETA1, out=s1)
-    m += s1
-    v *= _BETA2
-    np.multiply(g, 1 - _BETA2, out=s1)
-    s1 *= g
-    v += s1
-    _adam_apply(p, m, v, s1, s2, step, lr)
-
-
-def _adam_apply(p, m, v, s1, s2, step, lr):
-    """``p -= (lr*mhat) / (sqrt(vhat) + eps)`` in place, from the updated
-    moments ``m`` and ``v``, with ``s1`` and ``s2`` as scratch."""
     np.divide(m, 1 - _BETA1**step, out=s1)
     s1 *= lr
     np.divide(v, 1 - _BETA2**step, out=s2)
@@ -565,7 +549,7 @@ def train(train_set, dev_set, config):
                 e_update = worker.submit(
                     _adam_rows, E, m_E, v_E, s1_E, s2_E, rows, g_rows, step, lr
                 )
-                _adam_dense(theta_r, m_r, v_r, s1_r, s2_r, g_r, step, lr)
+                _adam_rows(theta_r, m_r, v_r, s1_r, s2_r, slice(None), g_r, step, lr)
                 g_r[:] = 0.0
             if e_update is not None:
                 e_update.result()

@@ -205,7 +205,16 @@ def test_embed_train_spaced_token_exits_2(tmp_path, capsys):
     corpus = tmp_path / "corpus.tsv"
     corpus.write_text("visited\tVBD\tO\nNew York\tNNP\tB-LOC\n\n")
     argv = ["embed-train", str(corpus)]
-    _fails_writing_nothing(tmp_path, capsys, argv, "emb.txt", 2, "line 2: token 'New York'")
+    message = f"{corpus}: line 2: token 'New York'"
+    _fails_writing_nothing(tmp_path, capsys, argv, "emb.txt", 2, message)
+
+
+def test_embed_train_bad_bio_exits_2(tmp_path, capsys):
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text("visited\tVBD\tO\nYork\tNNP\tI-LOC\n\n")
+    argv = ["embed-train", str(corpus)]
+    message = f"{corpus}: sentence 0: malformed BIO transition O -> I-LOC"
+    _fails_writing_nothing(tmp_path, capsys, argv, "emb.txt", 2, message)
 
 
 # ---------------------------------------------------------------------------

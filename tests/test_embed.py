@@ -437,7 +437,7 @@ def test_window_draws_match_sample_loop(size):
     samplers = {k: DiscreteSampler(w) for k, w in weights.items()}
     offsets = {"a": 0, "b": 3, "c": 5}
     rng = make_rng(30)
-    F = np.zeros((8 + 2, d))  # two more rows: the zero row and the spare row
+    F = np.zeros((8 + 1, d))  # one more row: the zero row that padding reads
     F[:8] = rng.normal(size=(8, d))
     wv = rng.normal(size=(5, d))
     events = [FeatureEvent(int(rng.integers(5)), fid, key)
@@ -460,7 +460,7 @@ def test_window_draws_match_sample_loop(size):
         bad = embed_mod._train_window(wv, F, events, window, lr[window], got_rng, n, groups)
         assert bad is None
     assert np.array_equal(wv, want_wv)
-    assert np.array_equal(F[:-1], want_F[:-1])  # padding writes the spare row
+    assert F.tobytes() == want_F.tobytes()  # padding writes the zero row back as +0.0
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
@@ -564,6 +564,6 @@ class TestPersistence:
 
     def test_dim_mismatch(self, tmp_path):
         p = tmp_path / "emb.txt"
-        p.write_text("1 3\nw0 1 2\n")
-        with pytest.raises(ValueError):
+        p.write_text("2 3\nw0 1 2 3\nw1 1 2\n")
+        with pytest.raises(ValueError, match="emb.txt:3: line has 2 values, expected 3"):
             load_embeddings(p)

@@ -177,6 +177,22 @@ class TestDiscreteSampler:
         np.testing.assert_array_equal(a, c)
 
 
+def _record_objectives(monkeypatch):
+    """The list that ``kmeans`` objectives are appended to, one per
+    assignment pass, the final pass last: each ``_nearest`` call's summed
+    squared distance."""
+    objectives = []
+    nearest = numerics._nearest
+
+    def recording(points, sq_norms, centroids):
+        assign, closest = nearest(points, sq_norms, centroids)
+        objectives.append(float(closest.sum()))
+        return assign, closest
+
+    monkeypatch.setattr(numerics, "_nearest", recording)
+    return objectives
+
+
 class TestKmeans:
     def test_separated_clusters(self):
         pts = np.array([[0, 0], [0, 1], [10, 0], [10, 1]], dtype=float)
@@ -185,9 +201,10 @@ class TestKmeans:
         assert assign[2] == assign[3]
         assert assign[0] != assign[2]
 
-    def test_k_equals_n(self):
+    def test_k_equals_n(self, monkeypatch):
         pts = make_rng(1).normal(size=(6, 3))
-        assign, obj = kmeans(pts, 6, 20, make_rng(2), return_objective=True)
+        obj = _record_objectives(monkeypatch)
+        assign = kmeans(pts, 6, 20, make_rng(2))
         assert len(set(assign.tolist())) == 6
         assert obj[-1] == 0.0
 
@@ -195,9 +212,10 @@ class TestKmeans:
         with pytest.raises(ValueError):
             kmeans(np.zeros((3, 2)), 0, 5, make_rng(0))
 
-    def test_objective_monotone(self):
+    def test_objective_monotone(self, monkeypatch):
         pts = make_rng(5).normal(size=(60, 4))
-        _, obj = kmeans(pts, 5, 30, make_rng(6), return_objective=True)
+        obj = _record_objectives(monkeypatch)
+        kmeans(pts, 5, 30, make_rng(6))
         assert all(a >= b - 1e-9 for a, b in zip(obj, obj[1:]))
 
     def test_restart_oracle(self):
@@ -275,7 +293,8 @@ def test_kmeans_blocks_match_longhand(case, k, monkeypatch):
         return _sq_distances(points, centroids)
 
     monkeypatch.setattr(numerics, "_sq_distances", counted)
-    assign, obj = kmeans(pts, k, 30, make_rng(k), return_objective=True)
+    obj = _record_objectives(monkeypatch)
+    assign = kmeans(pts, k, 30, make_rng(k))
     want_assign, want_obj = _kmeans_longhand(pts, k, 30, make_rng(k))
     np.testing.assert_array_equal(assign, want_assign)
     assert obj == want_obj

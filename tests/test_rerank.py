@@ -1,4 +1,5 @@
 import itertools
+import logging
 import math
 
 import numpy as np
@@ -295,12 +296,14 @@ class TestPretrain:
         W2, _, _ = pretrain_generative(sents, vocab, cfg)
         np.testing.assert_array_equal(W1, W2)
 
-    def test_xent_non_increasing(self):
+    def test_xent_non_increasing(self, caplog):
         vocab = vocab_of(["a", "b", "c", "d"])
         sents = [["a", "b"], ["c", "d"]] * 4
-        _, _, _, hist = pretrain_generative(
-            sents, vocab, DrbmConfig(hidden=4, pretrain_epochs=3, seed=1), return_history=True
-        )
+        caplog.set_level(logging.INFO, logger="conceptkit.rerank")
+        pretrain_generative(sents, vocab, DrbmConfig(hidden=4, pretrain_epochs=3, seed=1))
+        records = [r for r in caplog.records if r.name == "conceptkit.rerank"]
+        assert [r.args[0] for r in records] == [0, 1, 2]
+        hist = [r.args[1] for r in records]
         assert hist[1] <= hist[0] and hist[2] <= hist[1]
 
     def test_disjoint_sentences_separate(self):
