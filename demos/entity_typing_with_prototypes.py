@@ -31,7 +31,7 @@ from conceptkit.fnet import (
     type_infer,
     warp_train,
 )
-from conceptkit.metrics import LabelSetPrediction, macro_f1, micro_f1, strict_accuracy
+from conceptkit.metrics import LabelSetPrediction, set_metrics
 from conceptkit.numerics import substream_rng
 from conceptkit.synth import synth_fnet
 
@@ -75,8 +75,7 @@ cfg = WarpConfig(epochs=2, seed=7)
 model = warp_train(train, hierarchy, "fixed", cfg, b_init=b_proto)
 preds = evaluate(model, test)
 print("\nprototype label matrix:")
-for name, value in [("macro_f1", macro_f1(preds)), ("micro_f1", micro_f1(preds)),
-                    ("strict_acc", strict_accuracy(preds))]:
+for name, value in sorted(set_metrics(preds).items()):
     print(f"{name.ljust(10)}  {value:.4f}")
 
 rng = substream_rng(7, "demo.baseline")
@@ -84,7 +83,7 @@ scale = np.linalg.norm(b_proto) / np.sqrt(b_proto.size)
 b_rand = rng.normal(scale=scale, size=b_proto.shape)
 preds_rand = evaluate(warp_train(train, hierarchy, "fixed", cfg, b_init=b_rand), test)
 print(f"random label matrix, same scale: strict_acc "
-      f"{strict_accuracy(preds_rand):.3f}")
+      f"{set_metrics(preds_rand)['strict_acc']:.3f}")
 
 # ---------------------------------------------------------------------------
 # 4. Zero-shot fine labels: strip the training set down to coarse labels,

@@ -48,8 +48,8 @@ avg_params = train(train_set, dev_set, SenticConfig(**base, target_averaging=Tru
 
 for name, params in (("attention", att_params), ("averaging", avg_params)):
     r = predict_and_evaluate(test_set, params)
-    print(f"{name:9s}: sentiment {r['sentiment_accuracy']:.3f}  "
-          f"strict {r['strict_accuracy']:.3f}  micro-F1 {r['micro_f1']:.3f}")
+    print(f"{name:9s}: sentiment {r['sentiment_acc']:.3f}  "
+          f"strict {r['strict_acc']:.3f}  micro-F1 {r['micro_f1']:.3f}")
 
 # ---------------------------------------------------------------------------
 # 3. Where does the learned target attention look?  Show the weight it puts

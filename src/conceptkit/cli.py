@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -39,12 +40,11 @@ def _check_finite(name, *arrays):
 
 
 def _write_report(values, path):
-    text = json.dumps(values, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(values, indent=2, sort_keys=True)
     if path:
-        with atomic_write(path) as f:
-            f.write(text)
+        write_records(path, [text])
     else:
-        sys.stdout.write(text)
+        print(text)
 
 
 def _load_sidecar(model_path, suffix, size):
@@ -70,6 +70,10 @@ def _load_drbm(path):
 def cmd_embed_train(args):
     cfg = args.cfg.embed
     corpus = corpus_mod.load_corpus(args.corpus)
+    try:
+        corpus_mod.check_columns(corpus, cfg.groups)
+    except ValueError as exc:
+        raise ValueError(f"{args.corpus}: {exc}") from None
     taxonomy = corpus_mod.load_taxonomy(args.taxonomy) if args.taxonomy else None
     vocab = corpus_mod.build_vocab(corpus, min_count=cfg.min_count)
     emb, _ = embed_mod.train_skipner(corpus, vocab, cfg, taxonomy=taxonomy)
@@ -168,17 +172,9 @@ def cmd_fnet_eval(args):
             for m, r in zip(mentions, ranked)
         ]
         prefix = f"t={t}:" if args.threshold_sweep else ""
-        report.update((prefix + key, val) for key, val in _set_metrics(preds).items())
+        report.update((prefix + key, val) for key, val in metrics_mod.set_metrics(preds).items())
     _write_report(report, args.report)
     return 0
-
-
-def _set_metrics(preds):
-    return {
-        "strict_acc": metrics_mod.strict_accuracy(preds),
-        "macro_f1": metrics_mod.macro_f1(preds),
-        "micro_f1": metrics_mod.micro_f1(preds),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -267,25 +263,13 @@ def cmd_tsa_eval(args):
     params = sentic_mod.load_checkpoint(args.checkpoint)
     data = sentic_mod.load_tsa(args.data)
     report = sentic_mod.predict_and_evaluate(data, params)
-    _write_report(
-        {
-            "strict_acc": report["strict_accuracy"],
-            "macro_f1": report["macro_f1"],
-            "micro_f1": report["micro_f1"],
-            "sentiment_acc": report["sentiment_accuracy"],
-        },
-        args.report,
-    )
+    del report["pairs"]  # a count, not a score
+    _write_report(report, args.report)
     return 0
 
 
 # ---------------------------------------------------------------------------
 # dispatch
-
-
-def _add_common(p):
-    p.add_argument("--config", help="key=value run configuration file")
-    p.add_argument("--seed", type=int, help="global random seed")
 
 
 def build_parser():
@@ -294,37 +278,37 @@ def build_parser():
         description="Concept-embedding pipelines: tagging embeddings, "
         "fine-grained typing, hypothesis reranking, targeted sentiment.",
     )
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="key=value run configuration file")
+    common.add_argument("--seed", type=int, help="global random seed")
     sub = parser.add_subparsers(dest="command", required=True)
+    add = functools.partial(sub.add_parser, parents=[common])
 
-    p = sub.add_parser("embed-train", help="train multi-task word embeddings")
+    p = add("embed-train", help="train multi-task word embeddings")
     p.add_argument("corpus")
     p.add_argument("--taxonomy")
     p.add_argument("--output", required=True)
-    _add_common(p)
     p.set_defaults(func=cmd_embed_train)
 
-    p = sub.add_parser("embed-query", help="nearest neighbors of a word")
+    p = add("embed-query", help="nearest neighbors of a word")
     p.add_argument("embeddings")
     p.add_argument("word")
     p.add_argument("-k", type=int, default=10)
-    _add_common(p)
     p.set_defaults(func=cmd_embed_query)
 
-    p = sub.add_parser("embed-crf-feats", help="emit tagging feature file")
+    p = add("embed-crf-feats", help="emit tagging feature file")
     p.add_argument("corpus")
     p.add_argument("embeddings")
     p.add_argument("--output", required=True)
-    _add_common(p)
     p.set_defaults(func=cmd_embed_crf_feats)
 
-    p = sub.add_parser("fnet-proto", help="select label prototypes")
+    p = add("fnet-proto", help="select label prototypes")
     p.add_argument("mentions")
     p.add_argument("hierarchy")
     p.add_argument("--output", required=True)
-    _add_common(p)
     p.set_defaults(func=cmd_fnet_proto)
 
-    p = sub.add_parser("fnet-train", help="train the mention-typing model")
+    p = add("fnet-train", help="train the mention-typing model")
     p.add_argument("mentions")
     p.add_argument("hierarchy")
     p.add_argument("--mode", choices=["joint", "fixed", "adaptive"], default="joint")
@@ -333,33 +317,29 @@ def build_parser():
     p.add_argument("--embeddings")
     p.add_argument("--zero-shot", action="store_true")
     p.add_argument("--output", required=True)
-    _add_common(p)
     p.set_defaults(func=cmd_fnet_train)
 
-    p = sub.add_parser("fnet-eval", help="evaluate mention typing")
+    p = add("fnet-eval", help="evaluate mention typing")
     p.add_argument("mentions")
     p.add_argument("hierarchy")
     p.add_argument("--model", required=True)
     p.add_argument("--threshold-sweep", action="store_true")
     p.add_argument("--report")
-    _add_common(p)
     p.set_defaults(func=cmd_fnet_eval)
 
-    p = sub.add_parser("rerank-pretrain", help="generative initialization")
+    p = add("rerank-pretrain", help="generative initialization")
     p.add_argument("nbest")
     p.add_argument("--output", required=True)
-    _add_common(p)
     p.set_defaults(func=cmd_rerank_pretrain)
 
-    p = sub.add_parser("rerank-train", help="train the discriminative reranker")
+    p = add("rerank-train", help="train the discriminative reranker")
     p.add_argument("nbest")
     p.add_argument("--init")
     p.add_argument("--gazetteer")
     p.add_argument("--output", required=True)
-    _add_common(p)
     p.set_defaults(func=cmd_rerank_train)
 
-    p = sub.add_parser("rerank-eval", help="rerank and score an N-best file")
+    p = add("rerank-eval", help="rerank and score an N-best file")
     p.add_argument("nbest")
     p.add_argument("--model")
     p.add_argument("--zero-model", action="store_true")
@@ -367,23 +347,20 @@ def build_parser():
     p.add_argument("--fuse-slp", type=float, metavar="ALPHA")
     p.add_argument("--slp-train")
     p.add_argument("--report")
-    _add_common(p)
     p.set_defaults(func=cmd_rerank_eval)
 
-    p = sub.add_parser("tsa-train", help="train the targeted sentiment model")
+    p = add("tsa-train", help="train the targeted sentiment model")
     p.add_argument("train")
     p.add_argument("dev")
     p.add_argument("--classes", type=int, choices=[3, 4], default=3)
     p.add_argument("--target-averaging", action="store_true")
     p.add_argument("--output", required=True)
-    _add_common(p)
     p.set_defaults(func=cmd_tsa_train)
 
-    p = sub.add_parser("tsa-eval", help="evaluate targeted sentiment")
+    p = add("tsa-eval", help="evaluate targeted sentiment")
     p.add_argument("checkpoint")
     p.add_argument("data")
     p.add_argument("--report")
-    _add_common(p)
     p.set_defaults(func=cmd_tsa_eval)
 
     return parser

@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import fields
 
+from .artifact import read_records
 from .embed import SkipNerConfig
 from .fnet import WarpConfig
 from .rerank import DrbmConfig
@@ -34,42 +35,41 @@ _DEFAULTS["seed"] = SkipNerConfig.seed  # its type; each dataclass keeps its own
 Configs = namedtuple("Configs", list(_SECTIONS))
 
 
-def _coerce(key, raw):
-    """``raw`` as the type of the key's default; a tuple default takes a
+def _parse(line):
+    """``(key, value)`` of a ``key = value`` line, or None for a comment; the
+    value has the type of the key's default, and a tuple default takes a
     comma-separated list of its element type."""
+    line = line.split("#", 1)[0].strip()
+    if not line:
+        return None
+    if "=" not in line:
+        raise ValueError("expected key=value")
+    key, raw = (part.strip() for part in line.split("=", 1))
+    if key not in _DEFAULTS:
+        raise ValueError(f"unknown config key {key!r}")
     default = _DEFAULTS[key]
-    raw = raw.strip()
     try:
         if isinstance(default, tuple):
-            return tuple(type(default[0])(x) for x in raw.split(",") if x)
-        return type(default)(raw)
+            return key, tuple(type(default[0])(x) for x in raw.split(",") if x)
+        return key, type(default)(raw)
     except ValueError as exc:
         raise ValueError(f"config key {key!r}: {exc}") from exc
 
 
 def load_config(path=None, seed=None):
     """The four pipeline configs from a key=value file ('#' comments and
-    blank lines are ignored); keys the file leaves out keep their dataclass
-    defaults, and ``seed``, when given, overrides the file's."""
+    blank lines are ignored, and an error names ``path:lineno``); keys the
+    file leaves out keep their dataclass defaults, and ``seed``, when given,
+    overrides the file's."""
     values = {section: {} for section in _SECTIONS}
     common = {}
-    if path is not None:
-        with open(path, encoding="utf-8") as f:
-            for lineno, raw in enumerate(f, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ValueError(f"{path}:{lineno}: expected key=value")
-                key, value = line.split("=", 1)
-                key = key.strip()
-                if key not in _DEFAULTS:
-                    raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-                if key == "seed":
-                    common["seed"] = _coerce(key, value)
-                else:
-                    section, name = key.split(".", 1)
-                    values[section][name] = _coerce(key, value)
+    records = read_records(path, _parse) if path is not None else []
+    for key, value in filter(None, records):
+        if key == "seed":
+            common["seed"] = value
+        else:
+            section, name = key.split(".", 1)
+            values[section][name] = value
     if seed is not None:
         common["seed"] = seed
     return Configs(**{s: cls(**values[s], **common) for s, cls in _SECTIONS.items()})

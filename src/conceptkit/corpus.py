@@ -262,6 +262,17 @@ class FeatureEvent:
 WORD, POS, TAXO, SELF = "word", "pos", "taxo", "self"
 
 
+def check_columns(corpus, groups):
+    """Raise ValueError naming the first sentence that lacks the POS column
+    the pos group reads or the NETAG column the self group reads."""
+    for si, sent in enumerate(corpus.sentences):
+        for tok in sent:
+            if POS in groups and not tok.pos:
+                raise ValueError(f"sentence {si}: POS column required for pos group")
+            if SELF in groups and not tok.ne_tag:
+                raise ValueError(f"sentence {si}: NETAG column required for self group")
+
+
 def extract_feature_events(
     corpus,
     vocab,
@@ -281,11 +292,12 @@ def extract_feature_events(
     groups = set(groups)
     if TAXO in groups and taxonomy is None:
         raise ValueError("taxonomic group enabled but no taxonomy given")
+    check_columns(corpus, groups)
 
     def emit(key, feature, wid):
         return FeatureEvent(wid, table.intern(key, feature), key)
 
-    for si, sent in enumerate(corpus.sentences):
+    for sent in corpus.sentences:
         n = len(sent)
         for i, tok in enumerate(sent):
             wid = vocab.id_of(tok.surface)
@@ -297,19 +309,11 @@ def extract_feature_events(
                 if WORD in groups and k != 0:
                     yield emit(table.group_key(WORD, k), other.surface, wid)
                 if POS in groups:
-                    if not other.pos:
-                        raise ValueError(
-                            f"sentence {si}: POS column required for pos group"
-                        )
                     yield emit(table.group_key(POS, k), other.pos, wid)
                 if TAXO in groups:
                     for concept in taxonomy.concepts_of(other.surface):
                         yield emit(table.group_key(TAXO, k), concept, wid)
                 if SELF in groups:
-                    if not other.ne_tag:
-                        raise ValueError(
-                            f"sentence {si}: NETAG column required for self group"
-                        )
                     yield emit(table.group_key(SELF, k), other.ne_tag, wid)
 
 

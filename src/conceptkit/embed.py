@@ -41,6 +41,7 @@ along the slot axis.
 
 from __future__ import annotations
 
+import itertools
 import logging
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -48,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import corpus as corpus_mod
-from .artifact import atomic_write
+from .artifact import write_records
 from .numerics import (
     DiscreteSampler,
     NumericFailure,
@@ -466,14 +467,17 @@ def cluster_words(emb, ks, seed, max_iters=50):
 def save_embeddings(emb, path):
     """Text format: header ``<vocab_count> <dims>`` then one
     ``token v1 ... vd`` line per word, 17 significant digits."""
-    with atomic_write(path) as f:
-        v, d = emb.word_vectors.shape
-        f.write(f"{v} {d}\n")
-        for token, vec in zip(emb.tokens, emb.word_vectors):
-            f.write(token + " " + " ".join(f"{x:.17g}" for x in vec) + "\n")
+    v, d = emb.word_vectors.shape
+    rows = (
+        token + " " + " ".join(f"{x:.17g}" for x in vec)
+        for token, vec in zip(emb.tokens, emb.word_vectors)
+    )
+    write_records(path, itertools.chain([f"{v} {d}"], rows))
 
 
 def load_embeddings(path):
+    """The ``save_embeddings`` format; spaces that end a row are ignored, as
+    the original word2vec tool ends every row with one."""
     with open(path, encoding="utf-8") as f:
         header = f.readline().split()
         if len(header) != 2:
@@ -482,7 +486,7 @@ def load_embeddings(path):
         tokens = []
         rows = []
         for lineno, line in enumerate(f, start=2):
-            parts = line.rstrip("\n").split(" ")
+            parts = line.rstrip("\n ").split(" ")
             if len(parts) != d + 1:
                 raise ValueError(
                     f"{path}:{lineno}: line has {len(parts)-1} values, expected {d}"

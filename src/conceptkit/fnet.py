@@ -182,15 +182,18 @@ def npmi(counts, label, mention):
     return pmi / (-math.log(p_joint))
 
 
+def _check_labels(dataset, hierarchy):
+    unknown = {lab for inst in dataset for lab in inst.labels if lab not in hierarchy}
+    if unknown:
+        raise ValueError(f"labels {sorted(unknown)} not in hierarchy")
+
+
 def select_prototypes(dataset, hierarchy, k):
     """{label: [word, ...]}: each label's top-k mention head words by
     descending NPMI, ties lexicographic."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    for inst in dataset:
-        unknown = inst.labels - set(hierarchy.labels)
-        if unknown:
-            raise ValueError(f"labels {sorted(unknown)} not in hierarchy")
+    _check_labels(dataset, hierarchy)
     counts = CooccurrenceCounts.from_dataset(dataset)
     by_label = {}
     for (lab, m) in counts.joint:
@@ -332,6 +335,7 @@ def warp_train(dataset, hierarchy, mode, config, b_init=None):
         raise ValueError(f"unknown mode {mode!r}")
     if mode in ("fixed", "adaptive") and b_init is None:
         raise ValueError(f"mode {mode!r} requires a label embedding")
+    _check_labels(dataset, hierarchy)
     n_labels = len(hierarchy)
     m_feats = 1 + max((int(i) for inst in dataset for i in inst.features[0]), default=0)
     rng = substream_rng(config.seed, "fnet.warp")
@@ -491,6 +495,7 @@ def extract_mention_features(mentions, vocab=None):
 def coarse_only(mentions, hierarchy):
     """Copies of the mentions with every level-2 label held out, for
     zero-shot training; a mention left with no label is dropped."""
+    _check_labels(mentions, hierarchy)
     kept = []
     for inst in mentions:
         labels = {lab for lab in inst.labels if hierarchy.level[lab] < 2}

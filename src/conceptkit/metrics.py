@@ -11,6 +11,7 @@ __all__ = [
     "strict_accuracy",
     "macro_f1",
     "micro_f1",
+    "set_metrics",
     "align",
     "edit_distance",
     "wer",
@@ -72,6 +73,15 @@ def micro_f1(preds):
     if mi_p + mi_r == 0:
         return 0.0
     return 2 * mi_p * mi_r / (mi_p + mi_r)
+
+
+def set_metrics(preds):
+    """The label-set report: ``strict_acc``, ``macro_f1`` and ``micro_f1``."""
+    return {
+        "strict_acc": strict_accuracy(preds),
+        "macro_f1": macro_f1(preds),
+        "micro_f1": micro_f1(preds),
+    }
 
 
 def align(ref, hyp):

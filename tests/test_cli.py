@@ -217,6 +217,21 @@ def test_embed_train_bad_bio_exits_2(tmp_path, capsys):
     _fails_writing_nothing(tmp_path, capsys, argv, "emb.txt", 2, message)
 
 
+@pytest.mark.parametrize(
+    "group, rows, column",
+    [("pos", "visited\tVBD\tO\nRome\t\tB-LOC\n", "POS"),
+     ("self", "visited\tVBD\tO\nRome\tNNP\n", "NETAG")],
+    ids=["pos", "self"],
+)
+def test_embed_train_missing_column_names_corpus(tmp_path, capsys, group, rows, column):
+    corpus, cfg = tmp_path / "corpus.tsv", tmp_path / "groups.cfg"
+    corpus.write_text(rows + "\n")
+    cfg.write_text(f"embed.groups = word,{group}\n")
+    argv = ["embed-train", str(corpus), "--config", str(cfg)]
+    message = f"{corpus}: sentence 0: {column} column required for {group} group"
+    _fails_writing_nothing(tmp_path, capsys, argv, "emb.txt", 2, message)
+
+
 # ---------------------------------------------------------------------------
 # fnet pipeline
 
@@ -304,6 +319,20 @@ def test_fnet_zero_shot_without_coarse_labels_exits_2(tmp_path, cfg_file, capsys
     hpath.write_text("/A\n/A/B\n")
     argv = ["fnet-train", mpath, str(hpath), "--zero-shot", "--config", cfg_file]
     _fails_writing_nothing(tmp_path, capsys, argv, "zs.model", 2, "zero-shot filter")
+
+
+@pytest.mark.parametrize("zero_shot", [[], ["--zero-shot"]], ids=["plain", "zero-shot"])
+def test_fnet_train_label_outside_hierarchy_exits_2(tmp_path, capsys, zero_shot):
+    mpath, hpath = str(tmp_path / "mentions.jsonl"), tmp_path / "hier.txt"
+    fnet.save_mentions(
+        [fnet.MentionInstance(["in", "Rome"], 1, 2, {"/A"}),
+         fnet.MentionInstance(["in", "Paris"], 1, 2, {"/C"})],
+        mpath,
+    )
+    hpath.write_text("/A\n/A/B\n")
+    argv = ["fnet-train", mpath, str(hpath), *zero_shot]
+    _fails_writing_nothing(tmp_path, capsys, argv, "fnet.model", 2,
+                           "labels ['/C'] not in hierarchy")
 
 
 @pytest.mark.parametrize("brk", ["\n", "\r"], ids=["lf", "cr"])

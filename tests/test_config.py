@@ -1,5 +1,6 @@
 """Run-configuration parsing: dataclass defaults, coercion, and rejection."""
 
+import re
 from dataclasses import asdict
 
 import pytest
@@ -168,3 +169,18 @@ def test_load_config_rejects_missing_equals(tmp_path):
 def test_load_config_rejects_bad_value(tmp_path):
     with pytest.raises(ValueError, match="seed"):
         load(tmp_path, "seed = banana\n")
+
+
+@pytest.mark.parametrize(
+    "text, lineno",
+    [
+        ("seed = x\n", 1),
+        ("# header\n\nembed.clusters = 50,many\n", 3),
+        ("seed = 2\nfnet.dims = 2.5\n", 2),
+    ],
+    ids=["seed", "after-comment", "second-line"],
+)
+def test_mistyped_value_names_path_and_line(tmp_path, text, lineno):
+    where = re.escape(f"{tmp_path / 'run.cfg'}:{lineno}: ")
+    with pytest.raises(ValueError, match=f"^{where}config key"):
+        load(tmp_path, text)

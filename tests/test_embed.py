@@ -567,3 +567,11 @@ class TestPersistence:
         p.write_text("2 3\nw0 1 2 3\nw1 1 2\n")
         with pytest.raises(ValueError, match="emb.txt:3: line has 2 values, expected 3"):
             load_embeddings(p)
+
+    def test_word2vec_trailing_space(self, tmp_path):
+        # the original word2vec tool ends every row with a space
+        p = tmp_path / "w2v.txt"
+        p.write_text("2 3\n</s> 0.5 -1 2 \nw1 1e-3 0 4 \n")
+        back = load_embeddings(p)
+        assert back.tokens == ["</s>", "w1"]
+        np.testing.assert_array_equal(back.word_vectors, [[0.5, -1, 2], [1e-3, 0, 4]])

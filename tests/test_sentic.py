@@ -420,7 +420,7 @@ def reference_train(train_set, dev_set, config):
                 params.arrays[k] = params.arrays[k] - config.lr * mhat / (np.sqrt(vhat) + eps)
         mean_losses.append(sum(losses) / len(losses))
         report = predict_and_evaluate(dev_set, params)
-        key = (report["sentiment_accuracy"], report["strict_accuracy"], -epoch)
+        key = (report["sentiment_acc"], report["strict_acc"], -epoch)
         if best is None or key > best[0]:
             best = (key, params.copy(), epoch)
     return best[1], best[2], mean_losses
@@ -484,7 +484,7 @@ class TestTrain:
         )
         params = train(data, dev, cfg)
         report = predict_and_evaluate(dev, params)
-        assert report["sentiment_accuracy"] >= 0.8
+        assert report["sentiment_acc"] >= 0.8
 
     def test_bit_identical_to_dense_adam(self):
         data, dev = adam_dataset()
@@ -558,7 +558,7 @@ class TestEvaluate:
             params.arrays[f"bp:{a}"][:] = np.array([10.0, 0.0, 0.0])  # none wins
         data = [make_instance(["a", "b"], [0], {"price": "positive"})]
         report = predict_and_evaluate(data, params)
-        assert report["strict_accuracy"] == 0.0
+        assert report["strict_acc"] == 0.0
         assert report["pairs"] == 1
 
     def test_single_aspect_perfect_macro_equals_micro(self):
@@ -573,7 +573,7 @@ class TestEvaluate:
         ]
         report = predict_and_evaluate(data, params)
         assert report["macro_f1"] == report["micro_f1"] == 1.0
-        assert report["sentiment_accuracy"] == 1.0
+        assert report["sentiment_acc"] == 1.0
 
 
 GATE_ORDER = ("Wf", "Wi", "Wo", "Wco", "WC")  # the row order of _recur's gate matrix
@@ -642,10 +642,10 @@ def reference_evaluate(dataset, params):
                 total += 1
                 correct += classes[non_none[np.argmax(probs[a][non_none])]] == pol
     return {
-        "strict_accuracy": strict_accuracy(preds),
+        "strict_acc": strict_accuracy(preds),
         "macro_f1": macro_f1(preds),
         "micro_f1": micro_f1(preds),
-        "sentiment_accuracy": correct / total if total else 0.0,
+        "sentiment_acc": correct / total if total else 0.0,
         "pairs": total,
     }
 
@@ -679,7 +679,7 @@ class TestStackedEvaluate:
         assert all(len(ls) == 1 for ls in lengths)
         assert sorted(len(g) for (g, _), ls in zip(blocks, lengths) if ls == {4}) == [2, 64, 64]
         assert sorted(id(inst) for g, _ in blocks for inst in g) == sorted(map(id, data))
-        assert 0.0 < report["sentiment_accuracy"] < 1.0
+        assert 0.0 < report["sentiment_acc"] < 1.0
 
 
 class TestPersistence:
