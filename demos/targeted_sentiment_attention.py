@@ -58,7 +58,7 @@ for name, params in (("attention", att_params), ("averaging", avg_params)):
 # ---------------------------------------------------------------------------
 inst = next(t for t in test_set if "superb" in t.tokens)
 p = att_params.arrays
-columns = encode_bilstm(inst, p, att_params)
+columns = encode_bilstm(inst, att_params)
 _, w, _ = target_attention(columns, inst.target_positions, p, uniform=False)
 print("\ntarget-span attention on a held-out sentence:")
 for pos, wt in zip(inst.target_positions, w):

@@ -121,18 +121,18 @@ def cmd_fnet_proto(args):
 
 
 def _build_label_embedding(kind, hierarchy, args):
-    if kind in ("proto", "proto-hle"):
-        if not args.prototypes or not args.embeddings:
-            raise ValueError(f"label embedding {kind!r} needs --prototypes and --embeddings")
-        protos = fnet_mod.load_prototypes(args.prototypes, k=args.cfg.fnet.prototypes)
-        emb = embed_mod.load_embeddings(args.embeddings)
-        b_proto = fnet_mod.proto_le(protos, hierarchy, emb)
-        if kind == "proto":
-            return b_proto
-        return fnet_mod.proto_hle(b_proto, fnet_mod.hle(hierarchy))
+    """The label embedding ``kind`` (proto, hle or proto-hle, the
+    ``--label-emb`` choices) over ``hierarchy``."""
     if kind == "hle":
         return fnet_mod.hle(hierarchy)
-    raise ValueError(f"unknown label embedding kind {kind!r}")
+    if not args.prototypes or not args.embeddings:
+        raise ValueError(f"label embedding {kind!r} needs --prototypes and --embeddings")
+    protos = fnet_mod.load_prototypes(args.prototypes, k=args.cfg.fnet.prototypes)
+    emb = embed_mod.load_embeddings(args.embeddings)
+    b_proto = fnet_mod.proto_le(protos, hierarchy, emb)
+    if kind == "proto":
+        return b_proto
+    return fnet_mod.proto_hle(b_proto, fnet_mod.hle(hierarchy))
 
 
 def cmd_fnet_train(args):
@@ -154,7 +154,11 @@ def cmd_fnet_eval(args):
     cfg = args.cfg.fnet
     mentions = fnet_mod.load_mentions(args.mentions)
     hierarchy = fnet_mod.load_hierarchy(args.hierarchy)
+    fnet_mod.check_labels(mentions, hierarchy)
     model, _kind = fnet_mod.load_model(args.model)
+    missing = [lab for lab in model.labels if lab not in hierarchy]
+    if missing:
+        raise ValueError(f"{args.model}: labels {missing} not in {args.hierarchy}")
     feats = _load_sidecar(args.model, ".feats", model.A.shape[1])
     fnet_mod.extract_mention_features(mentions, feats)
     ranked = [fnet_mod.rank_labels(m.features, model) for m in mentions]
@@ -262,9 +266,7 @@ def cmd_tsa_train(args):
 def cmd_tsa_eval(args):
     params = sentic_mod.load_checkpoint(args.checkpoint)
     data = sentic_mod.load_tsa(args.data)
-    report = sentic_mod.predict_and_evaluate(data, params)
-    del report["pairs"]  # a count, not a score
-    _write_report(report, args.report)
+    _write_report(sentic_mod.predict_and_evaluate(data, params), args.report)
     return 0
 
 
@@ -345,7 +347,8 @@ def build_parser():
     p.add_argument("--zero-model", action="store_true")
     p.add_argument("--keywords")
     p.add_argument("--fuse-slp", type=float, metavar="ALPHA")
-    p.add_argument("--slp-train")
+    p.add_argument("--slp-train", help="N-best lists to fit the --fuse-slp perceptron on "
+                   "(default: the scored lists, which makes the fused WER optimistic)")
     p.add_argument("--report")
     p.set_defaults(func=cmd_rerank_eval)
 

@@ -1,8 +1,8 @@
 """Corpus ingestion and feature extraction.
 
 File formats:
-  * corpus: one token per line, TAB-separated columns TOKEN, POS, NETAG and an
-    optional comma-separated CONCEPTS column; a blank line ends a sentence.
+  * corpus: one token per line, TAB-separated columns TOKEN, POS, NETAG (any
+    further column is ignored); a blank line ends a sentence.
   * taxonomy: ``concept<TAB>w1,w2,...`` per line.
   * gazetteer: ``word<TAB>CLASS`` with CLASS in {LOCATION, ORGANIZATION, PERSON}.
   * CRF feature file: TAB-separated feature strings per token, gold BIO tag
@@ -28,7 +28,6 @@ class Token:
     surface: str
     pos: str = ""
     ne_tag: str = ""
-    concepts: tuple = ()
 
 
 @dataclass
@@ -75,15 +74,11 @@ def parse_corpus(lines):
             raise ValueError(f"line {lineno}: missing token column")
         if " " in cols[0]:  # the field separator of the embedding text format
             raise ValueError(f"line {lineno}: token {cols[0]!r} contains a space")
-        concepts = ()
-        if len(cols) >= 4 and cols[3]:
-            concepts = tuple(c for c in cols[3].split(",") if c)
         current.append(
             Token(
                 surface=cols[0],
                 pos=cols[1] if len(cols) > 1 else "",
                 ne_tag=cols[2] if len(cols) > 2 else "",
-                concepts=concepts,
             )
         )
     if current:
@@ -103,14 +98,10 @@ def load_corpus(path):
 
 
 def serialize_corpus(corpus):
-    """Inverse of parse_corpus; round-trips exactly."""
+    """Inverse of parse_corpus; round-trips a three-column corpus exactly."""
     out = []
     for sent in corpus.sentences:
-        for tok in sent:
-            cols = [tok.surface, tok.pos, tok.ne_tag]
-            if tok.concepts:
-                cols.append(",".join(tok.concepts))
-            out.append("\t".join(cols))
+        out.extend(f"{tok.surface}\t{tok.pos}\t{tok.ne_tag}" for tok in sent)
         out.append("")
     return "\n".join(out) + "\n"
 
@@ -121,8 +112,6 @@ class Vocabulary:
 
     token_to_id: dict
     id_to_token: list
-    counts: dict
-    min_count: int
 
     def __len__(self):
         return len(self.id_to_token)
@@ -136,11 +125,10 @@ class Vocabulary:
     @classmethod
     def from_tokens(cls, tokens, source):
         """Vocabulary in the id order of ``tokens`` read back from ``source``
-        (a sidecar or embedding file, which stores no counts)."""
+        (a sidecar or embedding file)."""
         if UNK not in tokens:
             raise ValueError(f"{source}: vocabulary lacks {UNK}")
-        return cls(token_to_id={t: i for i, t in enumerate(tokens)}, id_to_token=list(tokens),
-                   counts=dict.fromkeys(tokens, 0), min_count=1)
+        return cls(token_to_id={t: i for i, t in enumerate(tokens)}, id_to_token=list(tokens))
 
     @classmethod
     def from_counts(cls, counts, min_count):
@@ -149,9 +137,7 @@ class Vocabulary:
         kept = sorted((t for t, c in counts.items() if c >= min_count and t != UNK),
                       key=lambda t: (-counts[t], t))
         id_to_token = [UNK] + kept
-        return cls(token_to_id={t: i for i, t in enumerate(id_to_token)},
-                   id_to_token=id_to_token,
-                   counts={t: counts.get(t, 0) for t in id_to_token}, min_count=min_count)
+        return cls(token_to_id={t: i for i, t in enumerate(id_to_token)}, id_to_token=id_to_token)
 
 
 def build_vocab(corpus, min_count=1):

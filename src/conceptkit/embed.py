@@ -453,14 +453,14 @@ def binarize(emb):
     return out
 
 
-def cluster_words(emb, ks, seed, max_iters=50):
+def cluster_words(emb, ks, seed):
     """One k-means clustering of the word vectors per requested K."""
     result = {}
     for k in ks:
         if k > emb.word_vectors.shape[0]:
             raise ValueError(f"K={k} exceeds vocabulary size")
         rng = substream_rng(seed, f"embed.cluster.{k}")
-        result[k] = kmeans(emb.word_vectors, k, max_iters, rng)
+        result[k] = kmeans(emb.word_vectors, k, max_iters=50, rng=rng)
     return result
 
 

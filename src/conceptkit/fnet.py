@@ -8,6 +8,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +22,8 @@ __all__ = [
     "LabelHierarchy",
     "MentionInstance",
     "JointEmbeddingModel",
-    "CooccurrenceCounts",
     "npmi",
+    "check_labels",
     "select_prototypes",
     "proto_le",
     "hle",
@@ -143,46 +144,23 @@ def save_mentions(instances, path):
 # Prototypes
 
 
-class CooccurrenceCounts:
-    """Joint label/mention-head counts for NPMI scoring."""
-
-    def __init__(self):
-        self.joint = {}
-        self.label = {}
-        self.mention = {}
-        self.total = 0
-
-    def add(self, label, mention):
-        self.joint[(label, mention)] = self.joint.get((label, mention), 0) + 1
-        self.label[label] = self.label.get(label, 0) + 1
-        self.mention[mention] = self.mention.get(mention, 0) + 1
-        self.total += 1
-
-    @classmethod
-    def from_dataset(cls, dataset):
-        counts = cls()
-        for inst in dataset:
-            for lab in inst.labels:
-                counts.add(lab, inst.head_word)
-        return counts
-
-
-def npmi(counts, label, mention):
-    """PMI / (-ln p(y, m)); -1 for never co-occurring pairs, 1 at perfect
-    association."""
-    joint = counts.joint.get((label, mention), 0)
+def npmi(joint, n_label, n_mention, total):
+    """PMI / (-ln p(y, m)) from the joint count of a label and a mention head,
+    their own counts and the total; -1 for never co-occurring pairs, 1 at
+    perfect association."""
     if joint == 0:
         return -1.0
-    p_joint = joint / counts.total
-    p_y = counts.label[label] / counts.total
-    p_m = counts.mention[mention] / counts.total
+    p_joint = joint / total
+    p_y = n_label / total
+    p_m = n_mention / total
     pmi = math.log(p_joint / (p_y * p_m))
     if p_joint == 1.0:
         return 1.0
     return pmi / (-math.log(p_joint))
 
 
-def _check_labels(dataset, hierarchy):
+def check_labels(dataset, hierarchy):
+    """Raise ValueError naming every label of ``dataset`` outside ``hierarchy``."""
     unknown = {lab for inst in dataset for lab in inst.labels if lab not in hierarchy}
     if unknown:
         raise ValueError(f"labels {sorted(unknown)} not in hierarchy")
@@ -193,18 +171,21 @@ def select_prototypes(dataset, hierarchy, k):
     descending NPMI, ties lexicographic."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    _check_labels(dataset, hierarchy)
-    counts = CooccurrenceCounts.from_dataset(dataset)
-    by_label = {}
-    for (lab, m) in counts.joint:
-        by_label.setdefault(lab, set()).add(m)
+    check_labels(dataset, hierarchy)
+    joint = Counter((lab, inst.head_word) for inst in dataset for lab in inst.labels)
+    n_label, n_mention, by_label = Counter(), Counter(), {}
+    for (lab, m), c in joint.items():
+        n_label[lab] += c
+        n_mention[m] += c
+        by_label.setdefault(lab, []).append(m)
+    total = sum(joint.values())
     prototypes = {}
     for lab in hierarchy.labels:
         mentions = by_label.get(lab)
         if not mentions:
             raise ValueError(f"label {lab!r} has no mentions")
         scored = sorted(
-            ((m, npmi(counts, lab, m)) for m in mentions),
+            ((m, npmi(joint[lab, m], n_label[lab], n_mention[m], total)) for m in mentions),
             key=lambda t: (-t[1], t[0]),
         )
         prototypes[lab] = [m for m, _ in scored[:k]]
@@ -335,7 +316,7 @@ def warp_train(dataset, hierarchy, mode, config, b_init=None):
         raise ValueError(f"unknown mode {mode!r}")
     if mode in ("fixed", "adaptive") and b_init is None:
         raise ValueError(f"mode {mode!r} requires a label embedding")
-    _check_labels(dataset, hierarchy)
+    check_labels(dataset, hierarchy)
     n_labels = len(hierarchy)
     m_feats = 1 + max((int(i) for inst in dataset for i in inst.features[0]), default=0)
     rng = substream_rng(config.seed, "fnet.warp")
@@ -495,7 +476,7 @@ def extract_mention_features(mentions, vocab=None):
 def coarse_only(mentions, hierarchy):
     """Copies of the mentions with every level-2 label held out, for
     zero-shot training; a mention left with no label is dropped."""
-    _check_labels(mentions, hierarchy)
+    check_labels(mentions, hierarchy)
     kept = []
     for inst in mentions:
         labels = {lab for lab in inst.labels if hierarchy.level[lab] < 2}

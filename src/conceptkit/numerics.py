@@ -67,19 +67,13 @@ def sigmoid(x):
     x = np.asarray(x, dtype=np.float64)
     # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, so exp never overflows
     e = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0, e) / (1.0 + e)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def softplus(x):
     """ln(1 + e^x) with the usual max(x, 0) + log1p(exp(-|x|)) guard."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
 def log_sigmoid(x):

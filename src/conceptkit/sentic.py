@@ -244,12 +244,12 @@ def lstm_step(x, h_prev, c_prev, p, dirn, d_c):
     return sentic_step(x, h_prev, c_prev, np.zeros(d_c), p, dirn)
 
 
-def _encode(group, p, params, dropout_mask):
+def _encode(group, params, dropout_mask):
     """Columns (n, L, 2 d_h) of a group of n sentences of one length L, both
     directions run as one stack each, and what ``loss_and_grads`` reads on
     the way back; token and concept indices count positions across the
     group, sentence after sentence."""
-    cfg = params.config
+    cfg, p = params.config, params.arrays
     tids = [params.token_index.get(t) for inst in group for t in inst.tokens]
     known = [i for i, t in enumerate(tids) if t is not None]
     X = np.zeros((len(tids), cfg.d_w))
@@ -275,11 +275,11 @@ def _encode(group, p, params, dropout_mask):
     return columns, (tids, known, at, cid, share, X, MU, fwd, bwd)
 
 
-def encode_bilstm(inst, p, params):
+def encode_bilstm(inst, params):
     """Columns [h_fwd_i ; h_bwd_i] (one row per position), both directions
     running the sentic recurrence over [word row; averaged concept rows];
     unknown tokens read a zero word row."""
-    return _encode([inst], p, params, None)[0][0]
+    return _encode([inst], params, None)[0][0]
 
 
 def _attend(pre, w, values):
@@ -336,7 +336,7 @@ def _heads(columns, inst, params):
 
 def _probs(group, params):
     """Per-aspect probabilities of each sentence of a same-length group."""
-    columns, _ = _encode(group, params.arrays, params, None)
+    columns, _ = _encode(group, params, None)
     return [_heads(cols, inst, params)[2] for cols, inst in zip(columns, group)]
 
 
@@ -361,7 +361,7 @@ def loss_and_grads(inst, params, dropout_mask=None, grads=None):
     """
     cfg, p = params.config, params.arrays
     classes = list(cfg.classes)
-    (columns,), enc = _encode([inst], p, params, dropout_mask)
+    (columns,), enc = _encode([inst], params, dropout_mask)
     (v_t, alpha, alpha_act), heads, probs = _heads(columns, inst, params)
     g = {k: np.zeros_like(v) for k, v in p.items()} if grads is None else grads
     d2 = columns.shape[1]
@@ -580,7 +580,7 @@ _BLOCK = 64
 def predict_and_evaluate(dataset, params):
     """``metrics.set_metrics`` of the detected aspect sets, plus
     ``sentiment_acc`` over the gold (aspect, polarity) pairs with none
-    excluded and their count ``pairs``.
+    excluded.
 
     An aspect is detected when its argmax class is not the none class, and
     its polarity is the argmax over the other classes. The encoder runs on
@@ -615,7 +615,7 @@ def predict_and_evaluate(dataset, params):
             if pv is not None and classes[non_none[int(np.argmax(pv[non_none]))]] == pol.lower():
                 correct += 1
     sentiment_acc = correct / total if total else 0.0
-    return {**set_metrics(preds), "sentiment_acc": sentiment_acc, "pairs": total}
+    return {**set_metrics(preds), "sentiment_acc": sentiment_acc}
 
 
 # ---------------------------------------------------------------------------

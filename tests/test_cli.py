@@ -188,6 +188,20 @@ def test_embed_train_deterministic(tmp_path, cfg_file):
     assert outs[0] == outs[1]
 
 
+def test_embed_train_ignores_extra_columns(tmp_path, cfg_file):
+    # columns past NETAG, such as a concept list, are read by no feature group
+    corpus, wide = tmp_path / "corpus.tsv", tmp_path / "wide.tsv"
+    _write_corpus(corpus)
+    wide.write_text("".join(f"{line}\tcity,place\tx\n" if line else "\n"
+                            for line in corpus.read_text().splitlines()))
+    outs = []
+    for path in (corpus, wide):
+        out = str(tmp_path / f"{path.stem}.emb")
+        assert main(["embed-train", str(path), "--output", out, "--config", cfg_file]) == 0
+        outs.append(_read(out))
+    assert outs[0] == outs[1]
+
+
 def test_embed_train_nonfinite_exits_3(tmp_path, cfg_file, capsys):
     # a blown-up learning rate makes the loss non-finite within a few events;
     # training stops at that step, names it, and writes no embeddings
@@ -333,6 +347,32 @@ def test_fnet_train_label_outside_hierarchy_exits_2(tmp_path, capsys, zero_shot)
     argv = ["fnet-train", mpath, str(hpath), *zero_shot]
     _fails_writing_nothing(tmp_path, capsys, argv, "fnet.model", 2,
                            "labels ['/C'] not in hierarchy")
+
+
+@pytest.mark.parametrize(
+    "gold, hierarchy, message",
+    [("/C", "/A\n/A/B\n/MISC\n", "labels ['/C'] not in hierarchy"),
+     ("/A", "/A\n/A/B\n", "{model}: labels ['/MISC'] not in {hierarchy}")],
+    ids=["gold-label", "model-label"],
+)
+def test_fnet_eval_label_outside_hierarchy_exits_2(tmp_path, capsys, gold, hierarchy, message):
+    train, test = str(tmp_path / "train.jsonl"), str(tmp_path / "test.jsonl")
+    train_hier, test_hier = tmp_path / "train_hier.txt", tmp_path / "test_hier.txt"
+    fnet.save_mentions(
+        [fnet.MentionInstance(["in", word], 1, 2, {lab})
+         for word, lab in [("Rome", "/A"), ("Paris", "/A/B"), ("Acme", "/MISC")]],
+        train,
+    )
+    train_hier.write_text("/A\n/A/B\n/MISC\n")
+    model = str(tmp_path / "fnet.model")
+    assert main(["fnet-train", train, str(train_hier), "--output", model]) == 0
+    fnet.save_mentions([fnet.MentionInstance(["in", "Oslo"], 1, 2, {gold})], test)
+    test_hier.write_text(hierarchy)
+    report = tmp_path / "report.json"
+    assert main(["fnet-eval", test, str(test_hier), "--model", model,
+                 "--report", str(report)]) == 2
+    assert message.format(model=model, hierarchy=test_hier) in capsys.readouterr().err
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("brk", ["\n", "\r"], ids=["lf", "cr"])

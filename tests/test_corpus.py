@@ -24,7 +24,7 @@ def make_corpus(text=SIMPLE):
 class TestParsing:
     def test_round_trip(self):
         text = (
-            "london\tNNP\tB-LOC\tcity,place\n"
+            "london\tNNP\tB-LOC\n"
             "calling\tVBG\tO\n\n"
             "a\tDT\tO\nb\tNN\tO\n\n"
         )
@@ -68,7 +68,7 @@ class TestVocabulary:
         v = build_vocab(c)
         assert v.id_to_token == ["<unk>", "a"]
         assert v.token_to_id == {"<unk>": 0, "a": 1}
-        assert len(v) == 2 and v.counts["<unk>"] == 1
+        assert len(v) == 2
 
 
 class TestLexicons:

@@ -60,7 +60,7 @@ class TestAverageConcepts:
         params.arrays["Ec"][:] = [[1.0, 0.0], [0.0, 1.0], [2.0, 2.0], [4.0, 0.0], [0.0, 8.0]]
         inst = make_instance(["a"], [0], {}, [concept_ids])
         # one token: its forward column is one step from the zero state
-        fwd = encode_bilstm(inst, params.arrays, params)[0][: CFG.d_h]
+        fwd = encode_bilstm(inst, params)[0][: CFG.d_h]
         zero = np.zeros(CFG.d_h)
         want, _ = manual_sentic_step(
             params.arrays["E"][0], zero, zero, np.array(mu), params.arrays, "f"
@@ -181,7 +181,7 @@ class TestEncode:
     def test_single_token(self):
         params = tiny_params()
         inst = make_instance(["a"], [0], {})
-        cols = encode_bilstm(inst, params.arrays, params)
+        cols = encode_bilstm(inst, params)
         assert len(cols) == 1
         assert cols[0].shape == (2 * CFG.d_h,)
 
@@ -195,8 +195,8 @@ class TestEncode:
             )
         inst = make_instance(["a", "b", "c"], [1], {}, [["k1"], [], ["k2"]])
         rev = make_instance(["c", "b", "a"], [1], {}, [["k2"], [], ["k1"]])
-        cols = encode_bilstm(inst, params.arrays, params)
-        cols_rev = encode_bilstm(rev, swapped.arrays, swapped)
+        cols = encode_bilstm(inst, params)
+        cols_rev = encode_bilstm(rev, swapped)
         d = CFG.d_h
         for i in range(3):
             fwd, bwd = cols[i][:d], cols[i][d:]
@@ -209,7 +209,7 @@ class TestAttention:
     def test_single_position(self):
         params = tiny_params()
         inst = make_instance(["a", "b"], [1], {})
-        cols = encode_bilstm(inst, params.arrays, params)
+        cols = encode_bilstm(inst, params)
         v_t, alpha, _ = target_attention(cols, [1], params.arrays)
         np.testing.assert_allclose(alpha, [1.0])
         np.testing.assert_allclose(v_t, cols[1])
@@ -219,7 +219,7 @@ class TestAttention:
         params.arrays["Wa2"][:] = 0.0
         inst = make_instance(["a", "b", "c"], [0, 2], {})
         p = params.arrays
-        cols = encode_bilstm(inst, p, params)
+        cols = encode_bilstm(inst, params)
         _, alpha, _ = target_attention(cols, [0, 2], p)
         np.testing.assert_allclose(alpha, [0.5, 0.5])
 
@@ -244,7 +244,7 @@ class TestAttention:
         params = tiny_params(seed=12)
         p = params.arrays
         inst = make_instance(["a", "b", "c"], [1], {})
-        cols = encode_bilstm(inst, p, params)
+        cols = encode_bilstm(inst, params)
         v_t, _, _ = target_attention(cols, [1], p)
         _, beta, _ = sentence_attention(cols, v_t, "price", p)
         assert abs(beta.sum() - 1.0) < 1e-9
@@ -254,7 +254,7 @@ class TestAttention:
         params = tiny_params(seed=13)
         p = params.arrays
         inst = make_instance(["a"], [0], {})
-        cols = encode_bilstm(inst, p, params)
+        cols = encode_bilstm(inst, params)
         v_t, _, _ = target_attention(cols, [0], p)
         _, beta, _ = sentence_attention(cols, v_t, "service", p)
         np.testing.assert_allclose(beta, [1.0])
@@ -559,7 +559,6 @@ class TestEvaluate:
         data = [make_instance(["a", "b"], [0], {"price": "positive"})]
         report = predict_and_evaluate(data, params)
         assert report["strict_acc"] == 0.0
-        assert report["pairs"] == 1
 
     def test_single_aspect_perfect_macro_equals_micro(self):
         cfg = SenticConfig(d_w=3, d_h=2, d_m=2, d_c=2, aspects=("general",))
@@ -646,7 +645,6 @@ def reference_evaluate(dataset, params):
         "macro_f1": macro_f1(preds),
         "micro_f1": micro_f1(preds),
         "sentiment_acc": correct / total if total else 0.0,
-        "pairs": total,
     }
 
 
@@ -668,9 +666,9 @@ class TestStackedEvaluate:
         report = predict_and_evaluate(data, params)
         monkeypatch.undo()
         for group, out in blocks:
-            columns = sentic_mod._encode(group, params.arrays, params, None)[0]
+            columns = sentic_mod._encode(group, params, None)[0]
             for inst, probs, cols in zip(group, out, columns):
-                assert np.array_equal(cols, encode_bilstm(inst, params.arrays, params))
+                assert np.array_equal(cols, encode_bilstm(inst, params))
                 expect = forward(inst, params)
                 for a in cfg.aspects:
                     assert np.array_equal(probs[a], expect[a])
