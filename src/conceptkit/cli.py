@@ -159,6 +159,12 @@ def cmd_fnet_eval(args):
     missing = [lab for lab in model.labels if lab not in hierarchy]
     if missing:
         raise ValueError(f"{args.model}: labels {missing} not in {args.hierarchy}")
+    # the model can never predict these, so every score would count them as misses
+    unscored = sorted({lab for m in mentions for lab in m.labels} - set(model.labels))
+    if unscored:
+        raise ValueError(
+            f"{args.mentions}: gold labels {unscored} are not among {args.model}'s labels"
+        )
     feats = _load_sidecar(args.model, ".feats", model.A.shape[1])
     fnet_mod.extract_mention_features(mentions, feats)
     ranked = [fnet_mod.rank_labels(m.features, model) for m in mentions]

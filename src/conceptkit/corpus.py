@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cache
 
 from .artifact import read_records
 
@@ -303,16 +304,6 @@ def extract_feature_events(
                     yield emit(table.group_key(SELF, k), other.ne_tag, wid)
 
 
-def _unigram_block(k, surface, pos):
-    """The word, POS and affix (lengths 1-4) features of one token at offset
-    k, TAB-joined."""
-    feats = [f"w[{k}]={surface}", f"pos[{k}]={pos}"]
-    for l in range(1, min(4, len(surface)) + 1):
-        feats.append(f"pre{l}[{k}]={surface[:l]}")
-        feats.append(f"suf{l}[{k}]={surface[-l:]}")
-    return "\t".join(feats)
-
-
 def emit_crf_features(corpus, vocab, binarized, clusterings, window=2):
     """Render the CRF training file: baseline templates plus embedding-derived
     binarized-dimension and cluster features, BIO tag last.
@@ -328,45 +319,57 @@ def emit_crf_features(corpus, vocab, binarized, clusterings, window=2):
 def _crf_lines(corpus, vocab, binarized, clusterings, window):
     """One line per token, a blank line after each sentence.
 
-    Per token, the fields are: the baseline word/POS/affix unigrams and the
-    word and POS bigrams in the window, each window word's ``vd`` and ``cK``
-    features, then the cluster bigrams and ``cK[-1^+1]``, then the tag. A
-    token's unigram block and a word's ``vd``/``cK`` block at a given offset
-    are the same at every occurrence, so each is formatted once.
+    Per token, the fields are: the baseline word/POS/affix (lengths 1-4)
+    unigrams and the word and POS bigrams in the window, each window word's
+    ``vd`` and ``cK`` features, then the cluster bigrams and ``cK[-1^+1]``,
+    then the tag. A (surface, POS) pair's unigram block and a word id's
+    ``vd``/``cK`` block differ between offsets only in the ``[k]=`` markers,
+    so on a type's first sighting (a ``cache`` miss) its block is split into
+    the text pieces between the markers, e.g. ``["w", "<surface><TAB>pos",
+    "<pos><TAB>pre1", ..., "<suf4>"]``, and the blocks of all 2 * window + 1
+    offsets are built from them with one join each.
     """
     ks = sorted(clusterings)
     cluster_ids = {K: [str(int(c)) for c in clusterings[K].tolist()] for K in ks}
     # each word's "dim:sign" strings, for its non-zero binarized dimensions
     signs = [[f"{dim}:{int(v)}" for dim, v in enumerate(col) if v] for col in binarized.T.tolist()]
-    unigram_blocks = {}
-    word_blocks = {}
+    markers = [f"[{k}]=" for k in range(-window, window + 1)]
+
+    def at_offsets(names, values):
+        """Blocks ``name[k]=value`` TAB-joined, indexed by k + window."""
+        if not names:
+            return [""] * len(markers)
+        pieces = [names[0], *(f"{v}\t{n}" for v, n in zip(values, names[1:])), values[-1]]
+        return [m.join(pieces) for m in markers]
+
+    @cache
+    def unigrams(s, pos):
+        names, values = ["w", "pos"], [s, pos]
+        for l in range(1, min(4, len(s)) + 1):
+            names += [f"pre{l}", f"suf{l}"]
+            values += [s[:l], s[-l:]]
+        return at_offsets(names, values)
+
+    @cache
+    def word_feats(w):
+        names = ["vd"] * len(signs[w]) + [f"c{K}" for K in ks]
+        return at_offsets(names, signs[w] + [cluster_ids[K][w] for K in ks])
+
     for sent in corpus.sentences:
         n = len(sent)
         wid = [vocab.id_of(t.surface) for t in sent]
+        uni = [unigrams(t.surface, t.pos) for t in sent]
+        vec = [word_feats(w) for w in wid]
         for i, tok in enumerate(sent):
             lo, hi = max(0, i - window), min(n, i + window + 1)
-            feats = []
-            for j in range(lo, hi):
-                key = (j - i, sent[j].surface, sent[j].pos)
-                block = unigram_blocks.get(key)
-                if block is None:
-                    block = unigram_blocks[key] = _unigram_block(*key)
-                feats.append(block)
+            # uni[j][j + at] and vec[j][j + at] are word j's blocks at offset j - i
+            at = window - i
+            feats = [uni[j][j + at] for j in range(lo, hi)]
             for j in range(lo, hi - 1):
                 k, a, b = j - i, sent[j], sent[j + 1]
                 feats.append(f"w[{k},{k+1}]={a.surface}_{b.surface}")
                 feats.append(f"pos[{k},{k+1}]={a.pos}_{b.pos}")
-            for j in range(lo, hi):
-                key = (j - i, wid[j])
-                block = word_blocks.get(key)
-                if block is None:
-                    k, w = key
-                    block = word_blocks[key] = "\t".join(
-                        [f"vd[{k}]={s}" for s in signs[w]]
-                        + [f"c{K}[{k}]={cluster_ids[K][w]}" for K in ks]
-                    )
-                if block:
-                    feats.append(block)
+            feats.extend(block for j in range(lo, hi) if (block := vec[j][j + at]))
             for K in ks:
                 ids = cluster_ids[K]
                 for j in range(lo, hi - 1):

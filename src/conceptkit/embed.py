@@ -477,22 +477,31 @@ def save_embeddings(emb, path):
 
 def load_embeddings(path):
     """The ``save_embeddings`` format; spaces that end a row are ignored, as
-    the original word2vec tool ends every row with one."""
+    the original word2vec tool ends every row with one.
+
+    Each row's spaces are counted against ``d`` and its token split off; the
+    values of all rows are then parsed by one ``np.loadtxt`` call, whose C
+    parser gives the doubles ``float()`` gives.
+    """
     with open(path, encoding="utf-8") as f:
         header = f.readline().split()
         if len(header) != 2:
             raise ValueError(f"{path}: malformed header")
         v, d = int(header[0]), int(header[1])
+        if v < 1 or d < 1:
+            raise ValueError(f"{path}: malformed header")
         tokens = []
         rows = []
         for lineno, line in enumerate(f, start=2):
-            parts = line.rstrip("\n ").split(" ")
-            if len(parts) != d + 1:
+            line = line.rstrip("\n ")
+            if line.count(" ") != d:
                 raise ValueError(
-                    f"{path}:{lineno}: line has {len(parts)-1} values, expected {d}"
+                    f"{path}:{lineno}: line has {line.count(' ')} values, expected {d}"
                 )
-            tokens.append(parts[0])
-            rows.append([float(x) for x in parts[1:]])
+            token, _, values = line.partition(" ")
+            tokens.append(token)
+            rows.append(values)
         if len(tokens) != v:
             raise ValueError(f"{path}: header declares {v} rows, found {len(tokens)}")
-    return EmbeddingSet(tokens=tokens, word_vectors=np.array(rows, dtype=np.float64))
+    vectors = np.loadtxt(rows, delimiter=" ", comments=None, ndmin=2)
+    return EmbeddingSet(tokens=tokens, word_vectors=vectors)

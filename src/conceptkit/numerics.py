@@ -81,6 +81,14 @@ def log_sigmoid(x):
     return -softplus(-np.asarray(x, dtype=np.float64))
 
 
+def _cdf(w, total):
+    """The cumulative sum of ``w / total`` with its last entry set to 1.0, so
+    that every ``u`` in [0, 1) lies below it."""
+    cdf = np.cumsum(w / total)
+    cdf[-1] = 1.0
+    return cdf
+
+
 class DiscreteSampler:
     """Sample indices proportionally to a fixed non-negative weight vector.
 
@@ -103,12 +111,10 @@ class DiscreteSampler:
             raise ValueError("at least one weight must be positive")
         self.weights = w
         self._multi_support = np.count_nonzero(w) > 1
-        cdf = np.cumsum(w / total)
-        cdf[-1] = 1.0
         # index(u): a search of a Python list with no Python frame per call,
         # since per-draw numpy calls on scalars, or a method call, cost more
         # than the search itself
-        self.index = partial(bisect_right, cdf.tolist())
+        self.index = partial(bisect_right, _cdf(w, total).tolist())
 
     def can_reject(self, observed):
         """Whether some draw other than ``observed`` has positive weight, so
@@ -121,20 +127,27 @@ class DiscreteSampler:
 
 
 def _kmeans_pp_init(points, k, rng):
-    """k-means++ seeding: first centroid uniform, the rest D^2-weighted."""
+    """k-means++ seeding: first centroid uniform, the rest D^2-weighted.
+
+    Each weighted draw takes one double ``u`` and returns the first index
+    whose ``_cdf(d2)`` entry is above it, as ``DiscreteSampler(d2).sample``
+    would; a zero total (every point on a centroid) draws uniformly instead.
+    """
     n = points.shape[0]
     centroids = np.empty((k, points.shape[1]))
     idx = int(rng.integers(n))
     centroids[0] = points[idx]
     d2 = np.sum((points - centroids[0]) ** 2, axis=1)
+    diff = np.empty_like(points)
     for j in range(1, k):
         total = d2.sum()
         if total <= 0:
             idx = int(rng.integers(n))
         else:
-            idx = DiscreteSampler(d2).sample(rng)
+            idx = int(np.searchsorted(_cdf(d2, total), rng.random(), side="right"))
         centroids[j] = points[idx]
-        d2 = np.minimum(d2, np.sum((points - centroids[j]) ** 2, axis=1))
+        np.subtract(points, centroids[j], out=diff)
+        np.minimum(d2, np.sum(np.square(diff, out=diff), axis=1), out=d2)
     return centroids
 
 
@@ -186,6 +199,8 @@ def kmeans(points, k, max_iters, rng):
         raise ValueError(f"k={k} exceeds number of points {n}")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
+    if not np.isfinite(points).all():
+        raise ValueError("points must be finite")
     centroids = _kmeans_pp_init(points, k, rng)
     sq_norms = (points ** 2).sum(axis=1)
     assign = None

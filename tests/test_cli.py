@@ -350,20 +350,25 @@ def test_fnet_train_label_outside_hierarchy_exits_2(tmp_path, capsys, zero_shot)
 
 
 @pytest.mark.parametrize(
-    "gold, hierarchy, message",
-    [("/C", "/A\n/A/B\n/MISC\n", "labels ['/C'] not in hierarchy"),
-     ("/A", "/A\n/A/B\n", "{model}: labels ['/MISC'] not in {hierarchy}")],
-    ids=["gold-label", "model-label"],
+    "train_labels, gold, hierarchy, message",
+    [("/A\n/A/B\n/MISC\n", "/C", "/A\n/A/B\n/MISC\n", "labels ['/C'] not in hierarchy"),
+     ("/A\n/A/B\n/MISC\n", "/A", "/A\n/A/B\n",
+      "{model}: labels ['/MISC'] not in {hierarchy}"),
+     ("/A\n/A/B\n", "/MISC", "/A\n/A/B\n/MISC\n",
+      "{mentions}: gold labels ['/MISC'] are not among {model}'s labels")],
+    ids=["gold-label", "model-label", "gold-label-outside-model"],
 )
-def test_fnet_eval_label_outside_hierarchy_exits_2(tmp_path, capsys, gold, hierarchy, message):
+def test_fnet_eval_label_outside_hierarchy_exits_2(tmp_path, capsys, train_labels, gold,
+                                                   hierarchy, message):
     train, test = str(tmp_path / "train.jsonl"), str(tmp_path / "test.jsonl")
     train_hier, test_hier = tmp_path / "train_hier.txt", tmp_path / "test_hier.txt"
     fnet.save_mentions(
         [fnet.MentionInstance(["in", word], 1, 2, {lab})
-         for word, lab in [("Rome", "/A"), ("Paris", "/A/B"), ("Acme", "/MISC")]],
+         for word, lab in [("Rome", "/A"), ("Paris", "/A/B"), ("Acme", "/MISC")]
+         if lab in train_labels.split()],
         train,
     )
-    train_hier.write_text("/A\n/A/B\n/MISC\n")
+    train_hier.write_text(train_labels)
     model = str(tmp_path / "fnet.model")
     assert main(["fnet-train", train, str(train_hier), "--output", model]) == 0
     fnet.save_mentions([fnet.MentionInstance(["in", "Oslo"], 1, 2, {gold})], test)
@@ -371,7 +376,8 @@ def test_fnet_eval_label_outside_hierarchy_exits_2(tmp_path, capsys, gold, hiera
     report = tmp_path / "report.json"
     assert main(["fnet-eval", test, str(test_hier), "--model", model,
                  "--report", str(report)]) == 2
-    assert message.format(model=model, hierarchy=test_hier) in capsys.readouterr().err
+    assert message.format(mentions=test, model=model, hierarchy=test_hier) \
+        in capsys.readouterr().err
     assert not report.exists()
 
 

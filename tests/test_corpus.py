@@ -315,10 +315,14 @@ def test_crf_emission_matches_longhand(window, ks):
         "the\tDT\tO\nzanzibar\tNNP\tB-LOC\n\n"
         "in\tIN\tO\nparis\tNNP\tB-LOC\nthe\tDT\tO\nqux\tNN\tO\nsummit\tNN\tO\n"
         "paris\tNNP\tB-LOC\nin\tIN\t\n\n"
+        # a surface holding an offset marker, and one-character words, next
+        # to each other: an offset put in by replacing text would corrupt them
+        "the\tDT\tO\na[0]=b_c\tSYM\tO\nx\tNN\tO\ny\tNN\tO\nin\tIN\tO\n\n"
     )
     corpus = make_corpus(text)
-    # "solo", "zanzibar" and "qux" are not in the vocabulary: they map to <unk>
-    vocab = Vocabulary.from_tokens(["<unk>", "the", "paris", "summit", "in", "spring"], "emb")
+    # "solo", "zanzibar", "qux" and "y" are not in the vocabulary: they map to <unk>
+    vocab = Vocabulary.from_tokens(
+        ["<unk>", "the", "paris", "summit", "in", "spring", "a[0]=b_c", "x"], "emb")
     rng = np.random.default_rng(window)
     binz = rng.integers(-1, 2, size=(6, len(vocab))).astype(np.int8)
     binz[:, 3] = 0  # "summit" has no binarized features

@@ -568,6 +568,38 @@ class TestPersistence:
         with pytest.raises(ValueError, match="emb.txt:3: line has 2 values, expected 3"):
             load_embeddings(p)
 
+    @pytest.mark.parametrize(
+        "row, count",
+        [("w1 1 2 3 4", 4), ("w1 1  2 3", 4), ("w1  1 2 3", 4), ("w1", 0)],
+        ids=["long", "doubled-space", "doubled-space-after-token", "token-only"],
+    )
+    def test_value_count_mismatch(self, tmp_path, row, count):
+        # an empty field between two spaces counts as a value
+        p = tmp_path / "emb.txt"
+        p.write_text(f"2 3\nw0 1 2 3\n{row}\n")
+        with pytest.raises(ValueError, match=f"emb.txt:3: line has {count} values, expected 3"):
+            load_embeddings(p)
+
+    @pytest.mark.parametrize("header", ["0 3", "1 0", "1"])
+    def test_malformed_header(self, tmp_path, header):
+        p = tmp_path / "emb.txt"
+        p.write_text(f"{header}\n")
+        with pytest.raises(ValueError, match="emb.txt: malformed header"):
+            load_embeddings(p)
+
+    def test_values_parse_like_float(self, tmp_path):
+        # numpy's parser gives the bits of float() on signed zeros,
+        # subnormals, exponents, bare signs and points, and the non-finite
+        # spellings
+        rows = [["-0", "1e-310", "1E+5"], ["+3", ".5", "5."], ["inf", "-inf", "nan"],
+                ["0.1", "-2.5e-3", "123456789.123456789"]]
+        p = tmp_path / "emb.txt"
+        p.write_text("4 3\n" + "".join(f"w{i} {' '.join(r)}\n" for i, r in enumerate(rows)))
+        got = load_embeddings(p).word_vectors
+        want = np.array([[float(x) for x in r] for r in rows])
+        assert got.dtype == np.float64 and got.shape == (4, 3)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_word2vec_trailing_space(self, tmp_path):
         # the original word2vec tool ends every row with a space
         p = tmp_path / "w2v.txt"

@@ -212,6 +212,14 @@ class TestKmeans:
         with pytest.raises(ValueError):
             kmeans(np.zeros((3, 2)), 0, 5, make_rng(0))
 
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_nonfinite_points_raise(self, bad, k):
+        pts = make_rng(3).normal(size=(5, 2))
+        pts[4, 1] = bad
+        with pytest.raises(ValueError, match="points must be finite"):
+            kmeans(pts, k, 5, make_rng(0))
+
     def test_objective_monotone(self, monkeypatch):
         pts = make_rng(5).normal(size=(60, 4))
         obj = _record_objectives(monkeypatch)
@@ -300,6 +308,42 @@ def test_kmeans_blocks_match_longhand(case, k, monkeypatch):
     assert obj == want_obj
     if case == "lattice" and k > 1:
         assert fallback_rows, "no row fell back to the exact distances"
+
+
+def _pp_init_longhand(points, k, rng):
+    """k-means++ seeding with a new ``DiscreteSampler`` per weighted draw;
+    also returns how many draws fell back to uniform on a zero total."""
+    n = points.shape[0]
+    centroids = np.empty((k, points.shape[1]))
+    centroids[0] = points[int(rng.integers(n))]
+    d2 = np.sum((points - centroids[0]) ** 2, axis=1)
+    uniform = 0
+    for j in range(1, k):
+        if d2.sum() <= 0:
+            idx = int(rng.integers(n))
+            uniform += 1
+        else:
+            idx = DiscreteSampler(d2).sample(rng)
+        centroids[j] = points[idx]
+        d2 = np.minimum(d2, np.sum((points - centroids[j]) ** 2, axis=1))
+    return centroids, uniform
+
+
+@pytest.mark.parametrize(
+    "case,k",
+    [(2 * KMEANS_BLOCK + 13, 7), (KMEANS_BLOCK - 5, 3), ("lattice", 9), ("duplicates", 3),
+     ("duplicates", 8), ("far", 6)],
+)
+def test_pp_init_matches_sampler_longhand(case, k):
+    pts = _kmeans_points(case)
+    rng, want_rng = make_rng(k), make_rng(k)
+    got = _kmeans_pp_init(pts, k, rng)
+    want, uniform = _pp_init_longhand(pts, k, want_rng)
+    np.testing.assert_array_equal(got, want)
+    assert rng.bit_generator.state == want_rng.bit_generator.state
+    if case == "duplicates" and k == 8:
+        # six distinct points: the seventh draw finds every distance zero
+        assert uniform > 0
 
 
 class TestGradcheck:
