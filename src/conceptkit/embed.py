@@ -481,7 +481,8 @@ def load_embeddings(path):
 
     Each row's spaces are counted against ``d`` and its token split off; the
     values of all rows are then parsed by one ``np.loadtxt`` call, whose C
-    parser gives the doubles ``float()`` gives.
+    parser gives the doubles ``float()`` gives. A value that parser rejects,
+    an empty one included, is a ValueError naming ``path:lineno``.
     """
     with open(path, encoding="utf-8") as f:
         header = f.readline().split()
@@ -503,5 +504,15 @@ def load_embeddings(path):
             rows.append(values)
         if len(tokens) != v:
             raise ValueError(f"{path}: header declares {v} rows, found {len(tokens)}")
-    vectors = np.loadtxt(rows, delimiter=" ", comments=None, ndmin=2)
+    try:
+        vectors = np.loadtxt(rows, delimiter=" ", comments=None, ndmin=2)
+    except ValueError:
+        # the first value the same parser rejects ("" reads as no data, not an error)
+        for lineno, values in enumerate(rows, start=2):
+            for value in values.split(" "):
+                try:
+                    np.loadtxt([value or "?"], comments=None)
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: value {value!r} is not a number") from None
+        raise
     return EmbeddingSet(tokens=tokens, word_vectors=vectors)

@@ -418,25 +418,55 @@ def _views(flat, shapes):
 
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
+# Elements per block of an Adam sweep, and the length of each thread's two
+# scratch vectors. Every ufunc call on the worker is a GIL handoff with the
+# training thread, so the worker's ``E`` sweep is kept to a handful of blocks
+# (three at benchmark dims, V~2.5k and d_w=150). Blocks of 32,768 (a dozen)
+# lowered the benchmark's peak by another 2.7 MB, with tsa-train's time level
+# within noise over 4 pairs (BENCH_26.json).
+_ADAM_BLOCK = 131072
 
-def _adam_rows(p, m, v, s1, s2, rows, g_rows, step, lr):
+
+def _adam_rows(p, m, v, scratch, rows, g_rows, step, lr):
     """Adam step ``step`` in place on ``p`` and its moments ``m`` and ``v``,
     whose gradient is ``g_rows`` at ``rows`` and zero elsewhere: the moments
     decay everywhere, only ``rows`` get the gradient term, and then
-    ``p -= (lr*mhat) / (sqrt(vhat) + eps)``. ``rows=slice(None)`` with a
-    gradient of ``p``'s shape is the dense step. ``s1`` and ``s2`` are
-    scratch of ``p``'s shape."""
-    m *= _BETA1
-    m[rows] += (1 - _BETA1) * g_rows
-    v *= _BETA2
-    v[rows] += ((1 - _BETA2) * g_rows) * g_rows
-    np.divide(m, 1 - _BETA1**step, out=s1)
-    s1 *= lr
-    np.divide(v, 1 - _BETA2**step, out=s2)
-    np.sqrt(s2, out=s2)
-    s2 += _EPS
-    s1 /= s2
-    p -= s1
+    ``p -= (lr*mhat) / (sqrt(vhat) + eps)``. ``rows=None`` with a gradient of
+    ``p``'s shape is the dense step. ``p``, ``m`` and ``v`` are contiguous.
+
+    The sweep runs in blocks of ``scratch``'s length, the two rows of
+    ``scratch`` holding each block's temporaries; the dense step decays and
+    adds in the same blocks, the row-indexed step updates its moments whole
+    first. Each element sees the same operations in the same order either
+    way, so the block length does not change a bit."""
+    if rows is not None:
+        m *= _BETA1
+        m[rows] += (1 - _BETA1) * g_rows
+        v *= _BETA2
+        v[rows] += ((1 - _BETA2) * g_rows) * g_rows
+    p, m, v, g = (a.reshape(-1) for a in (p, m, v, g_rows))
+    c1, c2 = 1 - _BETA1**step, 1 - _BETA2**step
+    size = scratch.shape[1]
+    for at in range(0, p.size, size):
+        part = slice(at, at + size)
+        pb, mb, vb = p[part], m[part], v[part]
+        s1, s2 = scratch[:, : pb.size]
+        if rows is None:
+            gb = g[part]
+            mb *= _BETA1
+            np.multiply(gb, 1 - _BETA1, out=s1)
+            mb += s1
+            vb *= _BETA2
+            np.multiply(gb, 1 - _BETA2, out=s1)
+            s1 *= gb
+            vb += s1
+        np.divide(mb, c1, out=s1)
+        s1 *= lr
+        np.divide(vb, c2, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += _EPS
+        s1 /= s2
+        pb -= s1
 
 
 def train(train_set, dev_set, config):
@@ -445,11 +475,16 @@ def train(train_set, dev_set, config):
 
     Buffer layout: every trainable array is a view into one flat float64
     vector ``theta``, ``E`` first and the other arrays after it in
-    ``SenticParams.init`` order; both Adam moments and two scratch vectors
-    are flat vectors of the same layout. The gradient of the non-``E``
-    arrays is one flat vector of the rest of that layout; ``E``'s gradient
-    is a block of the rows of the instance's tokens only, because the
-    forward/backward pass reads ``E`` through ``SenticParams.row_block``.
+    ``SenticParams.init`` order; the two Adam moments are flat vectors of the
+    same layout, and no other buffer is of ``theta``'s size. The gradient of
+    the non-``E`` arrays is one flat vector of the rest of that layout;
+    ``E``'s gradient is a block of the rows of the instance's tokens only,
+    because the forward/backward pass reads ``E`` through
+    ``SenticParams.row_block``. Each thread owns a pair of scratch vectors of
+    ``_ADAM_BLOCK`` elements, which ``_adam_rows`` sweeps through block by
+    block. Once the last epoch's steps are done, the moments, the scratch
+    and the gradient are freed before the dev evaluation and the copy of the
+    best parameters, which then run beside ``theta`` alone.
 
     Two threads share every step. After step t's ``loss_and_grads`` the
     main thread waits for the worker's step t-1, works out the ``E`` rows
@@ -458,8 +493,8 @@ def train(train_set, dev_set, config):
     operations), hands step t's ``E`` update to the worker and updates the
     non-``E`` slice itself; step t+1's forward/backward then runs while the
     worker sweeps ``E``. The worker alone touches the ``E`` slices of
-    ``theta``, the moments and the scratch while it runs; the main thread
-    alone touches the rest and the next gradient block. The main thread
+    ``theta`` and the moments, and its own scratch, while it runs; the main
+    thread alone touches the rest, its scratch and the next gradient block. The main thread
     waits for the worker at the end of every epoch (before the dev
     evaluation and the copy of the best parameters) and the pool is closed
     before ``train`` returns or raises, so no thread outlives the call. The
@@ -495,10 +530,11 @@ def train(train_set, dev_set, config):
     shapes = {k: params.arrays[k].shape for k in ["E", *params.arrays]}  # E first
     theta = np.concatenate([params.arrays[k].ravel() for k in shapes])
     params.arrays = _views(theta, shapes)
-    m, v, s1, s2 = (np.zeros_like(theta) for _ in range(4))
+    m, v = np.zeros_like(theta), np.zeros_like(theta)
     n_E = math.prod(shapes["E"])
-    E, m_E, v_E, s1_E, s2_E = (buf[:n_E].reshape(shapes["E"]) for buf in (theta, m, v, s1, s2))
-    theta_r, m_r, v_r, s1_r, s2_r = (buf[n_E:] for buf in (theta, m, v, s1, s2))
+    E, m_E, v_E = (buf[:n_E].reshape(shapes["E"]) for buf in (theta, m, v))
+    theta_r, m_r, v_r = (buf[n_E:] for buf in (theta, m, v))
+    main_s, worker_s = (np.empty((2, min(_ADAM_BLOCK, n))) for n in (theta_r.size, n_E))
     g_r = np.zeros_like(theta_r)
     grads = _views(g_r, {k: s for k, s in shapes.items() if k != "E"})
     rows_of = [np.unique([params.token_index[t] for t in inst.tokens]) for inst in train_set]
@@ -545,16 +581,19 @@ def train(train_set, dev_set, config):
                         rows, after, assume_unique=True, return_indices=True
                     )
                     block = E[after]
-                    _adam_rows(block, m_E[after], v_E[after], np.empty_like(block),
-                               np.empty_like(block), there, g_rows[here], step, lr)
+                    _adam_rows(block, m_E[after], v_E[after], main_s, there, g_rows[here],
+                               step, lr)
                 e_update = worker.submit(
-                    _adam_rows, E, m_E, v_E, s1_E, s2_E, rows, g_rows, step, lr
+                    _adam_rows, E, m_E, v_E, worker_s, rows, g_rows, step, lr
                 )
-                _adam_rows(theta_r, m_r, v_r, s1_r, s2_r, slice(None), g_r, step, lr)
+                _adam_rows(theta_r, m_r, v_r, main_s, None, g_r, step, lr)
                 g_r[:] = 0.0
             if e_update is not None:
                 e_update.result()
             elapsed = time.perf_counter() - started
+            if epoch + 1 == config.epochs:
+                # the optimizer state is dead: free it before the evaluation
+                del m, v, m_E, v_E, m_r, v_r, main_s, worker_s, g_r, grads, g_rows
             report = predict_and_evaluate(dev_set, params)
             key = (report["sentiment_acc"], report["strict_acc"], -epoch)
             if best is None or key > best[0]:

@@ -608,12 +608,13 @@ def test_rerank_train_nonfinite_scores_exit_3(tmp_path, nbest_files, cfg_file, c
 # model artifacts
 
 
-def test_failed_write_keeps_old_artifact(tmp_path, nbest_files, cfg_file, monkeypatch):
-    npath, _ = nbest_files
-    model = str(tmp_path / "trained.drbm")
-    argv = ["rerank-train", npath, "--output", model, "--config", cfg_file]
+def _retrain_failing_after_first_array(tmp_path, argv, output, monkeypatch):
+    """Train at --seed 7, then again at --seed 8 with ``np.save`` raising
+    OSError after the first array: exit 2, no temporary file left and
+    ``output`` keeps the first run's bytes. Returns the directory listing
+    and bytes after the first run."""
     assert main(argv + ["--seed", "7"]) == 0
-    before = sorted(os.listdir(tmp_path)), _read(model)
+    before = sorted(os.listdir(tmp_path)), _read(output)
 
     real_save = np.save
     saved = []
@@ -627,13 +628,29 @@ def test_failed_write_keeps_old_artifact(tmp_path, nbest_files, cfg_file, monkey
     monkeypatch.setattr(np, "save", save_then_fail)
     assert main(argv + ["--seed", "8"]) == 2
     assert len(saved) == 1  # the failure came after the first array was written
-    assert (sorted(os.listdir(tmp_path)), _read(model)) == before
+    assert not [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
+    assert (sorted(os.listdir(tmp_path)), _read(output)) == before
+    return before
+
+
+def test_failed_write_keeps_old_artifact(tmp_path, nbest_files, cfg_file, monkeypatch):
+    npath, _ = nbest_files
+    model = str(tmp_path / "trained.drbm")
+    argv = ["rerank-train", npath, "--output", model, "--config", cfg_file]
+    before = _retrain_failing_after_first_array(tmp_path, argv, model, monkeypatch)
 
     with pytest.raises(RuntimeError):
         with atomic_write(model, "wb") as f:
             f.write(b"partial")
             raise RuntimeError("boom")
     assert (sorted(os.listdir(tmp_path)), _read(model)) == before
+
+
+def test_tsa_train_failed_write_keeps_old_checkpoint(tmp_path, tsa_files, cfg_file, monkeypatch):
+    tr, dv = tsa_files
+    ckpt = str(tmp_path / "tsa.ckpt")
+    argv = ["tsa-train", tr, dv, "--output", ckpt, "--config", cfg_file]
+    _retrain_failing_after_first_array(tmp_path, argv, ckpt, monkeypatch)
 
 
 def _model_artifacts(tmp_path):

@@ -580,6 +580,19 @@ class TestPersistence:
         with pytest.raises(ValueError, match=f"emb.txt:3: line has {count} values, expected 3"):
             load_embeddings(p)
 
+    @pytest.mark.parametrize(
+        "row, value",
+        [("w1 1 x 3", "'x'"), ("w1 1  2", "''"), ("w1 1 2 1_0", "'1_0'")],
+        ids=["non-numeric", "empty-field", "underscore"],
+    )
+    def test_bad_value_names_line(self, tmp_path, row, value):
+        # lines count from 1 as in the file; numpy's parser, unlike float(),
+        # rejects digit separators
+        p = tmp_path / "emb.txt"
+        p.write_text(f"3 3\nw0 1 2 3\n{row}\nw2 4 5 6\n")
+        with pytest.raises(ValueError, match=f"emb.txt:3: value {value} is not a number"):
+            load_embeddings(p)
+
     @pytest.mark.parametrize("header", ["0 3", "1 0", "1"])
     def test_malformed_header(self, tmp_path, header):
         p = tmp_path / "emb.txt"

@@ -2,6 +2,7 @@ import logging
 import re
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -509,6 +510,21 @@ class TestTrain:
         finally:
             sys.setswitchinterval(interval)
 
+    @pytest.mark.parametrize("case", ["plain", "shared_tokens"])
+    def test_bit_identical_across_adam_blocks(self, case, monkeypatch):
+        # a block of 7 elements: the dense sweep over the non-E arrays, the
+        # worker's sweep over E and every look-ahead block cross many block
+        # boundaries and end in a ragged block
+        monkeypatch.setattr(sentic_mod, "_ADAM_BLOCK", 7)
+        data, dev = shared_token_dataset() if case == "shared_tokens" else adam_dataset()
+        tokens = {t for inst in data for t in inst.tokens}
+        fresh = tiny_params(config=ADAM_CFG, tokens=sorted(tokens))
+        n_E = fresh.arrays["E"].size
+        n_rest = sum(a.size for k, a in fresh.arrays.items() if k != "E")
+        assert n_E % 7 and n_rest % 7
+        assert max(len(set(inst.tokens)) for inst in data) * ADAM_CFG.d_w > 2 * 7
+        self.assert_dense_adam(data, dev, ADAM_CFG)
+
     @staticmethod
     def assert_dense_adam(data, dev, config):
         expect, expect_epoch, _ = reference_train(data, dev, config)
@@ -548,6 +564,54 @@ class TestTrain:
     def test_empty_aspects_error(self):
         with pytest.raises(ValueError):
             train([], [], SenticConfig(aspects=()))
+
+    def test_optimizer_state_is_two_full_size_vectors(self):
+        # a word table (1,000 words, d_w=800, 6.4 MB) that dwarfs every other
+        # array. theta, m and v are three vectors of theta's size; the
+        # worker's block scratch (2 x 131,072 doubles, 0.32 x theta here),
+        # one step's arrays and the import of lazily loaded modules stay under
+        # another 1.5 x. Per-element scratch of theta's size would be two
+        # more vectors: five during training and six, with the best-epoch
+        # copy, while the final evaluation runs (6.4 x theta measured).
+        def sentences(n, tag):
+            return [make_instance([f"{tag}{i}_{j}" for j in range(50)], [0],
+                                  {"price": ("positive", "negative")[i % 2]})
+                    for i in range(n)]
+
+        config = SenticConfig(d_w=800, d_h=2, d_m=2, d_c=2, aspects=("price", "service"),
+                              epochs=1, dropout=0.0, seed=1)
+        tracemalloc.start()
+        try:
+            params = train(sentences(20, "w"), sentences(4, "w"), config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        theta = sum(a.nbytes for a in params.arrays.values())
+        assert peak < 4.5 * theta
+
+
+class TestAdamRows:
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "rows"])
+    def test_blocked_step_equals_one_shot(self, dense):
+        # 10 x 5 elements swept in blocks of the scratch's 7 against the
+        # whole-array formula; off the rows the gradient is zero, and the
+        # moments start nonzero so that +0.0 added there changes no bit
+        rng = make_rng(31)
+        p = rng.normal(size=(10, 5))
+        m = rng.normal(size=(10, 5))
+        v = rng.random((10, 5))
+        rows = None if dense else np.array([1, 4, 5, 9])
+        g_rows = rng.normal(size=(10, 5) if dense else (4, 5))
+        g = g_rows if dense else np.zeros((10, 5))
+        if not dense:
+            g[rows] = g_rows
+        step, lr, b1, b2 = 3, 0.01, 0.9, 0.999
+        m_want = b1 * m + (1 - b1) * g
+        v_want = b2 * v + ((1 - b2) * g) * g
+        p_want = p - (m_want / (1 - b1**step) * lr) / (np.sqrt(v_want / (1 - b2**step)) + 1e-8)
+        sentic_mod._adam_rows(p, m, v, np.empty((2, 7)), rows, g_rows, step, lr)
+        for got, want in ((m, m_want), (v, v_want), (p, p_want)):
+            assert np.array_equal(got, want)
 
 
 class TestEvaluate:
