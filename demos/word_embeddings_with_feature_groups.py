@@ -8,6 +8,9 @@ clustered representations used as downstream CRF features.
 Run:  python3 demos/word_embeddings_with_feature_groups.py
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from conceptkit.corpus import build_vocab, emit_crf_features, parse_corpus
@@ -72,11 +75,15 @@ for query in ("coffee", "bus"):
 bits = binarize(emb)
 clusterings = cluster_words(emb, ks=[2, 4], seed=11)
 sample = corpus.sentences[0]
-text = emit_crf_features(
-    type(corpus)(sentences=[sample]), vocab, bits, clusterings, window=1
-)
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "crf.txt")
+    emit_crf_features(
+        type(corpus)(sentences=[sample]), vocab, bits, clusterings, path, window=1
+    )
+    with open(path, encoding="utf-8") as f:
+        first = f.readline().rstrip("\n")
 print("\nCRF feature line for the first token (truncated):")
-print(text.splitlines()[0][:200] + " ...")
+print(first[:200] + " ...")
 
 coffee, tea = emb.tokens.index("coffee"), emb.tokens.index("tea")
 car = emb.tokens.index("car")

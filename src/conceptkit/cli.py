@@ -26,7 +26,7 @@ from . import fnet as fnet_mod
 from . import metrics as metrics_mod
 from . import rerank as rerank_mod
 from . import sentic as sentic_mod
-from .artifact import atomic_write, read_records, write_records
+from .artifact import read_records, write_records
 from .config import load_config
 from .numerics import NumericFailure
 
@@ -100,11 +100,9 @@ def cmd_embed_crf_feats(args):
     binarized = embed_mod.binarize(emb)
     ks = [k for k in cfg.clusters if k <= len(emb.tokens)]
     clusterings = embed_mod.cluster_words(emb, ks, seed=cfg.seed)
-    text = corpus_mod.emit_crf_features(
-        corpus, vocab, binarized, clusterings, window=cfg.window
+    corpus_mod.emit_crf_features(
+        corpus, vocab, binarized, clusterings, args.output, window=cfg.window
     )
-    with atomic_write(args.output) as f:
-        f.write(text)
     return 0
 
 
@@ -235,7 +233,10 @@ def cmd_rerank_eval(args):
         params, vocab = _load_drbm(args.model)
         slp = None
         if args.fuse_slp is not None:
-            slp_data = rerank_mod.load_nbest(args.slp_train) if args.slp_train else data
+            if not args.slp_train:
+                raise ValueError("--fuse-slp needs --slp-train, the N-best lists to fit "
+                                 "its perceptron on")
+            slp_data = rerank_mod.load_nbest(args.slp_train)
             slp = rerank_mod.train_slp(slp_data, vocab, args.cfg.rerank)
         scorer = rerank_mod.fused_scorer(params, slp, vocab, args.fuse_slp)
     # the plain WERs sum each list's cached errors: one edit distance per hypothesis
@@ -354,7 +355,7 @@ def build_parser():
     p.add_argument("--keywords")
     p.add_argument("--fuse-slp", type=float, metavar="ALPHA")
     p.add_argument("--slp-train", help="N-best lists to fit the --fuse-slp perceptron on "
-                   "(default: the scored lists, which makes the fused WER optimistic)")
+                   "(required with --fuse-slp)")
     p.add_argument("--report")
     p.set_defaults(func=cmd_rerank_eval)
 

@@ -15,7 +15,7 @@ import logging
 from dataclasses import dataclass, field
 from functools import cache
 
-from .artifact import read_records
+from .artifact import read_records, write_records
 
 log = logging.getLogger(__name__)
 
@@ -304,16 +304,17 @@ def extract_feature_events(
                     yield emit(table.group_key(SELF, k), other.ne_tag, wid)
 
 
-def emit_crf_features(corpus, vocab, binarized, clusterings, window=2):
-    """Render the CRF training file: baseline templates plus embedding-derived
-    binarized-dimension and cluster features, BIO tag last.
+def emit_crf_features(corpus, vocab, binarized, clusterings, path, window=2):
+    """Write the CRF training file to ``path``: baseline templates plus
+    embedding-derived binarized-dimension and cluster features, BIO tag last.
 
     ``binarized`` is the (dims x V) matrix in {-1,0,1}; ``clusterings`` maps
     K to a V-length assignment array. Only non-zero binarized entries emit
-    features.
+    features. Each line is written as it is made, through ``write_records``:
+    besides its inputs the call holds one block of text per token type, not
+    the file, and a failure part-way leaves ``path`` as it was.
     """
-    # the generator's caches are freed before the join builds the text
-    return "\n".join(_crf_lines(corpus, vocab, binarized, clusterings, window)) + "\n"
+    write_records(path, _crf_lines(corpus, vocab, binarized, clusterings, window))
 
 
 def _crf_lines(corpus, vocab, binarized, clusterings, window):

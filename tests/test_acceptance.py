@@ -701,7 +701,8 @@ def test_criterion_7_cli_determinism(tmp_path, capsys):
     )
     results["rerank-eval"] = _run_twice(
         lambda t: ["rerank-eval", str(npath), "--model", path(t, "drbm"),
-                   "--fuse-slp", "1.0", "--report", path(t, "rerank.json")] + common,
+                   "--fuse-slp", "1.0", "--slp-train", str(npath),
+                   "--report", path(t, "rerank.json")] + common,
         lambda t: [path(t, "rerank.json")],
     )
     results["tsa-train"] = _run_twice(

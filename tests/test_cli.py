@@ -5,14 +5,16 @@ temporary files, checking exit codes, companion artifacts, report keys,
 and byte-level determinism under a fixed seed.
 """
 
+import contextlib
 import json
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conceptkit import fnet, rerank, sentic
+from conceptkit import artifact, fnet, rerank, sentic
 from conceptkit.artifact import atomic_write
 from conceptkit.cli import main
 from conceptkit.embed import EmbeddingSet, load_embeddings, save_embeddings
@@ -163,6 +165,37 @@ def test_embed_pipeline(tmp_path, cfg_file, capsys):
     assert code == 0
     text = _read(feats).decode()
     assert "w[0]=" in text and "vd[0]=" in text
+
+
+def test_crf_feats_memory_below_file_size(tmp_path):
+    # 500 five-token sentences over 40 words, d=8 and clusters 2 and 4: a
+    # crf.txt of about 1.7 MB. Built as one string, the file's text alone
+    # would reach the bound, and its lines on top of it would double that
+    # (about 2.4 x the file measured). Written line by line, the call holds
+    # the corpus and one block of text per token type, about 0.4 x here.
+    words = [f"w{i:02d}" for i in range(40)]
+    rng = np.random.default_rng(3)
+    corpus = tmp_path / "corpus.tsv"
+    rows = []
+    for _ in range(500):
+        rows += [f"{words[i]}\tNN\tO" for i in rng.integers(40, size=5)] + [""]
+    corpus.write_text("\n".join(rows) + "\n")
+    emb = str(tmp_path / "emb.txt")
+    save_embeddings(EmbeddingSet(["<unk>"] + words, rng.normal(size=(41, 8))), emb)
+    cfg = tmp_path / "crf.cfg"
+    cfg.write_text("embed.clusters = 2,4\n")
+    out = tmp_path / "crf.txt"
+    argv = ["embed-crf-feats", str(corpus), emb, "--output", str(out), "--config", str(cfg)]
+    assert main(argv) == 0  # warm-up: imports and first-call caches are not counted
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = out.stat().st_size
+    assert size > 1_500_000
+    assert peak < size
 
 
 def test_embed_train_defaults_need_no_taxonomy(tmp_path):
@@ -475,9 +508,24 @@ def test_rerank_fusion_and_keywords(tmp_path, nbest_files, cfg_file, capsys):
     kpath = str(tmp_path / "keywords.tsv")
     rerank.save_keywords({"london": 1.0, "paris": 1.0}, kpath)
     assert main(["rerank-eval", npath, "--model", model, "--fuse-slp", "1.0",
+                 "--slp-train", npath,
                  "--keywords", kpath, "--config", cfg_file, "--seed", "7"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert "weighted_wer" in rep and 0.0 <= rep["weighted_wer"] <= 1.0
+
+
+def test_rerank_fusion_without_slp_train_exits_2(tmp_path, nbest_files, cfg_file, capsys):
+    # fitting the perceptron on the lists it scores would make the fused WER
+    # optimistic, so the lists to fit it on must be named
+    npath, _ = nbest_files
+    model = str(tmp_path / "trained.drbm")
+    assert main(["rerank-train", npath, "--output", model, "--config", cfg_file]) == 0
+    report = tmp_path / "rerank.json"
+    assert main(["rerank-eval", npath, "--model", model, "--fuse-slp", "1.0",
+                 "--report", str(report), "--config", cfg_file]) == 2
+    err = capsys.readouterr().err
+    assert "--fuse-slp" in err and "--slp-train" in err
+    assert not report.exists()
 
 
 def test_rerank_train_deterministic(tmp_path, nbest_files, cfg_file):
@@ -651,6 +699,53 @@ def test_tsa_train_failed_write_keeps_old_checkpoint(tmp_path, tsa_files, cfg_fi
     ckpt = str(tmp_path / "tsa.ckpt")
     argv = ["tsa-train", tr, dv, "--output", ckpt, "--config", cfg_file]
     _retrain_failing_after_first_array(tmp_path, argv, ckpt, monkeypatch)
+
+
+def _rerun_failing_on_second_write(tmp_path, argv, output, monkeypatch):
+    """Run ``argv``, then again with each ``atomic_write`` file raising
+    OSError on its second ``write``, after a line is written: exit 2, no
+    temporary file left and ``output`` keeps the first run's bytes."""
+    assert main(argv) == 0
+    before = sorted(os.listdir(tmp_path)), _read(output)
+
+    real_atomic_write = artifact.atomic_write
+    writes = []
+
+    class FailingFile:
+        def __init__(self, f):
+            self.f = f
+
+        def write(self, text):
+            writes.append(text)
+            if len(writes) > 1:
+                raise OSError("disk full")
+            return self.f.write(text)
+
+    @contextlib.contextmanager
+    def failing_atomic_write(path, mode="w"):
+        with real_atomic_write(path, mode) as f:
+            yield FailingFile(f)
+
+    monkeypatch.setattr(artifact, "atomic_write", failing_atomic_write)
+    assert main(argv) == 2
+    assert len(writes) == 2
+    assert not [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
+    assert (sorted(os.listdir(tmp_path)), _read(output)) == before
+
+
+@pytest.mark.parametrize("command", ["embed-train", "embed-crf-feats"])
+def test_streamed_write_failure_keeps_old_file(tmp_path, cfg_file, monkeypatch, command):
+    corpus = tmp_path / "corpus.tsv"
+    _write_corpus(corpus)
+    emb, crf = str(tmp_path / "emb.txt"), str(tmp_path / "crf.txt")
+    train = ["embed-train", str(corpus), "--output", emb, "--config", cfg_file]
+    if command == "embed-train":
+        argv, output = train, emb
+    else:
+        assert main(train) == 0
+        argv = ["embed-crf-feats", str(corpus), emb, "--output", crf, "--config", cfg_file]
+        output = crf
+    _rerun_failing_on_second_write(tmp_path, argv, output, monkeypatch)
 
 
 def _model_artifacts(tmp_path):

@@ -207,29 +207,38 @@ class TestEvents:
         assert d1 != d2
 
 
+def emit_text(tmp_path, corpus, vocab, binarized, clusterings, **kw):
+    """The text ``emit_crf_features`` writes, read back byte for byte."""
+    path = tmp_path / "crf.txt"
+    emit_crf_features(corpus, vocab, binarized, clusterings, path, **kw)
+    return path.read_bytes().decode("utf-8")
+
+
 class TestCrfEmission:
-    def setup_method(self):
+    @pytest.fixture(autouse=True)
+    def setup(self, tmp_path):
         self.c = make_corpus()
         self.v = build_vocab(self.c)
+        self.tmp = tmp_path
 
     def test_zero_binarized_emits_nothing(self):
         binz = np.zeros((4, len(self.v)), dtype=np.int8)
-        out = emit_crf_features(self.c, self.v, binz, {})
+        out = emit_text(self.tmp, self.c, self.v, binz, {})
         assert "vd[" not in out
 
     def test_single_token_no_bigrams(self):
         c = make_corpus("solo\tNN\tO\n\n")
         v = build_vocab(c)
         binz = np.zeros((2, len(v)), dtype=np.int8)
-        out = emit_crf_features(c, v, binz, {5: np.zeros(len(v), dtype=int)})
+        out = emit_text(self.tmp, c, v, binz, {5: np.zeros(len(v), dtype=int)})
         line = out.splitlines()[0]
         assert "w[0,1]" not in line and "c5[0,1]" not in line
         assert "c5[-1^+1]" not in line
 
     def test_disjunction_needs_both_neighbors(self):
         binz = np.zeros((2, len(self.v)), dtype=np.int8)
-        out = emit_crf_features(
-            self.c, self.v, binz, {2: np.zeros(len(self.v), dtype=int)}
+        out = emit_text(
+            self.tmp, self.c, self.v, binz, {2: np.zeros(len(self.v), dtype=int)}
         )
         lines = [l for l in out.splitlines() if l]
         # only the middle token of the 3-token sentence has both neighbors
@@ -241,11 +250,13 @@ class TestCrfEmission:
         binz = np.zeros((2, len(self.v)), dtype=np.int8)
         cl = {3: np.zeros(2, dtype=int)}  # wrong length -> index error later
         with pytest.raises(Exception):
-            emit_crf_features(self.c, self.v, binz, cl)
+            emit_text(self.tmp, self.c, self.v, binz, cl)
+        # the failed write leaves neither the file nor its temporary
+        assert list(self.tmp.iterdir()) == []
 
     def test_tag_is_last_column(self):
         binz = np.zeros((2, len(self.v)), dtype=np.int8)
-        out = emit_crf_features(self.c, self.v, binz, {})
+        out = emit_text(self.tmp, self.c, self.v, binz, {})
         first = out.splitlines()[0].split("\t")
         assert first[-1] == "B-LOC"
 
@@ -307,7 +318,7 @@ def _emit_longhand(corpus, vocab, binarized, clusterings, window):
 
 @pytest.mark.parametrize("window", [1, 2, 3])
 @pytest.mark.parametrize("ks", [(), (3,), (5, 2)])
-def test_crf_emission_matches_longhand(window, ks):
+def test_crf_emission_matches_longhand(window, ks, tmp_path):
     text = (
         "the\tDT\tO\nparis\tNNP\tB-LOC\nsummit\tNN\tO\nin\tIN\tO\nthe\tDT\tO\n"
         "spring\tNN\tO\n\n"
@@ -328,6 +339,6 @@ def test_crf_emission_matches_longhand(window, ks):
     binz[:, 3] = 0  # "summit" has no binarized features
     binz[:, 0] = 0
     clusterings = {K: rng.integers(K, size=len(vocab)) for K in ks}
-    got = emit_crf_features(corpus, vocab, binz, clusterings, window=window)
+    got = emit_text(tmp_path, corpus, vocab, binz, clusterings, window=window)
     assert got == _emit_longhand(corpus, vocab, binz, clusterings, window)
     assert "\t\t" not in got
