@@ -7,9 +7,10 @@ followed by each named array as an ``.npy`` stream, in manifest order.
 complete, so a failed write leaves the old file as it was. There is no fsync:
 this guards against failures of the process, not against power loss.
 
-``read_records`` and ``write_records`` are the one reader and writer of the
-line-based text files: blank lines are skipped, and a malformed line is
-reported as ``path:lineno: ...``.
+``iter_records`` and ``write_records`` are the one reader and writer of the
+line-based text files (``read_records`` is ``iter_records`` as a list):
+blank lines are skipped, and a malformed line is reported as
+``path:lineno: ...``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ import os
 
 import numpy as np
 
-__all__ = ["atomic_write", "read_records", "write_records", "save_arrays", "load_arrays"]
+__all__ = ["atomic_write", "iter_records", "read_records", "write_records", "save_arrays",
+           "load_arrays"]
 
 
 @contextlib.contextmanager
@@ -39,20 +41,25 @@ def atomic_write(path, mode="w"):
         raise
 
 
-def read_records(path, parse):
+def iter_records(path, parse):
     """``parse(line)`` for each non-blank line of the UTF-8 text file ``path``,
-    in order; ``line`` has its newline removed. A ValueError, KeyError or
-    TypeError from ``parse`` becomes a ValueError naming ``path:lineno``."""
-    out = []
+    in order, one line read at a time; ``line`` has its newline removed. A
+    ValueError, KeyError or TypeError from ``parse`` becomes a ValueError
+    naming ``path:lineno``."""
     with open(path, encoding="utf-8") as f:
         for lineno, raw in enumerate(f, start=1):
             if not raw.strip():
                 continue
             try:
-                out.append(parse(raw.rstrip("\n")))
+                record = parse(raw.rstrip("\n"))
             except (ValueError, KeyError, TypeError) as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    return out
+            yield record
+
+
+def read_records(path, parse):
+    """The records of ``iter_records(path, parse)`` as a list."""
+    return list(iter_records(path, parse))
 
 
 def write_records(path, lines):

@@ -8,6 +8,11 @@ subcommand checks it, including those that read no key.
 Every output file is written through ``artifact.atomic_write``, so a failing
 invocation leaves no partial file behind; a model and its sidecar are
 replaced one after the other, not together.
+``rerank-eval`` reads its test file once, one N-best list at a time, and
+sums each WER's errors and reference words as it goes, so its memory follows
+one list rather than the file; a flag it would not read (``--zero-model``
+with ``--model``, ``--fuse-slp`` or ``--slp-train``; ``--slp-train`` without
+``--fuse-slp``) exits 2.
 """
 
 from __future__ import annotations
@@ -222,32 +227,52 @@ def cmd_rerank_train(args):
     return 0
 
 
+def _check_rerank_eval_flags(args):
+    """Reject a ``rerank-eval`` flag combination that would leave a flag unread."""
+    if args.zero_model:
+        unread = [flag for flag, value in (("--model", args.model), ("--fuse-slp", args.fuse_slp),
+                                           ("--slp-train", args.slp_train)) if value is not None]
+        if unread:
+            raise ValueError(f"--zero-model scores by the ASR posterior alone; "
+                             f"it cannot take {', '.join(unread)}")
+    elif not args.model:
+        raise ValueError("either --model or --zero-model is required")
+    if args.fuse_slp is not None and not args.slp_train:
+        raise ValueError("--fuse-slp needs --slp-train, the N-best lists to fit "
+                         "its perceptron on")
+    if args.slp_train is not None and args.fuse_slp is None:
+        raise ValueError("--slp-train is read only with --fuse-slp")
+
+
 def cmd_rerank_eval(args):
-    data = rerank_mod.load_nbest(args.nbest)
+    _check_rerank_eval_flags(args)
     keywords = rerank_mod.load_keywords(args.keywords) if args.keywords else None
     if args.zero_model:
         scorer = rerank_mod.asr_scores
     else:
-        if not args.model:
-            raise ValueError("either --model or --zero-model is required")
         params, vocab = _load_drbm(args.model)
         slp = None
         if args.fuse_slp is not None:
-            if not args.slp_train:
-                raise ValueError("--fuse-slp needs --slp-train, the N-best lists to fit "
-                                 "its perceptron on")
-            slp_data = rerank_mod.load_nbest(args.slp_train)
-            slp = rerank_mod.train_slp(slp_data, vocab, args.cfg.rerank)
+            # the perceptron's lists are dropped before the test file is read
+            slp = rerank_mod.train_slp(rerank_mod.load_nbest(args.slp_train), vocab,
+                                       args.cfg.rerank)
         scorer = rerank_mod.fused_scorer(params, slp, vocab, args.fuse_slp)
-    # the plain WERs sum each list's cached errors: one edit distance per hypothesis
-    picks = [rerank_mod.rerank_index(nb, scorer) for nb in data]
-    report = {
-        "wer": rerank_mod.picked_wer(data, picks),
-        "asr_wer": rerank_mod.corpus_wer(data, rerank_mod.asr_scores),
-        "oracle_wer": rerank_mod.picked_wer(data, [nb.oracle_index() for nb in data]),
-    }
+    # One pass over the test file, one list held at a time. Each WER sums the
+    # lists' cached errors (one edit distance per hypothesis) and divides once,
+    # the float of rerank.picked_wer over the whole file.
+    errors = {"wer": 0, "asr_wer": 0, "oracle_wer": 0}
+    ref_words = 0
+    chosen = []  # (reference, picked words) pairs, kept only for --keywords
+    for nb in rerank_mod.iter_nbest(args.nbest):
+        k = rerank_mod.rerank_index(nb, scorer)
+        errors["wer"] += nb.errors[k]
+        errors["asr_wer"] += nb.errors[rerank_mod.rerank_index(nb, rerank_mod.asr_scores)]
+        errors["oracle_wer"] += nb.errors[nb.oracle_index()]
+        ref_words += len(nb.reference)
+        if keywords is not None:
+            chosen.append((nb.reference, nb.hyps[k].words))
+    report = {name: e / max(1, ref_words) for name, e in errors.items()}
     if keywords is not None:
-        chosen = [(nb.reference, nb.hyps[k].words) for nb, k in zip(data, picks)]
         report["weighted_wer"] = metrics_mod.weighted_wer(chosen, keywords)
     _write_report(report, args.report)
     return 0

@@ -468,9 +468,11 @@ def save_embeddings(emb, path):
     """Text format: header ``<vocab_count> <dims>`` then one
     ``token v1 ... vd`` line per word, 17 significant digits."""
     v, d = emb.word_vectors.shape
+    # one % operation per row; "%.17g" of a float is the text f"{x:.17g}" gives
+    row_format = " ".join(["%.17g"] * d)
     rows = (
-        token + " " + " ".join(f"{x:.17g}" for x in vec)
-        for token, vec in zip(emb.tokens, emb.word_vectors)
+        token + " " + row_format % tuple(vec)
+        for token, vec in zip(emb.tokens, emb.word_vectors.tolist())
     )
     write_records(path, itertools.chain([f"{v} {d}"], rows))
 

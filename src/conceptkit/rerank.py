@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .artifact import load_arrays, read_records, save_arrays, write_records
+from .artifact import iter_records, load_arrays, read_records, save_arrays, write_records
 from .corpus import GAZETTEER_CLASSES, Vocabulary
 from .metrics import edit_distance
 from .numerics import NumericFailure, sigmoid, softplus, substream_rng
@@ -48,6 +48,7 @@ __all__ = [
     "picked_wer",
     "corpus_wer",
     "tfidf_keywords",
+    "iter_nbest",
     "load_nbest",
     "save_nbest",
     "load_keywords",
@@ -472,14 +473,21 @@ def tfidf_keywords(documents, threshold=3.0):
 # Persistence
 
 
-def load_nbest(path):
-    """JSON lines: {"utt_id", "ref": [...], "hyps": [{"words", "logp"}]}"""
-    def parse(line):
-        rec = json.loads(line)
-        hyps = [Hypothesis(words=h["words"], asr_logp=h["logp"]) for h in rec["hyps"]]
-        return NBestList(utt_id=rec["utt_id"], reference=rec["ref"], hyps=hyps)
+def _parse_nbest(line):
+    rec = json.loads(line)
+    hyps = [Hypothesis(words=h["words"], asr_logp=h["logp"]) for h in rec["hyps"]]
+    return NBestList(utt_id=rec["utt_id"], reference=rec["ref"], hyps=hyps)
 
-    return read_records(path, parse)
+
+def iter_nbest(path):
+    """The N-best lists of ``path``, parsed one line at a time. JSON lines:
+    {"utt_id", "ref": [...], "hyps": [{"words", "logp"}]}"""
+    return iter_records(path, _parse_nbest)
+
+
+def load_nbest(path):
+    """The lists of ``iter_nbest(path)`` as a list."""
+    return list(iter_nbest(path))
 
 
 def save_nbest(data, path):

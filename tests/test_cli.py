@@ -528,6 +528,74 @@ def test_rerank_fusion_without_slp_train_exits_2(tmp_path, nbest_files, cfg_file
     assert not report.exists()
 
 
+@pytest.mark.parametrize("extra, flags", [
+    (["--zero-model", "--model", "{missing}"], ["--zero-model", "--model"]),
+    (["--zero-model", "--fuse-slp", "1.0"], ["--zero-model", "--fuse-slp"]),
+    (["--zero-model", "--slp-train", "{nbest}"], ["--zero-model", "--slp-train"]),
+    (["--zero-model", "--fuse-slp", "1.0", "--model", "{missing}"],
+     ["--zero-model", "--fuse-slp", "--model"]),
+    (["--model", "{missing}", "--slp-train", "{nbest}"], ["--slp-train", "--fuse-slp"]),
+], ids=["zero-model+model", "zero-model+fuse-slp", "zero-model+slp-train",
+        "zero-model+fuse-slp+model", "slp-train-without-fuse-slp"])
+def test_rerank_eval_unread_flag_exits_2(tmp_path, nbest_files, capsys, extra, flags):
+    # a flag the run would not read is rejected before any file is opened,
+    # so the missing model is never looked for
+    npath, _ = nbest_files
+    report = tmp_path / "rerank.json"
+    names = {"missing": str(tmp_path / "missing.drbm"), "nbest": npath}
+    argv = ["rerank-eval", npath, "--report", str(report)] + [a.format(**names) for a in extra]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert all(flag in err for flag in flags)
+    assert "No such file" not in err
+    assert not report.exists()
+
+
+def test_rerank_eval_memory_below_file_size(tmp_path, cfg_file):
+    # 1,500 test lists of 20 six-word hypotheses: a 2.25 MB file. Parsed
+    # whole, its Hypothesis and NBestList objects with their word lists take
+    # about 8 x the file (18 MB traced). Read one list at a time, the call
+    # holds the model, one list and its cached errors: 0.2 MB traced, under
+    # 0.1 x the file. The file's own size lies between the two with a wide
+    # margin on each side.
+    lists, _ = synth_nbest(1600, n_best=20, seed=3)
+    train, test = str(tmp_path / "train.nbest"), str(tmp_path / "test.nbest")
+    rerank.save_nbest(lists[:100], train)
+    rerank.save_nbest(lists[100:], test)
+    del lists
+    model = str(tmp_path / "trained.drbm")
+    assert main(["rerank-train", train, "--output", model, "--config", cfg_file]) == 0
+    argv = ["rerank-eval", test, "--model", model, "--report", str(tmp_path / "rerank.json"),
+            "--config", cfg_file]
+    assert main(argv) == 0  # warm-up: imports and first-call caches are not counted
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = os.stat(test).st_size
+    assert size > 2_000_000
+    assert peak < size
+
+
+def test_rerank_eval_malformed_last_line_keeps_old_report(tmp_path, nbest_files, capsys):
+    # the test file is read while it is scored, so the error comes after every
+    # earlier list was scored; the report is still not replaced
+    npath, _ = nbest_files
+    report = tmp_path / "rerank.json"
+    assert main(["rerank-eval", npath, "--zero-model", "--report", str(report)]) == 0
+    before = _read(report)
+    lines = _read(npath).decode().splitlines()
+    bad = tmp_path / "bad.nbest"
+    bad.write_text("\n".join(lines + ['{"utt_id": "u-last", "ref": ["a"], "hyps": [']) + "\n")
+    capsys.readouterr()
+    assert main(["rerank-eval", str(bad), "--zero-model", "--report", str(report)]) == 2
+    assert f"{bad}:{len(lines) + 1}:" in capsys.readouterr().err
+    assert _read(report) == before
+    assert not [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
+
+
 def test_rerank_train_deterministic(tmp_path, nbest_files, cfg_file):
     npath, gpath = nbest_files
     blobs = []

@@ -556,6 +556,17 @@ class TestPersistence:
         assert back.tokens == emb.tokens
         np.testing.assert_array_equal(back.word_vectors, emb.word_vectors)
 
+    def test_row_text_is_the_fstring_form(self, tmp_path):
+        # signed zeros, the smallest subnormal, the largest double and values
+        # where "%.17g" switches to an exponent all format as f"{x:.17g}" does
+        values = [-0.0, 0.0, 5e-324, 1e-300, 1e16, 0.1, 1.2345678901234568e17,
+                  1.7976931348623157e308]
+        p = tmp_path / "emb.txt"
+        save_embeddings(make_emb([values]), p)
+        row = p.read_text().splitlines()[1]
+        assert row == "w0 " + " ".join(f"{x:.17g}" for x in np.array(values))
+        np.testing.assert_array_equal(load_embeddings(p).word_vectors, [values])
+
     def test_truncated_file(self, tmp_path):
         p = tmp_path / "emb.txt"
         p.write_text("2 3\nw0 1 2 3\n")
