@@ -8,9 +8,9 @@ subcommand checks it, including those that read no key.
 Every output file is written through ``artifact.atomic_write``, so a failing
 invocation leaves no partial file behind; a model and its sidecar are
 replaced one after the other, not together.
-``rerank-eval`` reads its test file once, one N-best list at a time, and
-sums each WER's errors and reference words as it goes, so its memory follows
-one list rather than the file; a flag it would not read (``--zero-model``
+``rerank-eval`` reads its test file once, one N-best list at a time, through
+``rerank.evaluate_wers``, so its memory follows one list rather than the
+file; a flag it would not read (``--zero-model``
 with ``--model``, ``--fuse-slp`` or ``--slp-train``; ``--slp-train`` without
 ``--fuse-slp``) exits 2.
 """
@@ -257,24 +257,8 @@ def cmd_rerank_eval(args):
             slp = rerank_mod.train_slp(rerank_mod.load_nbest(args.slp_train), vocab,
                                        args.cfg.rerank)
         scorer = rerank_mod.fused_scorer(params, slp, vocab, args.fuse_slp)
-    # One pass over the test file, one list held at a time. Each WER sums the
-    # lists' cached errors (one edit distance per hypothesis) and divides once,
-    # the float of rerank.picked_wer over the whole file.
-    errors = {"wer": 0, "asr_wer": 0, "oracle_wer": 0}
-    ref_words = 0
-    chosen = []  # (reference, picked words) pairs, kept only for --keywords
-    for nb in rerank_mod.iter_nbest(args.nbest):
-        k = rerank_mod.rerank_index(nb, scorer)
-        errors["wer"] += nb.errors[k]
-        errors["asr_wer"] += nb.errors[rerank_mod.rerank_index(nb, rerank_mod.asr_scores)]
-        errors["oracle_wer"] += nb.errors[nb.oracle_index()]
-        ref_words += len(nb.reference)
-        if keywords is not None:
-            chosen.append((nb.reference, nb.hyps[k].words))
-    report = {name: e / max(1, ref_words) for name, e in errors.items()}
-    if keywords is not None:
-        report["weighted_wer"] = metrics_mod.weighted_wer(chosen, keywords)
-    _write_report(report, args.report)
+    lists = rerank_mod.iter_nbest(args.nbest)  # read while it is scored
+    _write_report(rerank_mod.evaluate_wers(lists, scorer, keywords), args.report)
     return 0
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .artifact import iter_records, load_arrays, read_records, save_arrays, write_records
 from .corpus import GAZETTEER_CLASSES, Vocabulary
-from .metrics import edit_distance
+from .metrics import edit_distance, weighted_wer
 from .numerics import NumericFailure, sigmoid, softplus, substream_rng
 
 log = logging.getLogger(__name__)
@@ -47,6 +47,7 @@ __all__ = [
     "rerank_index",
     "picked_wer",
     "corpus_wer",
+    "evaluate_wers",
     "tfidf_keywords",
     "iter_nbest",
     "load_nbest",
@@ -427,15 +428,20 @@ def rerank_index(nbest, scorer):
     return int(np.argmax(scorer(nbest.hyps)))
 
 
+def _pooled_wer(errors, ref_words):
+    """Total errors over total reference words (at least 1), the same float
+    as ``metrics.corpus_wer`` of the pairs they were counted on."""
+    return errors / max(1, ref_words)
+
+
 def picked_wer(data, picks):
     """Corpus-level WER of hypothesis ``picks[k]`` of list k, from the lists'
-    cached errors: total errors over total reference words (at least 1), the
-    same float as ``metrics.corpus_wer`` of those pairs."""
+    cached errors."""
     errors = ref_words = 0
     for nb, k in zip(data, picks):
         errors += nb.errors[k]
         ref_words += len(nb.reference)
-    return errors / max(1, ref_words)
+    return _pooled_wer(errors, ref_words)
 
 
 def corpus_wer(data, scorer):
@@ -443,6 +449,36 @@ def corpus_wer(data, scorer):
     reference words."""
     data = list(data)
     return picked_wer(data, [rerank_index(nb, scorer) for nb in data])
+
+
+def evaluate_wers(lists, scorer, keywords=None):
+    """Corpus-level WERs of one pass over ``lists``, which may be a stream
+    (only the current list is held): ``wer`` of the scorer's 1-best,
+    ``asr_wer`` of the ASR 1-best and ``oracle_wer`` of the minimum-error
+    hypothesis, each the float ``picked_wer`` gives for those picks. With a
+    keyword weight map, also ``weighted_wer``: ``metrics.weighted_wer`` of the
+    scorer's picks, summed in list order."""
+    errors = {"wer": 0, "asr_wer": 0, "oracle_wer": 0}
+    ref_words = 0
+
+    def picked_pairs():
+        nonlocal ref_words
+        for nb in lists:
+            k = rerank_index(nb, scorer)
+            errors["wer"] += nb.errors[k]
+            errors["asr_wer"] += nb.errors[rerank_index(nb, asr_scores)]
+            errors["oracle_wer"] += nb.errors[nb.oracle_index()]
+            ref_words += len(nb.reference)
+            yield nb.reference, nb.hyps[k].words
+
+    pairs = picked_pairs()
+    report = {}
+    if keywords is not None:
+        report["weighted_wer"] = weighted_wer(pairs, keywords)
+    for _ in pairs:  # without keywords the lists are read here
+        pass
+    report.update((name, _pooled_wer(e, ref_words)) for name, e in errors.items())
+    return report
 
 
 def tfidf_keywords(documents, threshold=3.0):
