@@ -14,6 +14,7 @@ from conceptkit.rerank import (
     asr_scores,
     build_nbest_vocab,
     corpus_wer,
+    evaluate_wers,
     free_energy,
     fused_scorer,
     load_drbm,
@@ -35,6 +36,7 @@ from conceptkit.rerank import (
 )
 from conceptkit.metrics import align
 from conceptkit.metrics import corpus_wer as metrics_corpus_wer
+from conceptkit.metrics import weighted_wer
 from conceptkit.numerics import fd_gradcheck, make_rng, substream_rng
 
 
@@ -514,6 +516,22 @@ class TestNBestErrors:
         picks = [int(k) for k in make_rng(25).integers(8, size=len(lists))]
         pairs = [(nb.reference, nb.hyps[k].words) for nb, k in zip(lists, picks)]
         assert picked_wer(lists, picks) == metrics_corpus_wer(pairs)
+
+    def test_evaluate_wers_of_a_stream_equals_whole_list_wers(self):
+        lists = edited_lists(make_rng(27))
+        scorer = lambda hyps: np.array([-len(h.words) for h in hyps])  # noqa: E731
+        keywords = {"w0": 1.0, "w3": 0.5, "w7": 2.0}
+        picks = [rerank_index(nb, scorer) for nb in lists]
+        got = evaluate_wers(iter(lists), scorer, keywords)
+        assert got == {
+            "wer": corpus_wer(lists, scorer),
+            "asr_wer": corpus_wer(lists, asr_scores),
+            "oracle_wer": picked_wer(lists, [nb.oracle_index() for nb in lists]),
+            "weighted_wer": weighted_wer(
+                [(nb.reference, nb.hyps[k].words) for nb, k in zip(lists, picks)], keywords),
+        }
+        assert evaluate_wers(iter(lists), scorer) == {
+            k: v for k, v in got.items() if k != "weighted_wer"}
 
     def test_shared_features_score_the_same(self):
         lists = edited_lists(make_rng(26), n_utts=3)
