@@ -162,6 +162,50 @@ class SenticParams:
 _GATES = (("Wf", "bf"), ("Wi", "bi"), ("Wo", "bo"), ("Wco", "bco"), ("WC", "bC"))
 
 
+def _stacked(parts):
+    """``np.concatenate(parts)``: a view when the C-contiguous ``parts`` lie
+    end to end in one flat vector, as ``_flat`` lays out each direction's
+    gate matrices and biases, else a copy (a loaded checkpoint, a dict with
+    an entry swapped)."""
+    base, rest = parts[0].base, parts[0].shape[1:]
+    if not (isinstance(base, np.ndarray) and base.ndim == 1 and base.flags.c_contiguous):
+        return np.concatenate(parts)
+    start = at = parts[0].ctypes.data
+    for a in parts:
+        if not (a.base is base and a.flags.c_contiguous and a.dtype == base.dtype
+                and a.shape[1:] == rest and a.ctypes.data == at):
+            return np.concatenate(parts)
+        at += a.nbytes
+    origin = base.ctypes.data
+    return base[(start - origin) // base.itemsize : (at - origin) // base.itemsize].reshape(
+        -1, *rest)
+
+
+def _spread(whole, parts):
+    """Copies ``whole``'s equal blocks into ``parts``, unless it is
+    ``_stacked(parts)``'s view of them."""
+    if not np.may_share_memory(whole, parts[0]):
+        for part, block in zip(parts, np.split(whole, len(parts))):
+            part[...] = block
+
+
+def _flat(shapes):
+    """A zeroed flat vector and views of it, one per entry of ``shapes``
+    (name -> shape), in the same dict order. The views lie end to end in that
+    order, except that each direction's five gate matrices and then its five
+    biases come last, side by side in ``_GATES`` order, so that ``_stacked``
+    reads each group as a view."""
+    stacked = [f"{k}:{dirn}" for dirn in ("f", "b") for ks in zip(*_GATES) for k in ks]
+    order = [k for k in shapes if k not in stacked] + [k for k in stacked if k in shapes]
+    flat = np.zeros(sum(math.prod(shapes[k]) for k in order))
+    views, at = {}, 0
+    for k in order:
+        n = math.prod(shapes[k])
+        views[k] = flat[at : at + n].reshape(shapes[k])
+        at += n
+    return flat, {k: views[k] for k in shapes}
+
+
 def _recur(X, MU, p, dirn, h0, c0):
     """One direction over a stack of n same-length sentences, each from the
     state (h0, c0): X (n, L, d_w) holds their word rows and MU (n, L, d_c)
@@ -171,8 +215,7 @@ def _recur(X, MU, p, dirn, h0, c0):
     makes for each sentence the BLAS call that a stack of one makes (a gemv
     per step for the recurrent product, a gemm for each input product), and
     the gate arithmetic is elementwise."""
-    W = np.concatenate([p[f"{w}:{dirn}"] for w, _ in _GATES])
-    b = np.concatenate([p[f"{b}:{dirn}"] for _, b in _GATES])
+    W, b = (_stacked([p[f"{k}:{dirn}"] for k in ks]) for ks in zip(*_GATES))
     n, L, d_w = X.shape
     d = h0.size
     Wh = W[:, d_w : d_w + d]
@@ -201,7 +244,9 @@ def _recur(X, MU, p, dirn, h0, c0):
 def _recur_back(dH, X, MU, p, dirn, H, C, trace, g):
     """Backpropagation through time for one direction of a stack of one
     sentence, as ``_recur`` took and returned it: writes its arrays'
-    gradients into ``g`` and returns the gradients (L, .) of X and MU."""
+    gradients into ``g`` and returns the gradients (L, .) of X and MU. The
+    gate matrices' and biases' products land in place where ``g`` is laid
+    out as ``_flat`` lays it out (see ``_stacked``)."""
     W, K, S, CT, TC = trace
     X, MU, H, C, K, S, CT, TC = (a[0] for a in (X, MU, H, C, K, S, CT, TC))
     L, d = dH.shape
@@ -219,11 +264,12 @@ def _recur_back(dH, X, MU, p, dirn, H, C, trace, g):
         dc = dc * s[:d]
         dh_next = DZ[t] @ Wh
     DK = DH * S[:, 3 * d :] * (1.0 - K * K)
-    dW = DZ.T @ np.hstack([X, H[:-1], MU])
-    db = DZ.sum(axis=0)
-    for n, (w, b) in enumerate(_GATES):
-        g[f"{w}:{dirn}"][...] = dW[n * d : (n + 1) * d]
-        g[f"{b}:{dirn}"][...] = db[n * d : (n + 1) * d]
+    gW, gb = ([g[f"{k}:{dirn}"] for k in ks] for ks in zip(*_GATES))
+    dW, db = _stacked(gW), _stacked(gb)
+    np.matmul(DZ.T, np.hstack([X, H[:-1], MU]), out=dW)
+    np.sum(DZ, axis=0, out=db)
+    _spread(dW, gW)
+    _spread(db, gb)
     g[f"Wc:{dirn}"][...] = DK.T @ MU
     dJ = DZ @ W
     return dJ[:, :d_w], dJ[:, d_w + d :] + DK @ p[f"Wc:{dirn}"]
@@ -363,7 +409,7 @@ def loss_and_grads(inst, params, dropout_mask=None, grads=None):
     classes = list(cfg.classes)
     (columns,), enc = _encode([inst], params, dropout_mask)
     (v_t, alpha, alpha_act), heads, probs = _heads(columns, inst, params)
-    g = {k: np.zeros_like(v) for k, v in p.items()} if grads is None else grads
+    g = _flat({k: v.shape for k, v in p.items()})[1] if grads is None else grads
     d2 = columns.shape[1]
     d_cols, d_v_t = np.zeros_like(columns), np.zeros(d2)
     loss = 0.0
@@ -406,24 +452,14 @@ def loss_and_grads(inst, params, dropout_mask=None, grads=None):
     return loss, g
 
 
-def _views(flat, shapes):
-    """Arrays of the given shapes laid end to end in ``flat``, as views."""
-    out, at = {}, 0
-    for k, shape in shapes.items():
-        n = math.prod(shape)
-        out[k] = flat[at : at + n].reshape(shape)
-        at += n
-    return out
-
-
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
-# Elements per block of an Adam sweep, and the length of each thread's two
-# scratch vectors. Every ufunc call on the worker is a GIL handoff with the
-# training thread, so the worker's ``E`` sweep is kept to a handful of blocks
-# (three at benchmark dims, V~2.5k and d_w=150). Blocks of 32,768 (a dozen)
-# lowered the benchmark's peak by another 2.7 MB, with tsa-train's time level
-# within noise over 4 pairs (BENCH_26.json).
+# Elements per block of an Adam sweep, and the length of each scratch
+# vector. Every ufunc call on the worker is a GIL handoff with the training
+# thread, so the worker's ``E`` sweep is kept to a handful of blocks (three at
+# benchmark dims, V~2.5k and d_w=150). Blocks of 65,536 read the sentiment
+# benchmark's peak RSS as either 62.6 or 65.7-66.8 MB from run to run, and
+# 32,768 steadily at 63.3-63.5 MB, against 64.1-64.4 MB here (BENCH_29.json).
 _ADAM_BLOCK = 131072
 
 
@@ -434,11 +470,14 @@ def _adam_rows(p, m, v, scratch, rows, g_rows, step, lr):
     ``p -= (lr*mhat) / (sqrt(vhat) + eps)``. ``rows=None`` with a gradient of
     ``p``'s shape is the dense step. ``p``, ``m`` and ``v`` are contiguous.
 
-    The sweep runs in blocks of ``scratch``'s length, the two rows of
-    ``scratch`` holding each block's temporaries; the dense step decays and
-    adds in the same blocks, the row-indexed step updates its moments whole
-    first. Each element sees the same operations in the same order either
-    way, so the block length does not change a bit."""
+    The sweep runs in blocks of ``scratch``'s length, the rows of ``scratch``
+    holding each block's temporaries. The row-indexed step updates its
+    moments whole first and needs two rows. The dense step decays and adds
+    in the same blocks and needs one: a gradient block is dead once the
+    moments have it, so it serves as the first temporary, and the dense step
+    leaves its gradient overwritten. Each element sees the same operations
+    in the same order either way, so the block length does not change a
+    bit."""
     if rows is not None:
         m *= _BETA1
         m[rows] += (1 - _BETA1) * g_rows
@@ -450,16 +489,17 @@ def _adam_rows(p, m, v, scratch, rows, g_rows, step, lr):
     for at in range(0, p.size, size):
         part = slice(at, at + size)
         pb, mb, vb = p[part], m[part], v[part]
-        s1, s2 = scratch[:, : pb.size]
         if rows is None:
-            gb = g[part]
+            s1, s2 = g[part], scratch[0, : pb.size]
             mb *= _BETA1
-            np.multiply(gb, 1 - _BETA1, out=s1)
-            mb += s1
+            np.multiply(s1, 1 - _BETA1, out=s2)
+            mb += s2
             vb *= _BETA2
-            np.multiply(gb, 1 - _BETA2, out=s1)
-            s1 *= gb
-            vb += s1
+            np.multiply(s1, 1 - _BETA2, out=s2)
+            s2 *= s1
+            vb += s2
+        else:
+            s1, s2 = scratch[:, : pb.size]
         np.divide(mb, c1, out=s1)
         s1 *= lr
         np.divide(vb, c2, out=s2)
@@ -474,17 +514,24 @@ def train(train_set, dev_set, config):
     accuracy (ties: strict aspect accuracy, then the earlier epoch) is best.
 
     Buffer layout: every trainable array is a view into one flat float64
-    vector ``theta``, ``E`` first and the other arrays after it in
-    ``SenticParams.init`` order; the two Adam moments are flat vectors of the
-    same layout, and no other buffer is of ``theta``'s size. The gradient of
-    the non-``E`` arrays is one flat vector of the rest of that layout;
-    ``E``'s gradient is a block of the rows of the instance's tokens only,
-    because the forward/backward pass reads ``E`` through
-    ``SenticParams.row_block``. Each thread owns a pair of scratch vectors of
-    ``_ADAM_BLOCK`` elements, which ``_adam_rows`` sweeps through block by
-    block. Once the last epoch's steps are done, the moments, the scratch
-    and the gradient are freed before the dev evaluation and the copy of the
-    best parameters, which then run beside ``theta`` alone.
+    vector ``theta`` laid out by ``_flat``: ``E`` first, the other arrays
+    after it in ``SenticParams.init`` order, except that each direction's
+    five gate matrices and then its five biases sit side by side in
+    ``_GATES`` order at the end. ``params.arrays`` keeps ``init``'s names,
+    shapes and dict order. The two Adam moments are flat vectors of the same
+    layout, and no other buffer is of ``theta``'s size. The gradient of the
+    non-``E`` arrays is one flat vector of the rest of that layout, so the
+    recurrence reads its stacked gate weights from ``theta`` and writes
+    their gradient into it without a per-step copy; ``E``'s gradient is a
+    block of the rows of the instance's tokens only, because the
+    forward/backward pass reads ``E`` through ``SenticParams.row_block``.
+    ``_adam_rows`` sweeps block by block through scratch vectors of
+    ``_ADAM_BLOCK`` elements: a pair for the worker's ``E`` sweep, one for
+    the main thread's dense sweep (which takes its other temporary from the
+    dead gradient) and a small pair for the look-ahead block. Once the last
+    epoch's steps are done, the moments, the scratch and the gradient are
+    freed before the dev evaluation and the copy of the best parameters,
+    which then run beside ``theta`` alone.
 
     Two threads share every step. After step t's ``loss_and_grads`` the
     main thread waits for the worker's step t-1, works out the ``E`` rows
@@ -527,16 +574,18 @@ def train(train_set, dev_set, config):
     )
     rng = substream_rng(config.seed, "sentic.train")
     params = SenticParams.init(config, tokens, concept_ids, rng)
-    shapes = {k: params.arrays[k].shape for k in ["E", *params.arrays]}  # E first
-    theta = np.concatenate([params.arrays[k].ravel() for k in shapes])
-    params.arrays = _views(theta, shapes)
+    shapes = {k: a.shape for k, a in params.arrays.items()}  # init order, E first
+    theta, arrays = _flat(shapes)
+    for k, a in arrays.items():
+        a[...] = params.arrays[k]
+    params.arrays = arrays
     m, v = np.zeros_like(theta), np.zeros_like(theta)
     n_E = math.prod(shapes["E"])
     E, m_E, v_E = (buf[:n_E].reshape(shapes["E"]) for buf in (theta, m, v))
     theta_r, m_r, v_r = (buf[n_E:] for buf in (theta, m, v))
-    main_s, worker_s = (np.empty((2, min(_ADAM_BLOCK, n))) for n in (theta_r.size, n_E))
-    g_r = np.zeros_like(theta_r)
-    grads = _views(g_r, {k: s for k, s in shapes.items() if k != "E"})
+    main_s = np.empty((1, min(_ADAM_BLOCK, theta_r.size)))
+    worker_s = np.empty((2, min(_ADAM_BLOCK, n_E)))
+    g_r, grads = _flat({k: s for k, s in shapes.items() if k != "E"})
     rows_of = [np.unique([params.token_index[t] for t in inst.tokens]) for inst in train_set]
     lr = config.lr
     step = 0
@@ -581,13 +630,13 @@ def train(train_set, dev_set, config):
                         rows, after, assume_unique=True, return_indices=True
                     )
                     block = E[after]
-                    _adam_rows(block, m_E[after], v_E[after], main_s, there, g_rows[here],
-                               step, lr)
+                    _adam_rows(block, m_E[after], v_E[after], np.empty((2, block.size)),
+                               there, g_rows[here], step, lr)
                 e_update = worker.submit(
                     _adam_rows, E, m_E, v_E, worker_s, rows, g_rows, step, lr
                 )
                 _adam_rows(theta_r, m_r, v_r, main_s, None, g_r, step, lr)
-                g_r[:] = 0.0
+                g_r[:] = 0.0  # the dense step left it overwritten
             if e_update is not None:
                 e_update.result()
             elapsed = time.perf_counter() - started

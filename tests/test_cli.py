@@ -775,10 +775,11 @@ def test_tsa_train_failed_write_keeps_old_checkpoint(tmp_path, tsa_files, cfg_fi
     _retrain_failing_after_first_array(tmp_path, argv, ckpt, monkeypatch)
 
 
-def _rerun_failing_on_second_write(tmp_path, argv, output, monkeypatch):
+def _rerun_failing_on_write(tmp_path, argv, output, monkeypatch, nth=2):
     """Run ``argv``, then again with each ``atomic_write`` file raising
-    OSError on its second ``write``, after a line is written: exit 2, no
-    temporary file left and ``output`` keeps the first run's bytes."""
+    OSError on its ``nth`` ``write`` (the second comes after a line is
+    written): exit 2, no temporary file left and ``output`` keeps the first
+    run's bytes."""
     assert main(argv) == 0
     before = sorted(os.listdir(tmp_path)), _read(output)
 
@@ -791,7 +792,7 @@ def _rerun_failing_on_second_write(tmp_path, argv, output, monkeypatch):
 
         def write(self, text):
             writes.append(text)
-            if len(writes) > 1:
+            if len(writes) >= nth:
                 raise OSError("disk full")
             return self.f.write(text)
 
@@ -802,7 +803,7 @@ def _rerun_failing_on_second_write(tmp_path, argv, output, monkeypatch):
 
     monkeypatch.setattr(artifact, "atomic_write", failing_atomic_write)
     assert main(argv) == 2
-    assert len(writes) == 2
+    assert len(writes) == nth
     assert not [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
     assert (sorted(os.listdir(tmp_path)), _read(output)) == before
 
@@ -819,7 +820,19 @@ def test_streamed_write_failure_keeps_old_file(tmp_path, cfg_file, monkeypatch, 
         assert main(train) == 0
         argv = ["embed-crf-feats", str(corpus), emb, "--output", crf, "--config", cfg_file]
         output = crf
-    _rerun_failing_on_second_write(tmp_path, argv, output, monkeypatch)
+    _rerun_failing_on_write(tmp_path, argv, output, monkeypatch)
+
+
+def test_tsa_eval_failed_report_write_keeps_old_report(tmp_path, tsa_files, cfg_file,
+                                                       monkeypatch):
+    # the report is one write, after the whole evaluation: failing it over a
+    # complete earlier report leaves those bytes
+    tr, dv = tsa_files
+    ckpt = str(tmp_path / "tsa.ckpt")
+    assert main(["tsa-train", tr, dv, "--output", ckpt, "--config", cfg_file]) == 0
+    report = str(tmp_path / "tsa.json")
+    argv = ["tsa-eval", ckpt, dv, "--report", report]
+    _rerun_failing_on_write(tmp_path, argv, report, monkeypatch, nth=1)
 
 
 def _model_artifacts(tmp_path):

@@ -366,6 +366,61 @@ class TestGradients:
         assert np.array_equal(block_grads["E"], grads["E"][rows])
         assert not np.any(np.delete(grads["E"], rows, axis=0))
 
+    def test_grads_buffers_in_any_layout(self):
+        # the fresh gradient is laid out as train lays out its buffer, so the
+        # gate blocks are written in place; separate buffers get the same bits
+        # through a copy, as do parameters with the gate blocks apart
+        params = tiny_params(seed=23)
+        inst = make_instance(["a", "cue", "b"], [1], {"price": "negative"},
+                             [["k1"], [], ["k2", "k1"]])
+        loss, grads = loss_and_grads(inst, params)
+        for dirn in ("f", "b"):
+            for ks in zip(*sentic_mod._GATES):
+                parts = [grads[f"{k}:{dirn}"] for k in ks]
+                assert np.shares_memory(sentic_mod._stacked(parts), parts[0])
+        separate = {k: np.zeros_like(a) for k, a in params.arrays.items()}
+        _, laid_out = sentic_mod._flat({k: a.shape for k, a in params.arrays.items()})
+        for buffers in (separate, laid_out):
+            assert loss_and_grads(inst, params, grads=buffers) == (loss, buffers)
+            for k in grads:
+                assert np.array_equal(buffers[k], grads[k]), k
+        assert not np.shares_memory(
+            sentic_mod._stacked([separate["Wf:f"], separate["Wi:f"]]), separate["Wf:f"])
+
+    def test_step_makes_no_copy_of_the_gate_weights(self):
+        # one loss_and_grads call made the way train makes it, at paper dims:
+        # parameters and gradient laid out by _flat, E read as a row block.
+        # One direction's stacked gate matrix is 5 x 50 x 300 doubles (600 KB);
+        # concatenating it in _recur, or allocating its gradient in
+        # _recur_back, takes the call's traced peak over that (2.1 MB measured
+        # with both)
+        config = SenticConfig(d_w=150, d_h=50, aspects=("price", "service"))
+        tokens = [f"w{i}" for i in range(12)]
+        params = SenticParams.init(config, tokens, ["k1", "k2"], make_rng(40))
+        shapes = {k: a.shape for k, a in params.arrays.items()}
+        _, arrays = sentic_mod._flat(shapes)
+        for k, a in arrays.items():
+            a[...] = params.arrays[k]
+        params.arrays = arrays
+        _, grads = sentic_mod._flat({k: s for k, s in shapes.items() if k != "E"})
+        rows = np.arange(len(tokens))
+        block = params.row_block(rows, params.arrays["E"][rows])
+        grads["E"] = np.zeros_like(block.arrays["E"])
+        inst = make_instance(tokens, [3, 4], {"price": "positive"},
+                             [["k1"], [], ["k2", "k1"]] + [[]] * 9)
+        mask = (make_rng(41).random((len(tokens), config.d_w)) >= 0.5) / 0.5
+        tracemalloc.start()
+        try:
+            loss, _ = loss_and_grads(inst, block, dropout_mask=mask, grads=grads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 50 * 300 * 8
+        want_loss, want = loss_and_grads(inst, block, dropout_mask=mask)
+        assert loss == want_loss
+        for k in want:
+            assert np.array_equal(grads[k], want[k]), k
+
 
 def rule_dataset(rng, n, aspects=("price", "service")):
     """Polarity cue adjacent to the target decides sentiment; a second cue
@@ -458,6 +513,24 @@ ADAM_CFG = SenticConfig(d_w=4, d_h=3, d_m=2, d_c=2, aspects=("price", "service")
 
 
 class TestTrain:
+    def test_init_and_train_keep_array_names_shapes_and_order(self):
+        # criterion 1 and test_full_model_fd draw their random point by
+        # iterating this dict, so train's buffer layout may not reorder it
+        config = SenticConfig(d_w=3, d_h=2, d_m=4, d_c=5, aspects=("price", "service"),
+                              epochs=1)
+        params = SenticParams.init(config, ["a", "b", "c"], ["k1", "k2"], make_rng(0))
+        want = [("E", (3, 3)), ("Ec", (2, 5)), ("Wa1", (4, 4)), ("Wa2", (4,)),
+                ("Wm", (4, 8)), ("Wp", (3, 4)), ("va:price", (4,)), ("bp:price", (3,)),
+                ("va:service", (4,)), ("bp:service", (3,))]
+        for dirn in ("f", "b"):
+            want += [(f"{k}:{dirn}", (2, 10)) for k in ("Wf", "Wi", "WC", "Wo", "Wco")]
+            want += [(f"{k}:{dirn}", (2,)) for k in ("bf", "bi", "bC", "bo", "bco")]
+            want.append((f"Wc:{dirn}", (2, 5)))
+        assert [(k, a.shape) for k, a in params.arrays.items()] == want
+        data, dev = adam_dataset()
+        trained = train(data, dev, replace(config, d_c=2))
+        assert list(trained.arrays) == [k for k, _ in want]
+
     def test_lr_zero_unchanged(self):
         rng = make_rng(18)
         data = rule_dataset(rng, 6)
@@ -569,8 +642,9 @@ class TestTrain:
         # a word table (1,000 words, d_w=800, 6.4 MB) that dwarfs every other
         # array. theta, m and v are three vectors of theta's size; the
         # worker's block scratch (2 x 131,072 doubles, 0.32 x theta here),
-        # one step's arrays and the import of lazily loaded modules stay under
-        # another 1.5 x. Per-element scratch of theta's size would be two
+        # one step's arrays and the import of lazily loaded modules bring the
+        # peak to 4.12 x theta (measured); the bound leaves 0.18 x theta
+        # (1.2 MB) of margin. Per-element scratch of theta's size would be two
         # more vectors: five during training and six, with the best-epoch
         # copy, while the final evaluation runs (6.4 x theta measured).
         def sentences(n, tag):
@@ -587,7 +661,7 @@ class TestTrain:
         finally:
             tracemalloc.stop()
         theta = sum(a.nbytes for a in params.arrays.values())
-        assert peak < 4.5 * theta
+        assert peak < 4.3 * theta
 
 
 class TestAdamRows:
@@ -595,7 +669,8 @@ class TestAdamRows:
     def test_blocked_step_equals_one_shot(self, dense):
         # 10 x 5 elements swept in blocks of the scratch's 7 against the
         # whole-array formula; off the rows the gradient is zero, and the
-        # moments start nonzero so that +0.0 added there changes no bit
+        # moments start nonzero so that +0.0 added there changes no bit. The
+        # dense step takes one scratch row and uses its gradient as the other
         rng = make_rng(31)
         p = rng.normal(size=(10, 5))
         m = rng.normal(size=(10, 5))
@@ -609,7 +684,8 @@ class TestAdamRows:
         m_want = b1 * m + (1 - b1) * g
         v_want = b2 * v + ((1 - b2) * g) * g
         p_want = p - (m_want / (1 - b1**step) * lr) / (np.sqrt(v_want / (1 - b2**step)) + 1e-8)
-        sentic_mod._adam_rows(p, m, v, np.empty((2, 7)), rows, g_rows, step, lr)
+        scratch = np.empty((1 if dense else 2, 7))
+        sentic_mod._adam_rows(p, m, v, scratch, rows, g_rows, step, lr)
         for got, want in ((m, m_want), (v, v_want), (p, p_want)):
             assert np.array_equal(got, want)
 
@@ -669,6 +745,43 @@ class TestStackedProducts:
                 stacked = np.matmul(stack, B)
                 for i in range(n):
                     assert np.array_equal(stacked[i], stack[i] @ B)
+
+
+    @pytest.mark.parametrize("d_w, d_h, d_c", [(3, 6, 2), (150, 50, 100)])
+    def test_products_through_the_flat_layout(self, d_w, d_h, d_c):
+        # _recur reads its stacked gate weights as a view of theta and
+        # _recur_back writes their gradient into a view of the gradient
+        # buffer with out=: each gives the bits of the concatenated copy and
+        # of the allocating form
+        cfg = SenticConfig(d_w=d_w, d_h=d_h, d_c=d_c, d_m=4)
+        init = SenticParams.init(cfg, ["a"], ["k"], make_rng(34)).arrays
+        _, p = sentic_mod._flat({k: a.shape for k, a in init.items()})
+        for k, a in p.items():
+            a[...] = init[k]
+        _, g = sentic_mod._flat({k: a.shape for k, a in init.items() if k != "E"})
+        W = sentic_mod._stacked([p[f"{k}:f"] for k in GATE_ORDER])
+        W_copy = np.concatenate([p[f"{k}:f"] for k in GATE_ORDER])
+        assert np.shares_memory(W, p["Wf:f"]) and np.array_equal(W, W_copy)
+        rng = make_rng(35)
+        L = 12
+        X, MU = rng.normal(size=(1, L, d_w)), rng.normal(size=(1, L, d_c))
+        h = rng.normal(size=(1, d_h, 1))
+        for M in (W, W_copy):
+            assert np.array_equal(np.matmul(X, M[:, :d_w].T), np.matmul(X, W_copy[:, :d_w].T))
+            assert np.array_equal(np.matmul(MU, M[:, d_w + d_h :].T),
+                                  np.matmul(MU, W_copy[:, d_w + d_h :].T))
+            assert np.array_equal(np.matmul(M[:, d_w : d_w + d_h], h),
+                                  np.matmul(W_copy[:, d_w : d_w + d_h], h))
+        DZ = rng.normal(size=(L, 5 * d_h))
+        J = rng.normal(size=(L, d_w + d_h + d_c))
+        dW = sentic_mod._stacked([g[f"{k}:f"] for k in GATE_ORDER])
+        db = sentic_mod._stacked([g[f"{b}:f"] for b in ("bf", "bi", "bo", "bco", "bC")])
+        assert np.shares_memory(dW, g["Wf:f"]) and np.shares_memory(db, g["bf:f"])
+        np.matmul(DZ.T, J, out=dW)
+        np.sum(DZ, axis=0, out=db)
+        assert np.array_equal(dW, DZ.T @ J)
+        assert np.array_equal(db, DZ.sum(axis=0))
+        assert np.array_equal(g["WC:f"], (DZ.T @ J)[4 * d_h :])
 
 
 def mixed_length_dataset(rng):
