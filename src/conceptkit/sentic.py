@@ -162,31 +162,29 @@ class SenticParams:
 _GATES = (("Wf", "bf"), ("Wi", "bi"), ("Wo", "bo"), ("Wco", "bco"), ("WC", "bC"))
 
 
-def _stacked(parts):
+def _stacked(parts, copy=True):
     """``np.concatenate(parts)``: a view when the C-contiguous ``parts`` lie
     end to end in one flat vector, as ``_flat`` lays out each direction's
     gate matrices and biases, else a copy (a loaded checkpoint, a dict with
-    an entry swapped)."""
+    an entry swapped) or, with ``copy=False``, a ValueError."""
+
+    def joined():
+        if not copy:
+            raise ValueError("arrays do not lie side by side as _flat lays them out")
+        return np.concatenate(parts)
+
     base, rest = parts[0].base, parts[0].shape[1:]
     if not (isinstance(base, np.ndarray) and base.ndim == 1 and base.flags.c_contiguous):
-        return np.concatenate(parts)
+        return joined()
     start = at = parts[0].ctypes.data
     for a in parts:
         if not (a.base is base and a.flags.c_contiguous and a.dtype == base.dtype
                 and a.shape[1:] == rest and a.ctypes.data == at):
-            return np.concatenate(parts)
+            return joined()
         at += a.nbytes
     origin = base.ctypes.data
     return base[(start - origin) // base.itemsize : (at - origin) // base.itemsize].reshape(
         -1, *rest)
-
-
-def _spread(whole, parts):
-    """Copies ``whole``'s equal blocks into ``parts``, unless it is
-    ``_stacked(parts)``'s view of them."""
-    if not np.may_share_memory(whole, parts[0]):
-        for part, block in zip(parts, np.split(whole, len(parts))):
-            part[...] = block
 
 
 def _flat(shapes):
@@ -245,7 +243,7 @@ def _recur_back(dH, X, MU, p, dirn, H, C, trace, g):
     """Backpropagation through time for one direction of a stack of one
     sentence, as ``_recur`` took and returned it: writes its arrays'
     gradients into ``g`` and returns the gradients (L, .) of X and MU. The
-    gate matrices' and biases' products land in place where ``g`` is laid
+    gate matrices' and biases' products land in place, so ``g`` must be laid
     out as ``_flat`` lays it out (see ``_stacked``)."""
     W, K, S, CT, TC = trace
     X, MU, H, C, K, S, CT, TC = (a[0] for a in (X, MU, H, C, K, S, CT, TC))
@@ -265,11 +263,9 @@ def _recur_back(dH, X, MU, p, dirn, H, C, trace, g):
         dh_next = DZ[t] @ Wh
     DK = DH * S[:, 3 * d :] * (1.0 - K * K)
     gW, gb = ([g[f"{k}:{dirn}"] for k in ks] for ks in zip(*_GATES))
-    dW, db = _stacked(gW), _stacked(gb)
+    dW, db = _stacked(gW, copy=False), _stacked(gb, copy=False)
     np.matmul(DZ.T, np.hstack([X, H[:-1], MU]), out=dW)
     np.sum(DZ, axis=0, out=db)
-    _spread(dW, gW)
-    _spread(db, gb)
     g[f"Wc:{dirn}"][...] = DK.T @ MU
     dJ = DZ @ W
     return dJ[:, :d_w], dJ[:, d_w + d :] + DK @ p[f"Wc:{dirn}"]
@@ -399,8 +395,10 @@ def loss_and_grads(inst, params, dropout_mask=None, grads=None):
     tables get their rows added in once. Arrays the instance does not reach
     (rows of other tokens, the target-attention query under averaging) get
     zero gradients. ``grads``, if given, maps every array name to a zeroed
-    buffer of that array's shape; the gradient is written into it and it is
-    returned, with the same bits as the fresh dict made without it. Through
+    buffer of that array's shape, each direction's gate matrices and biases
+    laid out as ``_flat`` lays them out (else a ValueError); the gradient is
+    written into it and it is returned, with the same bits as the fresh dict
+    made without it. Through
     ``params.row_block(rows, block)`` the word table ``E`` is the block of
     the sentence's rows, and its gradient (in ``grads`` too) is a block of
     the same shape, with the bits of those rows of the full-table gradient.
@@ -528,7 +526,8 @@ def train(train_set, dev_set, config):
     ``_adam_rows`` sweeps block by block through scratch vectors of
     ``_ADAM_BLOCK`` elements: a pair for the worker's ``E`` sweep, one for
     the main thread's dense sweep (which takes its other temporary from the
-    dead gradient) and a small pair for the look-ahead block. Once the last
+    dead gradient) and a pair as long as the longest sentence's ``E`` rows
+    for the look-ahead block. Once the last
     epoch's steps are done, the moments, the scratch and the gradient are
     freed before the dev evaluation and the copy of the best parameters,
     which then run beside ``theta`` alone.
@@ -583,10 +582,11 @@ def train(train_set, dev_set, config):
     n_E = math.prod(shapes["E"])
     E, m_E, v_E = (buf[:n_E].reshape(shapes["E"]) for buf in (theta, m, v))
     theta_r, m_r, v_r = (buf[n_E:] for buf in (theta, m, v))
-    main_s = np.empty((1, min(_ADAM_BLOCK, theta_r.size)))
-    worker_s = np.empty((2, min(_ADAM_BLOCK, n_E)))
     g_r, grads = _flat({k: s for k, s in shapes.items() if k != "E"})
     rows_of = [np.unique([params.token_index[t] for t in inst.tokens]) for inst in train_set]
+    main_s = np.empty((1, min(_ADAM_BLOCK, theta_r.size)))
+    worker_s = np.empty((2, min(_ADAM_BLOCK, n_E)))
+    ahead_s = np.empty((2, min(_ADAM_BLOCK, max([1, *map(len, rows_of)]) * shapes["E"][1])))
     lr = config.lr
     step = 0
     best = None
@@ -630,8 +630,8 @@ def train(train_set, dev_set, config):
                         rows, after, assume_unique=True, return_indices=True
                     )
                     block = E[after]
-                    _adam_rows(block, m_E[after], v_E[after], np.empty((2, block.size)),
-                               there, g_rows[here], step, lr)
+                    _adam_rows(block, m_E[after], v_E[after], ahead_s, there, g_rows[here],
+                               step, lr)
                 e_update = worker.submit(
                     _adam_rows, E, m_E, v_E, worker_s, rows, g_rows, step, lr
                 )
@@ -642,7 +642,7 @@ def train(train_set, dev_set, config):
             elapsed = time.perf_counter() - started
             if epoch + 1 == config.epochs:
                 # the optimizer state is dead: free it before the evaluation
-                del m, v, m_E, v_E, m_r, v_r, main_s, worker_s, g_r, grads, g_rows
+                del m, v, m_E, v_E, m_r, v_r, main_s, worker_s, ahead_s, g_r, grads, g_rows
             report = predict_and_evaluate(dev_set, params)
             key = (report["sentiment_acc"], report["strict_acc"], -epoch)
             if best is None or key > best[0]:

@@ -366,10 +366,12 @@ class TestGradients:
         assert np.array_equal(block_grads["E"], grads["E"][rows])
         assert not np.any(np.delete(grads["E"], rows, axis=0))
 
-    def test_grads_buffers_in_any_layout(self):
+    def test_grads_buffers_laid_out_by_flat(self):
         # the fresh gradient is laid out as train lays out its buffer, so the
-        # gate blocks are written in place; separate buffers get the same bits
-        # through a copy, as do parameters with the gate blocks apart
+        # gate blocks are written in place; a given buffer laid out the same
+        # way gets the same bits, and one with the gate blocks apart is
+        # refused. Parameters with the gate blocks apart are read through a
+        # copy.
         params = tiny_params(seed=23)
         inst = make_instance(["a", "cue", "b"], [1], {"price": "negative"},
                              [["k1"], [], ["k2", "k1"]])
@@ -378,14 +380,17 @@ class TestGradients:
             for ks in zip(*sentic_mod._GATES):
                 parts = [grads[f"{k}:{dirn}"] for k in ks]
                 assert np.shares_memory(sentic_mod._stacked(parts), parts[0])
-        separate = {k: np.zeros_like(a) for k, a in params.arrays.items()}
         _, laid_out = sentic_mod._flat({k: a.shape for k, a in params.arrays.items()})
-        for buffers in (separate, laid_out):
-            assert loss_and_grads(inst, params, grads=buffers) == (loss, buffers)
-            for k in grads:
-                assert np.array_equal(buffers[k], grads[k]), k
-        assert not np.shares_memory(
-            sentic_mod._stacked([separate["Wf:f"], separate["Wi:f"]]), separate["Wf:f"])
+        assert loss_and_grads(inst, params, grads=laid_out) == (loss, laid_out)
+        for k in grads:
+            assert np.array_equal(laid_out[k], grads[k]), k
+        separate = {k: np.zeros_like(a) for k, a in params.arrays.items()}
+        with pytest.raises(ValueError):
+            loss_and_grads(inst, params, grads=separate)
+        parts = [separate["Wf:f"], separate["Wi:f"]]
+        assert not np.shares_memory(sentic_mod._stacked(parts), parts[0])
+        with pytest.raises(ValueError):
+            sentic_mod._stacked(parts, copy=False)
 
     def test_step_makes_no_copy_of_the_gate_weights(self):
         # one loss_and_grads call made the way train makes it, at paper dims:
