@@ -109,32 +109,44 @@ class SenticParams:
         self.arrays = arrays
 
     @classmethod
-    def init(cls, config, tokens, concept_ids, rng):
+    def init(cls, config, tokens, concept_ids, rng, flat=False):
+        """Word and concept tables and attention vectors uniform in
+        (-0.1, 0.1), the other matrices Glorot-uniform, biases zero. With
+        ``flat=True`` the arrays are views laid out by ``_flat`` and drawn in
+        place, with the same names, order and bits."""
         d_w, d_h, d_c, d_m = config.d_w, config.d_h, config.d_c, config.d_m
         n_cls = len(config.classes)
         gate_in = d_w + d_h + d_c
 
         def glorot(rows, cols):
-            scale = math.sqrt(6.0 / (rows + cols))
-            return rng.uniform(-scale, scale, size=(rows, cols))
+            return (rows, cols), math.sqrt(6.0 / (rows + cols))
 
-        arrays = {
-            "E": rng.uniform(-0.1, 0.1, size=(len(tokens), d_w)),
-            "Ec": rng.uniform(-0.1, 0.1, size=(max(1, len(concept_ids)), d_c)),
+        spec = {  # name -> (shape, bound of the uniform draw; 0 is zeros)
+            "E": ((len(tokens), d_w), 0.1),
+            "Ec": ((max(1, len(concept_ids)), d_c), 0.1),
             "Wa1": glorot(d_m, 2 * d_h),
-            "Wa2": rng.uniform(-0.1, 0.1, size=d_m),
+            "Wa2": ((d_m,), 0.1),
             "Wm": glorot(d_m, 4 * d_h),
             "Wp": glorot(n_cls, 2 * d_h),
         }
         for a in config.aspects:
-            arrays[f"va:{a}"] = rng.uniform(-0.1, 0.1, size=d_m)
-            arrays[f"bp:{a}"] = np.zeros(n_cls)
+            spec[f"va:{a}"] = ((d_m,), 0.1)
+            spec[f"bp:{a}"] = ((n_cls,), 0.0)
         for dirn in ("f", "b"):
             for gate in ("Wf", "Wi", "WC", "Wo", "Wco"):
-                arrays[f"{gate}:{dirn}"] = glorot(d_h, gate_in)
+                spec[f"{gate}:{dirn}"] = glorot(d_h, gate_in)
             for gate in ("bf", "bi", "bC", "bo", "bco"):
-                arrays[f"{gate}:{dirn}"] = np.zeros(d_h)
-            arrays[f"Wc:{dirn}"] = glorot(d_h, d_c)
+                spec[f"{gate}:{dirn}"] = ((d_h,), 0.0)
+            spec[f"Wc:{dirn}"] = glorot(d_h, d_c)
+        shapes = {k: shape for k, (shape, _) in spec.items()}
+        arrays = _flat(shapes)[1] if flat else {k: np.zeros(s) for k, s in shapes.items()}
+        for k, (_, bound) in spec.items():
+            if bound:
+                # rng.uniform(-bound, bound)'s bits: -bound + 2*bound*u
+                a = arrays[k]
+                rng.random(out=a)
+                a *= 2 * bound
+                a -= bound
         return cls(config, tokens, concept_ids, arrays)
 
     def row_block(self, rows, block):
@@ -455,10 +467,10 @@ _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 # Elements per block of an Adam sweep, and the length of each scratch
 # vector. Every ufunc call on the worker is a GIL handoff with the training
 # thread, so the worker's ``E`` sweep is kept to a handful of blocks (three at
-# benchmark dims, V~2.5k and d_w=150). Blocks of 65,536 read the sentiment
-# benchmark's peak RSS as either 62.6 or 65.7-66.8 MB from run to run, and
-# 32,768 steadily at 63.3-63.5 MB, against 64.1-64.4 MB here (BENCH_29.json).
-_ADAM_BLOCK = 131072
+# benchmark dims, V~2.5k and d_w=150). At 65,536 a block's six vectors fit a
+# 4 MB L2 and the sentiment benchmark's peak is 1.6 MB lower than at
+# 131,072, with training time level; ROADMAP item 9 has the measurements.
+_ADAM_BLOCK = 65536
 
 
 def _adam_rows(p, m, v, scratch, rows, g_rows, step, lr):
@@ -572,12 +584,9 @@ def train(train_set, dev_set, config):
         {c for inst in train_set for per_tok in inst.concepts for c in per_tok}
     )
     rng = substream_rng(config.seed, "sentic.train")
-    params = SenticParams.init(config, tokens, concept_ids, rng)
+    params = SenticParams.init(config, tokens, concept_ids, rng, flat=True)
     shapes = {k: a.shape for k, a in params.arrays.items()}  # init order, E first
-    theta, arrays = _flat(shapes)
-    for k, a in arrays.items():
-        a[...] = params.arrays[k]
-    params.arrays = arrays
+    theta = params.arrays["E"].base  # _flat's vector
     m, v = np.zeros_like(theta), np.zeros_like(theta)
     n_E = math.prod(shapes["E"])
     E, m_E, v_E = (buf[:n_E].reshape(shapes["E"]) for buf in (theta, m, v))
