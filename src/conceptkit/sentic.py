@@ -109,11 +109,11 @@ class SenticParams:
         self.arrays = arrays
 
     @classmethod
-    def init(cls, config, tokens, concept_ids, rng, flat=False):
+    def init(cls, config, tokens, concept_ids, rng):
         """Word and concept tables and attention vectors uniform in
-        (-0.1, 0.1), the other matrices Glorot-uniform, biases zero. With
-        ``flat=True`` the arrays are views laid out by ``_flat`` and drawn in
-        place, with the same names, order and bits."""
+        (-0.1, 0.1), the other matrices Glorot-uniform, biases zero. The
+        arrays are views of one vector laid out by ``_flat`` and are drawn in
+        place, in the dict's order."""
         d_w, d_h, d_c, d_m = config.d_w, config.d_h, config.d_c, config.d_m
         n_cls = len(config.classes)
         gate_in = d_w + d_h + d_c
@@ -139,7 +139,7 @@ class SenticParams:
                 spec[f"{gate}:{dirn}"] = ((d_h,), 0.0)
             spec[f"Wc:{dirn}"] = glorot(d_h, d_c)
         shapes = {k: shape for k, (shape, _) in spec.items()}
-        arrays = _flat(shapes)[1] if flat else {k: np.zeros(s) for k, s in shapes.items()}
+        arrays = _flat(shapes)[1]
         for k, (_, bound) in spec.items():
             if bound:
                 # rng.uniform(-bound, bound)'s bits: -bound + 2*bound*u
@@ -524,11 +524,13 @@ def train(train_set, dev_set, config):
     accuracy (ties: strict aspect accuracy, then the earlier epoch) is best.
 
     Buffer layout: every trainable array is a view into one flat float64
-    vector ``theta`` laid out by ``_flat``: ``E`` first, the other arrays
-    after it in ``SenticParams.init`` order, except that each direction's
-    five gate matrices and then its five biases sit side by side in
-    ``_GATES`` order at the end. ``params.arrays`` keeps ``init``'s names,
-    shapes and dict order. The two Adam moments are flat vectors of the same
+    vector ``theta``, which ``SenticParams.init`` lays out by ``_flat`` and
+    draws in place: ``E`` first, the other arrays after it in ``init``'s
+    dict order, except that each direction's five gate matrices and then its
+    five biases sit side by side in ``_GATES`` order at the end.
+    ``params.arrays`` keeps ``init``'s names, shapes and dict order, and no
+    second copy of the initial parameters is made. The two Adam moments are
+    flat vectors of the same
     layout, and no other buffer is of ``theta``'s size. The gradient of the
     non-``E`` arrays is one flat vector of the rest of that layout, so the
     recurrence reads its stacked gate weights from ``theta`` and writes
@@ -539,8 +541,8 @@ def train(train_set, dev_set, config):
     ``_ADAM_BLOCK`` elements: a pair for the worker's ``E`` sweep, one for
     the main thread's dense sweep (which takes its other temporary from the
     dead gradient) and a pair as long as the longest sentence's ``E`` rows
-    for the look-ahead block. Once the last
-    epoch's steps are done, the moments, the scratch and the gradient are
+    for the look-ahead block. Once the last epoch's steps are done, the
+    moments, the scratch and the gradient are
     freed before the dev evaluation and the copy of the best parameters,
     which then run beside ``theta`` alone.
 
@@ -584,7 +586,7 @@ def train(train_set, dev_set, config):
         {c for inst in train_set for per_tok in inst.concepts for c in per_tok}
     )
     rng = substream_rng(config.seed, "sentic.train")
-    params = SenticParams.init(config, tokens, concept_ids, rng, flat=True)
+    params = SenticParams.init(config, tokens, concept_ids, rng)
     shapes = {k: a.shape for k, a in params.arrays.items()}  # init order, E first
     theta = params.arrays["E"].base  # _flat's vector
     m, v = np.zeros_like(theta), np.zeros_like(theta)

@@ -371,12 +371,17 @@ class TestGradients:
         # the fresh gradient is laid out as train lays out its buffer, so the
         # gate blocks are written in place; a given buffer laid out the same
         # way gets the same bits, and one with the gate blocks apart is
-        # refused. Parameters with the gate blocks apart are read through a
-        # copy.
+        # refused. Parameters with the gate blocks apart (a copy, as a loaded
+        # checkpoint has them) are read through a concatenated copy, with the
+        # same bits.
         params = tiny_params(seed=23)
         inst = make_instance(["a", "cue", "b"], [1], {"price": "negative"},
                              [["k1"], [], ["k2", "k1"]])
         loss, grads = loss_and_grads(inst, params)
+        apart_loss, apart_grads = loss_and_grads(inst, params.copy())
+        assert apart_loss == loss
+        for k in grads:
+            assert np.array_equal(apart_grads[k], grads[k]), k
         for dirn in ("f", "b"):
             for ks in zip(*sentic_mod._GATES):
                 parts = [grads[f"{k}:{dirn}"] for k in ks]
@@ -403,12 +408,7 @@ class TestGradients:
         config = SenticConfig(d_w=150, d_h=50, aspects=("price", "service"))
         tokens = [f"w{i}" for i in range(12)]
         params = SenticParams.init(config, tokens, ["k1", "k2"], make_rng(40))
-        shapes = {k: a.shape for k, a in params.arrays.items()}
-        _, arrays = sentic_mod._flat(shapes)
-        for k, a in arrays.items():
-            a[...] = params.arrays[k]
-        params.arrays = arrays
-        _, grads = sentic_mod._flat({k: s for k, s in shapes.items() if k != "E"})
+        _, grads = sentic_mod._flat({k: a.shape for k, a in params.arrays.items() if k != "E"})
         rows = np.arange(len(tokens))
         block = params.row_block(rows, params.arrays["E"][rows])
         grads["E"] = np.zeros_like(block.arrays["E"])
@@ -533,20 +533,16 @@ class TestTrain:
             want += [(f"{k}:{dirn}", (2,)) for k in ("bf", "bi", "bC", "bo", "bco")]
             want.append((f"Wc:{dirn}", (2, 5)))
         assert [(k, a.shape) for k, a in params.arrays.items()] == want
-        flat = SenticParams.init(config, ["a", "b", "c"], ["k1", "k2"], make_rng(0), flat=True)
-        assert [(k, a.shape) for k, a in flat.arrays.items()] == want
         data, dev = adam_dataset()
         trained = train(data, dev, replace(config, d_c=2))
         assert list(trained.arrays) == [k for k, _ in want]
 
-    @pytest.mark.parametrize("flat", [False, True], ids=["apart", "flat"])
-    def test_init_draws_are_uniform_draws(self, flat):
-        # init fills each array with rng.random(out=) scaled to (-b, b), in
-        # place in one vector with flat=True: the bits that rng.uniform(-b, b)
-        # gives in dict order, which the checkpoints of earlier versions and
-        # criterion 1's test point were drawn with
+    def test_init_draws_are_uniform_draws(self):
+        # init fills each array in place in one vector with rng.random(out=)
+        # scaled to (-b, b): the bits that rng.uniform(-b, b) gives in dict
+        # order, which the checkpoints of earlier versions were drawn with
         config = SenticConfig(d_w=6, d_h=3, d_m=4, d_c=5, aspects=("price", "service"))
-        params = SenticParams.init(config, ["a", "b"], ["k1"], make_rng(3), flat=flat)
+        params = SenticParams.init(config, ["a", "b"], ["k1"], make_rng(3))
         ref = make_rng(3)
         for k, a in params.arrays.items():
             if k.startswith("b"):  # biases, bp:<aspect> included
@@ -555,8 +551,9 @@ class TestTrain:
             bound = 0.1 if k in ("E", "Ec", "Wa2") or k.startswith("va:") else (
                 math.sqrt(6.0 / sum(a.shape)))
             assert np.array_equal(a, ref.uniform(-bound, bound, size=a.shape)), k
-        bases = {id(a.base) for a in params.arrays.values()}
-        assert len(bases) == 1 if flat else bases == {id(None)}
+        flat = params.arrays["E"].base
+        assert flat.size == sum(a.size for a in params.arrays.values())
+        assert all(a.base is flat for a in params.arrays.values())
 
     def test_lr_zero_unchanged(self):
         rng = make_rng(18)
@@ -782,11 +779,8 @@ class TestStackedProducts:
         # buffer with out=: each gives the bits of the concatenated copy and
         # of the allocating form
         cfg = SenticConfig(d_w=d_w, d_h=d_h, d_c=d_c, d_m=4)
-        init = SenticParams.init(cfg, ["a"], ["k"], make_rng(34)).arrays
-        _, p = sentic_mod._flat({k: a.shape for k, a in init.items()})
-        for k, a in p.items():
-            a[...] = init[k]
-        _, g = sentic_mod._flat({k: a.shape for k, a in init.items() if k != "E"})
+        p = SenticParams.init(cfg, ["a"], ["k"], make_rng(34)).arrays
+        _, g = sentic_mod._flat({k: a.shape for k, a in p.items() if k != "E"})
         W = sentic_mod._stacked([p[f"{k}:f"] for k in GATE_ORDER])
         W_copy = np.concatenate([p[f"{k}:f"] for k in GATE_ORDER])
         assert np.shares_memory(W, p["Wf:f"]) and np.array_equal(W, W_copy)
