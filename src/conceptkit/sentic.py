@@ -467,9 +467,10 @@ _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 # Elements per block of an Adam sweep, and the length of each scratch
 # vector. Every ufunc call on the worker is a GIL handoff with the training
 # thread, so the worker's ``E`` sweep is kept to a handful of blocks (three at
-# benchmark dims, V~2.5k and d_w=150). At 65,536 a block's six vectors fit a
-# 4 MB L2 and the sentiment benchmark's peak is 1.6 MB lower than at
-# 131,072, with training time level; ROADMAP item 9 has the measurements.
+# benchmark dims, V~2.5k and d_w=150). At 65,536 a block's six vectors fit
+# in 4 MB and the sentiment benchmark's peak is 1.6 MB lower than at
+# 131,072; ROADMAP item 9 gives the measurements, and what they leave open
+# about training time.
 _ADAM_BLOCK = 65536
 
 
